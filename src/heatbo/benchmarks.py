@@ -249,37 +249,21 @@ def contamination_eval(x, noise_seed: int = 0) -> float:
     scenarios above the contamination threshold at each stage.
     """
     cfg = BENCHMARK_CONSTANTS["contamination"]
-    stages = cfg["stages"]
-    x = np.asarray(x)
-    if x.shape != (stages,) or not np.all((x == 0) | (x == 1)):
-        raise InvalidInputError(f"need {stages} binary decisions")
-    rng = np.random.default_rng([int(noise_seed), 0xC0A7])
-    samples = BENCHMARK_CONSTANTS["monte_carlo_samples"]
-    z = rng.beta(cfg["init_alpha"], cfg["init_beta"], size=samples)
-    lam = rng.beta(
-        cfg["contamination_alpha"], cfg["contamination_beta"], size=(stages, samples)
-    )
-    gam = rng.beta(
-        cfg["restoration_alpha"], cfg["restoration_beta"], size=(stages, samples)
-    )
+    curve = contamination_violation_curve(x, noise_seed)
     cost = 0.0
-    for i in range(stages):
-        if x[i] == 1:
-            z = (1.0 - gam[i]) * z
-        else:
-            z = lam[i] * (1.0 - z) + z
-        cost += cfg["prevention_cost"] * float(x[i])
-        cost += cfg["violation_penalty"] * float(
-            np.mean(z > cfg["violation_threshold"])
-        )
+    for decision, violated in zip(np.asarray(x), curve):
+        cost += cfg["prevention_cost"] * float(decision)
+        cost += cfg["violation_penalty"] * float(violated)
     return cost
 
 
 def contamination_violation_curve(x, noise_seed: int = 0) -> np.ndarray:
-    """Per-stage violation fractions; exposed for paired monotonicity probes."""
+    """Per-stage fraction of scenarios above the violation threshold."""
     cfg = BENCHMARK_CONSTANTS["contamination"]
     stages = cfg["stages"]
     x = np.asarray(x)
+    if x.shape != (stages,) or not np.all((x == 0) | (x == 1)):
+        raise InvalidInputError(f"need {stages} binary decisions")
     rng = np.random.default_rng([int(noise_seed), 0xC0A7])
     samples = BENCHMARK_CONSTANTS["monte_carlo_samples"]
     z = rng.beta(cfg["init_alpha"], cfg["init_beta"], size=samples)

@@ -112,12 +112,6 @@ class TrustRegionState:
                 )
 
 
-def new_trust_region(space: SearchSpace, center, config: TrustRegionConfig | None = None):
-    config = config or TrustRegionConfig.for_space(space)
-    center = tuple(int(v) for v in space.validate_point(center))
-    return TrustRegionState(center=center, radius=config.l_init, config=config)
-
-
 def tr_update(tr: TrustRegionState, improved: bool) -> tuple[TrustRegionState, bool]:
     """Streak-based radius schedule; returns (new_state, restart_signal).
 
@@ -458,8 +452,9 @@ def observe(
     """
     if not np.isfinite(raw_value):
         raise InvalidInputError(f"objective value must be finite, got {raw_value}")
-    point = run.space.validate_point(point)
-    key = tuple(int(v) for v in point)
+    key = tuple(int(v) for v in run.space.validate_point(point))
+    if isinstance(point, tuple) and all(type(v) is int for v in point):
+        key = point  # already canonical: share it instead of holding a copy
     run.points.append(key)
     run.values.append(float(raw_value))
 

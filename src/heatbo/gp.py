@@ -6,6 +6,12 @@ fitted by maximizing the marginal log-likelihood with Adam in an
 unconstrained parameterization (log for positive parameters, scaled logistic
 for bounded correlations); families with closed-form kernel derivatives get
 analytic gradients, the rest fall back to central finite differences.
+
+The log-affine families (heat, combo, casmopolitan; ARD or not) take one
+fused route: K = sigma2 * exp(w @ D) over exact mismatch counts D, one matrix
+per weight group, counted once per fit.  Each Adam step builds K once, takes
+K^-1 from the Cholesky factor (LAPACK potri) and gets every kernel gradient
+from one product of D with A = (alpha alpha^T - K^-1) o K.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from math import log, pi
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from . import kernels
-from .space import InvalidInputError, SearchSpace
+from .space import InvalidInputError, NumericFailure, SearchSpace
 
 __all__ = [
     "TrainingSet",
@@ -33,10 +40,6 @@ __all__ = [
 
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 FD_STEP = 1e-5  # relative step for finite-difference gradients
-
-
-class NumericFailure(RuntimeError):
-    """Covariance factorization failed even after maximal jitter."""
 
 
 @dataclass(frozen=True)
@@ -121,16 +124,30 @@ def _chol_with_jitter(K: np.ndarray, ladder) -> tuple[np.ndarray, float]:
     raise NumericFailure("covariance not factorizable after jitter escalation")
 
 
-def _gram_for(space, spec, X, M):
-    if M is not None and kernels.supports_match(spec):
-        return kernels.gram_from_match(space, spec, M)
-    return kernels.gram(space, spec, X)
+def _pair_data(space, spec, X, M=None):
+    """What the Gram needs from the training points, built once per fit.
+
+    Log-affine families take grouped mismatch counts, also in place of a
+    boolean match tensor; other match-based families take the match tensor.
+    """
+    if kernels.is_log_affine(spec) and (M is None or M.dtype == bool):
+        return kernels.mismatch_counts(space, spec, X)
+    if M is None and kernels.supports_match(spec):
+        return kernels.match_tensor(space, X)
+    return M
 
 
 def _mll_parts(space, spec, log_noise, X, M, y, ladder):
-    K = _gram_for(space, spec, X, M)
-    noise = float(np.exp(log_noise))
+    M = _pair_data(space, spec, X, M)
     m = y.shape[0]
+    if kernels.is_log_affine(spec):
+        w, _ = kernels.log_affine_weights(space, spec)
+        K = spec.sigma2 * np.exp(w @ M).reshape(m, m)
+    elif kernels.supports_match(spec):
+        K = kernels.gram_from_match(space, spec, M)
+    else:
+        K = kernels.gram(space, spec, X)
+    noise = float(np.exp(log_noise))
     L, _ = _chol_with_jitter(K + noise * np.eye(m), ladder)
     alpha = cho_solve((L, True), y)
     value = (
@@ -143,27 +160,32 @@ def _mll_parts(space, spec, log_noise, X, M, y, ladder):
 
 def _mll_and_grad(space, spec, log_noise, X, M, y, ladder):
     """Marginal log-likelihood and its gradient in the unconstrained space."""
+    M = _pair_data(space, spec, X, M)
     value, K, L, alpha, noise = _mll_parts(space, spec, log_noise, X, M, y, ladder)
-    m = y.shape[0]
-    K_inv = cho_solve((L, True), np.eye(m))
+    K_inv, _ = dpotri(L, lower=1)  # fills the lower triangle; L's upper is 0
+    K_inv += np.tril(K_inv, -1).T
     W = np.outer(alpha, alpha) - K_inv
-    if kernels.has_analytic_grads(spec):
+    if kernels.is_log_affine(spec):
+        _, dw = kernels.log_affine_weights(space, spec)
+        A = W * K  # dK/dtheta_g = dw_g * K o D_g: one product with the counts
+        per_group = 0.5 * dw * (M @ A.ravel())
+        kernel_grad = np.append(
+            per_group if spec.ard else per_group.sum(), 0.5 * A.sum()
+        )
+    elif kernels.has_analytic_grads(spec):
         _, grads = kernels.gram_with_grads(space, spec, M)
         kernel_grad = np.array([0.5 * float(np.sum(W * G)) for G in grads])
     else:
+        def value_at(t):
+            cur = kernels.unpack_spec(space, spec, t)
+            return _mll_parts(space, cur, log_noise, X, M, y, ladder)[0]
+
         theta = kernels.pack_spec(space, spec)
-        kernel_grad = np.empty(theta.size)
-        for j in range(theta.size):
-            step = FD_STEP * max(1.0, abs(theta[j]))
-            tp = theta.copy(); tp[j] += step
-            tm = theta.copy(); tm[j] -= step
-            vp, *_ = _mll_parts(
-                space, kernels.unpack_spec(space, spec, tp), log_noise, X, M, y, ladder
-            )
-            vm, *_ = _mll_parts(
-                space, kernels.unpack_spec(space, spec, tm), log_noise, X, M, y, ladder
-            )
-            kernel_grad[j] = (vp - vm) / (2.0 * step)
+        steps = FD_STEP * np.maximum(1.0, np.abs(theta))
+        kernel_grad = np.array(
+            [(value_at(theta + e) - value_at(theta - e)) / (2.0 * h)
+             for h, e in zip(steps, np.diag(steps))]
+        )
     noise_grad = 0.5 * float(np.trace(W)) * noise  # dK/d log noise = noise * I
     return value, np.concatenate([kernel_grad, [noise_grad]])
 
@@ -202,13 +224,8 @@ def make_state(
         raise InvalidInputError("noise variance must be > 0")
     kernels.validate_spec(space, spec)
     y = train.standardized()
-    M = (
-        kernels.match_tensor(space, train.points)
-        if kernels.supports_match(spec)
-        else None
-    )
     value, _, L, alpha, _ = _mll_parts(
-        space, spec, log(noise_variance), train.points, M, y, jitter_ladder
+        space, spec, log(noise_variance), train.points, None, y, jitter_ladder
     )
     return GpState(
         space=space,
@@ -239,14 +256,11 @@ def fit(
         raise InvalidInputError("need at least 2 training points to fit")
     kernels.validate_spec(space, spec)
     y = train.standardized()
-    M = (
-        kernels.match_tensor(space, train.points)
-        if kernels.supports_match(spec)
-        else None
-    )
     X = train.points
 
     def objective_for(start_spec):
+        M = _pair_data(space, start_spec, X)
+
         def objective(theta, need_grad=True):
             cur = kernels.unpack_spec(space, start_spec, theta[:-1])
             if need_grad:

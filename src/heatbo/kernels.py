@@ -36,7 +36,6 @@ __all__ = [
     "casmo_eval",
     "beta_to_gamma",
     "heat_betas_to_casmo_lengthscales",
-    "combo_closed_gram",
     "hamming_family_eval",
     "rho_eval",
     "additive_sum_eval",
@@ -171,26 +170,6 @@ def _validate_rhos(space: SearchSpace, rhos) -> None:
             raise InvalidInputError(
                 f"correlation {r} outside ({lo}, 1) for {g} categories"
             )
-
-
-def combo_closed_gram(space: SearchSpace, betas, points) -> np.ndarray:
-    """Unnormalized per-factor spectral product in closed form.
-
-    Matches the numeric per-factor eigendecomposition exactly (not just up to
-    scale): matching coordinates contribute (1 + (g-1)e^{-beta g})/g and
-    mismatching ones (1 - e^{-beta g})/g.
-    """
-    betas = _spread(space, betas)
-    if np.any(betas <= 0):
-        raise InvalidInputError("betas must be positive")
-    X = space.validate_points(points)
-    m = X.shape[0]
-    gram_ = np.ones((m, m))
-    for i, g in enumerate(space.cardinalities):
-        e = exp(-betas[i] * g)
-        same = X[:, i][:, None] == X[:, i][None, :]
-        gram_ *= np.where(same, (1.0 + (g - 1.0) * e) / g, (1.0 - e) / g)
-    return gram_
 
 
 _PROFILE_FAMILIES = ("rbf", "matern52", "rq")
@@ -535,11 +514,10 @@ class _HeatFamily:
         betas = np.full(space.n if ard else 1, 1.0 / space.n)
         return KernelSpec(self.name, {"betas": betas, "sigma2": 1.0}, ard)
 
-    def _rhos(self, space, spec) -> np.ndarray:
+    def _rhos(self, space, spec, dims=None) -> np.ndarray:
         betas = _spread(space, spec.params["betas"])
-        return np.array(
-            [heat_rho(b, g) for b, g in zip(betas, space.cardinalities)]
-        )
+        dims = range(space.n) if dims is None else dims
+        return np.array([heat_rho(betas[i], space.cardinalities[i]) for i in dims])
 
     def build(self, space, spec, M):
         rhos = self._rhos(space, spec)
@@ -566,23 +544,21 @@ class _HeatFamily:
             betas=np.exp(theta[:k]), sigma2=float(np.exp(theta[-1]))
         )
 
-    def build_with_grads(self, space, spec, M):
-        betas = _spread(space, spec.params["betas"])
-        rhos = self._rhos(space, spec)
-        K = self.build(space, spec, M)
-        ratio = np.array(
-            [
-                _heat_rho_grad(b, g) / r if r > 0 else 0.0
-                for b, g, r in zip(betas, space.cardinalities, rhos)
-            ]
-        )
-        per_dim = [K * np.where(M[i], 0.0, ratio[i] * betas[i]) for i in range(space.n)]
-        if spec.ard:
-            grads = per_dim
-        else:
-            grads = [sum(per_dim)]
-        grads.append(K.copy())  # d/d log sigma2
-        return K, grads
+    def log_weights(self, space, spec, dims):
+        """log rho_i and its derivative in the packed log beta_i, for ``dims``."""
+        betas = _spread(space, spec.params["betas"])[dims]
+        cards = [space.cardinalities[i] for i in dims]
+        rhos = self._rhos(space, spec, dims)
+        dw = [
+            b * _heat_rho_grad(b, g) / r if r > 0 else 0.0
+            for b, g, r in zip(betas, cards, rhos)
+        ]
+        with np.errstate(divide="ignore"):  # rho = 0 (beta = 0): exp(-1e300) = 0
+            return np.maximum(np.log(rhos), -1e300), np.array(dw)
+
+    def tied_groups(self, space):
+        """Without ARD, rho still depends on g: one weight per cardinality."""
+        return space.cardinalities
 
 
 class _ComboClosedFamily(_HeatFamily):
@@ -637,15 +613,13 @@ class _CasmoFamily:
             lengthscales=np.exp(theta[:k]), sigma2=float(np.exp(theta[-1]))
         )
 
-    def build_with_grads(self, space, spec, M):
-        ells = _spread(space, spec.params["lengthscales"])
-        K = self.build(space, spec, M)
-        per_dim = [
-            K * np.where(M[i], 0.0, -ells[i] / space.n) for i in range(space.n)
-        ]
-        grads = per_dim if spec.ard else [sum(per_dim)]
-        grads.append(K.copy())
-        return K, grads
+    def log_weights(self, space, spec, dims):
+        """-l_i / n, which is also its derivative in log l_i, for ``dims``."""
+        w = -_spread(space, spec.params["lengthscales"])[dims] / space.n
+        return w, w
+
+    def tied_groups(self, space):
+        return (0,) * space.n
 
 
 class _RhoFamily:
@@ -1134,7 +1108,7 @@ def diag_values(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
     return np.array([fam.value(space, spec, x, x) for x in X])
 
 
-# Internal hooks for the GP fitter: cached match tensors and analytic grads.
+# Internal hooks for the GP fitter: cached pair data and analytic grads.
 
 
 def match_tensor(space: SearchSpace, points) -> np.ndarray:
@@ -1152,6 +1126,38 @@ def supports_match(spec: KernelSpec) -> bool:
 
 def has_analytic_grads(spec: KernelSpec) -> bool:
     return hasattr(_FAMILIES[spec.family], "build_with_grads")
+
+
+def is_log_affine(spec: KernelSpec) -> bool:
+    """K = sigma2 * exp(sum_g w_g D_g) over grouped mismatch counts D_g."""
+    return hasattr(_FAMILIES[spec.family], "log_weights")
+
+
+def _weight_groups(space: SearchSpace, spec: KernelSpec) -> np.ndarray:
+    """Label per dimension; dimensions with one label share one log-weight."""
+    if spec.ard:
+        return np.arange(space.n)
+    return np.asarray(_FAMILIES[spec.family].tied_groups(space))
+
+
+def mismatch_counts(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
+    """(groups, m * m) counts of mismatching dimensions per weight group.
+
+    The entries are small integers, so every summation order gives the same
+    bits, and relocating categories leaves them unchanged.
+    """
+    X = space.validate_points(points)
+    _, group = np.unique(_weight_groups(space, spec), return_inverse=True)
+    D = np.zeros((group.max() + 1, X.shape[0] ** 2))
+    for g, col in zip(group, X.T):
+        D[g] += (col[:, None] != col[None, :]).ravel()
+    return D
+
+
+def log_affine_weights(space: SearchSpace, spec: KernelSpec):
+    """Per-group log-weights w and dw/dtheta, in ``mismatch_counts`` order."""
+    _, first = np.unique(_weight_groups(space, spec), return_index=True)
+    return _FAMILIES[spec.family].log_weights(space, spec, first)
 
 
 def gram_with_grads(space: SearchSpace, spec: KernelSpec, M: np.ndarray):

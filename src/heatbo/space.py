@@ -34,6 +34,10 @@ class InvalidInputError(ValueError):
     """Raised when an argument violates a documented precondition."""
 
 
+class NumericFailure(RuntimeError):
+    """A linear-algebra step failed beyond recoverable tolerance."""
+
+
 def _pinned_shuffle(items: list, rng: random.Random) -> None:
     """In-place Fisher-Yates shuffle driven only by ``rng.random()``.
 

@@ -20,7 +20,8 @@ from math import comb
 
 import numpy as np
 
-from .space import InvalidInputError, SearchSpace, hamming_matrix
+from .kernels import _spread
+from .space import InvalidInputError, NumericFailure, SearchSpace, hamming_matrix
 
 __all__ = [
     "FactorSpectrum",
@@ -42,10 +43,6 @@ __all__ = [
 EIGENVALUE_GROUP_TOL = 1e-6
 
 _SUBSET_LIMIT = 20  # 2**n subset enumeration guard
-
-
-class NumericFailure(RuntimeError):
-    """A linear-algebra step failed beyond recoverable tolerance."""
 
 
 def complete_graph_laplacian(g: int) -> np.ndarray:
@@ -161,17 +158,6 @@ def product_laplacian(space: SearchSpace) -> np.ndarray:
     return total
 
 
-def _as_beta_vector(space: SearchSpace, betas) -> np.ndarray:
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    if betas.shape == (1,):
-        betas = np.full(space.n, betas[0])
-    if betas.shape != (space.n,):
-        raise InvalidInputError(f"need 1 or {space.n} betas, got shape {betas.shape}")
-    if np.any(betas <= 0):
-        raise InvalidInputError("betas must be positive for the numeric oracle")
-    return betas
-
-
 def combo_gram_numeric(space: SearchSpace, betas, points) -> np.ndarray:
     """Gram matrix via per-factor numeric eigendecomposition.
 
@@ -181,7 +167,9 @@ def combo_gram_numeric(space: SearchSpace, betas, points) -> np.ndarray:
     slow path kept as an oracle; the closed-form product in
     :mod:`heatbo.kernels` must match it up to global scale.
     """
-    betas = _as_beta_vector(space, betas)
+    betas = _spread(space, betas)
+    if np.any(betas <= 0):
+        raise InvalidInputError("betas must be positive for the numeric oracle")
     X = space.validate_points(points)
     m = X.shape[0]
     gram = np.ones((m, m))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatbo import gp, kernels
 from heatbo.space import (
@@ -153,6 +155,93 @@ class TestGradients:
                 fd = (vp - vm) / (2 * step)
                 denom = max(abs(fd), abs(grad[j]), 1e-8)
                 assert abs(grad[j] - fd) / denom <= 1e-4, (family, j)
+
+
+def explicit_mll_and_grad(space, spec, log_noise, X, y):
+    """Oracle: dense inverse, and each dK/dtheta formed as K o mismatch_i * c_i."""
+    m = len(y)
+    K = kernels.gram(space, spec, X)
+    noise = np.exp(log_noise)
+    C_inv = np.linalg.inv(K + noise * np.eye(m))
+    alpha = C_inv @ y
+    W = np.outer(alpha, alpha) - C_inv
+    if spec.family == "casmopolitan":
+        c = -kernels._spread(space, spec.params["lengthscales"]) / space.n
+    else:  # d log rho / d log beta for the heat and combo families
+        betas = kernels._spread(space, spec.params["betas"])
+        g = np.array(space.cardinalities, dtype=float)
+        e = np.exp(-betas * g)
+        c = betas * g * g * e / ((1.0 - e) * (1.0 + (g - 1.0) * e))
+    per_dim = [
+        0.5 * np.sum(W * K * (X[:, i][:, None] != X[:, i][None, :]) * c[i])
+        for i in range(space.n)
+    ]
+    kernel_grad = per_dim if spec.ard else [sum(per_dim)]
+    grad = [*kernel_grad, 0.5 * np.sum(W * K), 0.5 * np.trace(W) * noise]
+    return dense_mll(K, noise, y), np.array(grad)
+
+
+@st.composite
+def log_affine_problems(draw):
+    """Random mixed-cardinality space, log-affine spec and training set."""
+    cards = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=5)))
+    family = draw(st.sampled_from(["heat", "combo", "casmopolitan"]))
+    ard = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    sp = SearchSpace(cards)
+    m = min(12, int(np.prod(cards)))
+    train = make_train(sp, rng, m=max(m, 2))
+    base = kernels.default_spec(sp, family, ard=ard)
+    theta = kernels.pack_spec(sp, base)
+    spec = kernels.unpack_spec(sp, base, theta + rng.normal(scale=0.5, size=theta.size))
+    return sp, spec, train, float(rng.uniform(-6.0, -2.0)), rng
+
+
+class TestFusedRoute:
+    """heat, combo and casmopolitan fit through grouped mismatch counts."""
+
+    @given(log_affine_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_explicit_gradient_oracle(self, problem):
+        sp, spec, train, log_noise, _ = problem
+        y = train.standardized()
+        M = gp._pair_data(sp, spec, train.points)
+        value, grad = gp._mll_and_grad(
+            sp, spec, log_noise, train.points, M, y, gp.JITTER_LADDER
+        )
+        want_value, want_grad = explicit_mll_and_grad(
+            sp, spec, log_noise, train.points, y
+        )
+        assert value == pytest.approx(want_value, rel=1e-9)
+        scale = np.max(np.abs(want_grad))
+        assert np.max(np.abs(grad - want_grad)) <= 1e-9 * scale
+
+    @given(log_affine_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_relocation_leaves_value_and_gradient_bitwise_equal(self, problem):
+        sp, spec, train, log_noise, rng = problem
+        y = train.standardized()
+        moved = apply_relocation_many(
+            sample_relocation(sp, int(rng.integers(2**31))), train.points
+        )
+        results = [
+            gp._mll_and_grad(
+                sp, spec, log_noise, pts, gp._pair_data(sp, spec, pts), y,
+                gp.JITTER_LADDER,
+            )
+            for pts in (train.points, moved)
+        ]
+        (v0, g0), (v1, g1) = results
+        assert v0 == v1
+        np.testing.assert_array_equal(g0, g1)
+
+    def test_match_tensor_reaches_the_fused_route(self):
+        sp = SearchSpace((3, 4, 2))
+        X = make_train(sp, np.random.default_rng(15), m=10).points
+        spec = kernels.default_spec(sp, "heat", ard=False)
+        counts = gp._pair_data(sp, spec, X, kernels.match_tensor(sp, X))
+        np.testing.assert_array_equal(counts, kernels.mismatch_counts(sp, spec, X))
+        assert counts.shape == (3, 100)  # one group per cardinality, not per dimension
 
 
 class TestFit:

@@ -589,6 +589,18 @@ class TestHeatProperties:
             assert value == 2.0
 
 
+def gram_grads(space, spec, pts):
+    """dK/dtheta in pack order; log-affine families via their log-weights hook."""
+    M = kn.match_tensor(space, pts)
+    if not kn.is_log_affine(spec):
+        return kn.gram_with_grads(space, spec, M)[1]
+    K = kn.gram_from_match(space, spec, M)
+    _, dw = kn.log_affine_weights(space, spec)
+    D = kn.mismatch_counts(space, spec, pts).reshape(-1, *K.shape)
+    per_group = [K * c * Dg for c, Dg in zip(dw, D)]
+    return (per_group if spec.ard else [sum(per_group)]) + [K]
+
+
 class TestSpecPacking:
     def test_pack_unpack_round_trip(self):
         rng = np.random.default_rng(24)
@@ -612,16 +624,25 @@ class TestSpecPacking:
 
     def test_analytic_gradients_match_finite_differences(self):
         rng = np.random.default_rng(26)
-        for family in (
-            "heat", "combo", "casmopolitan", "rho",
-            "hamming_rbf", "hamming_matern52", "hamming_rq",
-        ):
+        cases = [
+            (family, True) for family in (
+                "heat", "combo", "casmopolitan", "rho",
+                "hamming_rbf", "hamming_matern52", "hamming_rq",
+            )
+        ]
+        cases += [("heat", False), ("combo", False), ("casmopolitan", False)]
+        for family, ard in cases:
             sp = random_space(rng, min_n=2)
-            spec = spec_for(sp, family, rng)
+            if ard:
+                spec = spec_for(sp, family, rng)
+            else:
+                base = kn.default_spec(sp, family, ard=False)
+                theta = kn.pack_spec(sp, base)
+                spec = kn.unpack_spec(sp, base, theta + rng.normal(size=theta.size))
             pts = sp.sample_points(8, rng)
             M = kn.match_tensor(sp, pts)
             theta = kn.pack_spec(sp, spec)
-            K, grads = kn.gram_with_grads(sp, spec, M)
+            grads = gram_grads(sp, spec, pts)
             assert len(grads) == theta.size
             for j in range(theta.size):
                 step = 1e-6 * max(1.0, abs(theta[j]))

@@ -1,10 +1,14 @@
 import csv
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heatbo import runner
+import heatbo
+from heatbo import kernels, runner
 
 
 def write_config(tmp_path, **overrides):
@@ -218,6 +222,20 @@ class TestCli:
         assert "labs" in capsys.readouterr().out
         assert runner.main(["list-kernels"]) == 0
         assert "heat" in capsys.readouterr().out
+
+    def test_module_entry_point(self):
+        src = str(Path(heatbo.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "heatbo", "list-kernels"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.split() == list(kernels.FAMILY_NAMES)
 
     def test_selftest_command(self):
         assert runner.main(["selftest"]) == 0
