@@ -16,7 +16,7 @@ from one product of D with A = (alpha alpha^T - K^-1) o K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log, pi
 
 import numpy as np
@@ -104,7 +104,6 @@ class GpState:
     chol_lower: np.ndarray  # L with L @ L.T = K + noise * I
     weights: np.ndarray  # (K + noise * I)^{-1} y_std
     mll_value: float
-    variance_clamps: list = field(default_factory=list, repr=False, compare=False)
 
     def prior_variance(self) -> float:
         """Prior predictive variance in raw target units."""
@@ -124,27 +123,22 @@ def _chol_with_jitter(K: np.ndarray, ladder) -> tuple[np.ndarray, float]:
     raise NumericFailure("covariance not factorizable after jitter escalation")
 
 
-def _pair_data(space, spec, X, M=None):
-    """What the Gram needs from the training points, built once per fit.
+def _pair_data(space, spec, X, D=None):
+    """Grouped mismatch counts for log-affine families, built once per fit.
 
-    Log-affine families take grouped mismatch counts, also in place of a
-    boolean match tensor; other match-based families take the match tensor.
+    Other families need nothing cached: their Gram comes from ``kernels``.
     """
-    if kernels.is_log_affine(spec) and (M is None or M.dtype == bool):
+    if D is None and kernels.is_log_affine(spec):
         return kernels.mismatch_counts(space, spec, X)
-    if M is None and kernels.supports_match(spec):
-        return kernels.match_tensor(space, X)
-    return M
+    return D
 
 
-def _mll_parts(space, spec, log_noise, X, M, y, ladder):
-    M = _pair_data(space, spec, X, M)
+def _mll_parts(space, spec, log_noise, X, D, y, ladder):
+    D = _pair_data(space, spec, X, D)
     m = y.shape[0]
-    if kernels.is_log_affine(spec):
+    if D is not None:
         w, _ = kernels.log_affine_weights(space, spec)
-        K = spec.sigma2 * np.exp(w @ M).reshape(m, m)
-    elif kernels.supports_match(spec):
-        K = kernels.gram_from_match(space, spec, M)
+        K = spec.sigma2 * np.exp(w @ D).reshape(m, m)
     else:
         K = kernels.gram(space, spec, X)
     noise = float(np.exp(log_noise))
@@ -158,27 +152,27 @@ def _mll_parts(space, spec, log_noise, X, M, y, ladder):
     return value, K, L, alpha, noise
 
 
-def _mll_and_grad(space, spec, log_noise, X, M, y, ladder):
+def _mll_and_grad(space, spec, log_noise, X, D, y, ladder):
     """Marginal log-likelihood and its gradient in the unconstrained space."""
-    M = _pair_data(space, spec, X, M)
-    value, K, L, alpha, noise = _mll_parts(space, spec, log_noise, X, M, y, ladder)
+    D = _pair_data(space, spec, X, D)
+    value, K, L, alpha, noise = _mll_parts(space, spec, log_noise, X, D, y, ladder)
     K_inv, _ = dpotri(L, lower=1)  # fills the lower triangle; L's upper is 0
     K_inv += np.tril(K_inv, -1).T
     W = np.outer(alpha, alpha) - K_inv
-    if kernels.is_log_affine(spec):
+    if D is not None:
         _, dw = kernels.log_affine_weights(space, spec)
         A = W * K  # dK/dtheta_g = dw_g * K o D_g: one product with the counts
-        per_group = 0.5 * dw * (M @ A.ravel())
+        per_group = 0.5 * dw * (D @ A.ravel())
         kernel_grad = np.append(
             per_group if spec.ard else per_group.sum(), 0.5 * A.sum()
         )
     elif kernels.has_analytic_grads(spec):
-        _, grads = kernels.gram_with_grads(space, spec, M)
+        _, grads = kernels.gram_with_grads(space, spec, X)
         kernel_grad = np.array([0.5 * float(np.sum(W * G)) for G in grads])
     else:
         def value_at(t):
             cur = kernels.unpack_spec(space, spec, t)
-            return _mll_parts(space, cur, log_noise, X, M, y, ladder)[0]
+            return _mll_parts(space, cur, log_noise, X, D, y, ladder)[0]
 
         theta = kernels.pack_spec(space, spec)
         steps = FD_STEP * np.maximum(1.0, np.abs(theta))
@@ -259,16 +253,16 @@ def fit(
     X = train.points
 
     def objective_for(start_spec):
-        M = _pair_data(space, start_spec, X)
+        D = _pair_data(space, start_spec, X)
 
         def objective(theta, need_grad=True):
             cur = kernels.unpack_spec(space, start_spec, theta[:-1])
             if need_grad:
                 return _mll_and_grad(
-                    space, cur, theta[-1], X, M, y, config.jitter_ladder
+                    space, cur, theta[-1], X, D, y, config.jitter_ladder
                 )
             value, *_ = _mll_parts(
-                space, cur, theta[-1], X, M, y, config.jitter_ladder
+                space, cur, theta[-1], X, D, y, config.jitter_ladder
             )
             return value, None
         return objective
@@ -305,10 +299,7 @@ def predict_batch(state: GpState, points) -> tuple[np.ndarray, np.ndarray]:
     v = solve_triangular(state.chol_lower, k_star.T, lower=True)
     prior_diag = kernels.diag_values(state.space, state.spec, X)
     var_std = prior_diag - np.sum(v**2, axis=0)
-    clamped = var_std < 0
-    if np.any(clamped):
-        state.variance_clamps.append(int(np.count_nonzero(clamped)))
-        var_std = np.maximum(var_std, 0.0)
+    var_std = np.maximum(var_std, 0.0)
     return (
         state.train.destandardize_mean(mean_std),
         state.train.destandardize_variance(var_std),

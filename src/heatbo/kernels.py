@@ -14,12 +14,21 @@ the square-root Hamming distance), the direct compound-symmetry
 parameterization with per-dimension correlations, additive variants, and
 wrappers that make any inner kernel invariant to a group acting on the
 dimensions.
+
+Every match-based family has one Gram function, ``pairs(space, spec, X1,
+X2)``, which ``gram``, ``cross_gram``, ``value`` and ``diag_values`` all
+call.  Each is built on the weighted mismatch matrix ``sum_i w_i [x_i !=
+y_i]``: heat, combo and casmopolitan are ``sigma2 * exp`` of it, the
+distance profiles are functions of it with unit weights, and the additive
+sum is affine in it.  ``rho`` (whose correlations may be negative) and the
+families with products inside components take one (m1, m2) mismatch mask
+per dimension at a time.  The scalar ``*_eval`` functions are independent
+oracles for these routes.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import exp, log, sqrt
 
@@ -49,7 +58,6 @@ __all__ = [
     "cross_gram",
     "default_spec",
     "sample_decomposition",
-    "count_multiplies",
     "FAMILY_NAMES",
 ]
 
@@ -57,19 +65,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Scalar building blocks.
 # ---------------------------------------------------------------------------
-
-_op_counter: list | None = None
-
-
-@contextmanager
-def count_multiplies():
-    """Collect per-call multiply-accumulate counts from ``heat_eval``."""
-    global _op_counter
-    _op_counter = []
-    try:
-        yield _op_counter
-    finally:
-        _op_counter = None
 
 
 def heat_rho(beta: float, g: int) -> float:
@@ -120,20 +115,16 @@ def _spread(space: SearchSpace, values) -> np.ndarray:
 
 
 def heat_eval(space: SearchSpace, betas, x, y, sigma2: float = 1.0) -> float:
-    """Diffusion-kernel value; exactly one multiply-accumulate per dimension."""
+    """Diffusion-kernel value; one correlation factor per mismatching dimension."""
     betas = _spread(space, betas)
     if np.any(betas < 0):
         raise InvalidInputError("betas must be >= 0")
     x = space.validate_point(x)
     y = space.validate_point(y)
-    ops = 0
     value = sigma2
     for i, g in enumerate(space.cardinalities):
         if x[i] != y[i]:
             value *= heat_rho(float(betas[i]), g)
-        ops += 1
-    if _op_counter is not None:
-        _op_counter.append(ops)
     return value
 
 
@@ -429,9 +420,9 @@ class KernelSpec:
         return float(self.params.get("sigma2", 1.0))
 
 
-def _match_tensor(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Boolean (n, m1, m2): coordinate-wise agreement between two point sets."""
-    return X1.T[:, :, None] == X2.T[:, None, :]
+def _mismatches(X1: np.ndarray, X2: np.ndarray):
+    """One boolean (m1, m2) mask per dimension, in order: do the rows differ there."""
+    return (c1[:, None] != c2[None, :] for c1, c2 in zip(X1.T, X2.T))
 
 
 def _one_hot_matrix(space: SearchSpace, X: np.ndarray) -> np.ndarray:
@@ -446,26 +437,38 @@ def _one_hot_matrix(space: SearchSpace, X: np.ndarray) -> np.ndarray:
 _ONE_HOT_WIDTH_LIMIT = 512  # beyond this the flat per-dimension loop wins
 
 
-def weighted_match_matrix(space: SearchSpace, X1, X2, weights) -> np.ndarray:
-    """sum_i w_i * [x_i == y_i] for every pair of rows.
+def weighted_mismatch_matrix(space: SearchSpace, X1, X2, weights) -> np.ndarray:
+    """sum_i w_i * [x_i != y_i] for every pair of rows.
 
-    All product-form and distance-profile kernels reduce to an affine
-    function of this matrix, which is why one-hot encoding plus a standard
-    continuous kernel reproduces them.  Narrow encodings go through a single
-    one-hot BLAS product; wide ones use a per-dimension accumulation whose
-    cost is independent of the category counts.
+    All product-form and distance-profile kernels reduce to a function of
+    this matrix, which is why one-hot encoding plus a standard continuous
+    kernel reproduces them.  Only mismatching dimensions contribute, so a
+    floored log-weight of -1e300 (a zero correlation) gives an exact zero
+    after ``exp`` and is never cancelled against itself.  Narrow encodings
+    go through a single one-hot BLAS product, (Z1 * w) @ (1 - Z2).T; wide
+    ones use a per-dimension accumulation whose cost is independent of the
+    category counts.
     """
     weights = np.asarray(weights, dtype=float)
     if space.one_hot_width <= _ONE_HOT_WIDTH_LIMIT:
         Z1 = _one_hot_matrix(space, X1)
         Z2 = Z1 if X2 is X1 else _one_hot_matrix(space, X2)
         scale = np.repeat(weights, space.cardinalities)
-        return (Z1 * scale) @ Z2.T
+        return (Z1 * scale) @ (1.0 - Z2).T
     total = np.zeros((X1.shape[0], X2.shape[0]))
-    cols1, cols2 = X1.T, X2.T
-    for i in range(space.n):
-        total += weights[i] * (cols1[i][:, None] == cols2[i][None, :])
+    for w, mask in zip(weights, _mismatches(X1, X2)):
+        total += w * mask
     return total
+
+
+def _hamming_matrix(space: SearchSpace, X1, X2) -> np.ndarray:
+    """Squared distance h = number of mismatching dimensions, exact integers."""
+    return weighted_mismatch_matrix(space, X1, X2, np.ones(space.n))
+
+
+def _base_matrices(vs, cs, X1, X2):
+    """Per-dimension base-kernel matrices, one at a time: v_i on a match, else c_i."""
+    return (np.where(mask, c, v) for v, c, mask in zip(vs, cs, _mismatches(X1, X2)))
 
 
 def _symmetrize(K: np.ndarray) -> np.ndarray:
@@ -476,10 +479,6 @@ def _symmetrize(K: np.ndarray) -> np.ndarray:
     mask construction.
     """
     return 0.5 * (K + K.T)
-
-
-def _mismatch_counts(M: np.ndarray) -> np.ndarray:
-    return np.sum(~M, axis=0)
 
 
 def _logistic(t):
@@ -495,7 +494,15 @@ def _rho_bounds(space: SearchSpace) -> np.ndarray:
     return np.array([-1.0 / (g - 1.0) for g in space.cardinalities])
 
 
-class _HeatFamily:
+class _LogAffineFamily:
+    """K = sigma2 * exp(sum_i w_i [x_i != y_i]), w_i from ``log_weights``."""
+
+    def pairs(self, space, spec, X1, X2):
+        w, _ = self.log_weights(space, spec, np.arange(space.n))
+        return spec.sigma2 * np.exp(weighted_mismatch_matrix(space, X1, X2, w))
+
+
+class _HeatFamily(_LogAffineFamily):
     """Diffusion kernel; also covers the normalized per-factor spectral product."""
 
     name = "heat"
@@ -514,26 +521,6 @@ class _HeatFamily:
         betas = np.full(space.n if ard else 1, 1.0 / space.n)
         return KernelSpec(self.name, {"betas": betas, "sigma2": 1.0}, ard)
 
-    def _rhos(self, space, spec, dims=None) -> np.ndarray:
-        betas = _spread(space, spec.params["betas"])
-        dims = range(space.n) if dims is None else dims
-        return np.array([heat_rho(betas[i], space.cardinalities[i]) for i in dims])
-
-    def build(self, space, spec, M):
-        rhos = self._rhos(space, spec)
-        K = np.full(M.shape[1:], spec.sigma2)
-        for i in range(space.n):
-            K = K * np.where(M[i], 1.0, rhos[i])
-        return K
-
-    def build_pairs(self, space, spec, X1, X2):
-        rhos = self._rhos(space, spec)
-        if np.any(rhos <= 0):
-            return None  # log-space shortcut needs strictly positive factors
-        log_rho = np.log(rhos)
-        match_sum = weighted_match_matrix(space, X1, X2, log_rho)
-        return spec.sigma2 * np.exp(np.sum(log_rho) - match_sum)
-
     def pack(self, space, spec):
         betas = np.atleast_1d(np.asarray(spec.params["betas"], dtype=float))
         return np.concatenate([np.log(betas), [np.log(spec.sigma2)]])
@@ -548,7 +535,7 @@ class _HeatFamily:
         """log rho_i and its derivative in the packed log beta_i, for ``dims``."""
         betas = _spread(space, spec.params["betas"])[dims]
         cards = [space.cardinalities[i] for i in dims]
-        rhos = self._rhos(space, spec, dims)
+        rhos = np.array([heat_rho(b, g) for b, g in zip(betas, cards)])
         dw = [
             b * _heat_rho_grad(b, g) / r if r > 0 else 0.0
             for b, g, r in zip(betas, cards, rhos)
@@ -572,7 +559,7 @@ class _ComboClosedFamily(_HeatFamily):
             raise InvalidInputError("spectral product needs strictly positive betas")
 
 
-class _CasmoFamily:
+class _CasmoFamily(_LogAffineFamily):
     name = "casmopolitan"
 
     def validate(self, space, spec):
@@ -590,18 +577,6 @@ class _CasmoFamily:
         if not ard:
             ells = np.array([float(np.mean(ells))])
         return KernelSpec(self.name, {"lengthscales": ells, "sigma2": 1.0}, ard)
-
-    def build(self, space, spec, M):
-        ells = _spread(space, spec.params["lengthscales"])
-        expo = np.zeros(M.shape[1:])
-        for i in range(space.n):
-            expo += np.where(M[i], 0.0, ells[i])
-        return spec.sigma2 * np.exp(-expo / space.n)
-
-    def build_pairs(self, space, spec, X1, X2):
-        ells = _spread(space, spec.params["lengthscales"])
-        match_sum = weighted_match_matrix(space, X1, X2, ells)
-        return spec.sigma2 * np.exp(-(np.sum(ells) - match_sum) / space.n)
 
     def pack(self, space, spec):
         ells = np.atleast_1d(np.asarray(spec.params["lengthscales"], dtype=float))
@@ -639,20 +614,13 @@ class _RhoFamily:
         )
         return KernelSpec(self.name, {"rhos": rhos, "sigma2": 1.0}, True)
 
-    def build(self, space, spec, M):
+    def pairs(self, space, spec, X1, X2):
+        """Product of per-dimension factors; correlations may be negative."""
         rhos = np.asarray(spec.params["rhos"], dtype=float)
-        K = np.full(M.shape[1:], spec.sigma2)
-        for i in range(space.n):
-            K = K * np.where(M[i], 1.0, rhos[i])
+        K = np.full((X1.shape[0], X2.shape[0]), spec.sigma2)
+        for rho, mask in zip(rhos, _mismatches(X1, X2)):
+            K = K * np.where(mask, rho, 1.0)
         return K
-
-    def build_pairs(self, space, spec, X1, X2):
-        rhos = np.asarray(spec.params["rhos"], dtype=float)
-        if np.any(rhos <= 0):
-            return None  # negative correlations need the sign-aware path
-        log_rho = np.log(rhos)
-        match_sum = weighted_match_matrix(space, X1, X2, log_rho)
-        return spec.sigma2 * np.exp(np.sum(log_rho) - match_sum)
 
     def pack(self, space, spec):
         rhos = np.asarray(spec.params["rhos"], dtype=float)
@@ -666,16 +634,16 @@ class _RhoFamily:
         rhos = lo + (1.0 - lo) * _logistic(theta[:-1])
         return spec.replace_params(rhos=rhos, sigma2=float(np.exp(theta[-1])))
 
-    def build_with_grads(self, space, spec, M):
+    def build_with_grads(self, space, spec, X):
         rhos = np.asarray(spec.params["rhos"], dtype=float)
         lo = _rho_bounds(space)
-        m1, m2 = M.shape[1], M.shape[2]
-        factors = [np.where(M[i], 1.0, rhos[i]) for i in range(space.n)]
+        m = X.shape[0]
+        factors = [np.where(mask, r, 1.0) for r, mask in zip(rhos, _mismatches(X, X))]
         # prefix/suffix products allow rho_i == 0 without 0/0 division
-        prefix = [np.ones((m1, m2))]
+        prefix = [np.ones((m, m))]
         for f in factors:
             prefix.append(prefix[-1] * f)
-        suffix = [np.ones((m1, m2))]
+        suffix = [np.ones((m, m))]
         for f in reversed(factors):
             suffix.append(suffix[-1] * f)
         suffix.reverse()
@@ -683,9 +651,9 @@ class _RhoFamily:
         s = (rhos - lo) / (1.0 - lo)
         drho_dtheta = (1.0 - lo) * s * (1.0 - s)
         grads = []
-        for i in range(space.n):
+        for i, mask in enumerate(_mismatches(X, X)):
             leave_one_out = prefix[i] * suffix[i + 1]
-            dK_drho = spec.sigma2 * np.where(M[i], 0.0, leave_one_out)
+            dK_drho = spec.sigma2 * np.where(mask, leave_one_out, 0.0)
             grads.append(dK_drho * drho_dtheta[i])
         grads.append(K.copy())
         return K, grads
@@ -707,12 +675,8 @@ class _ProfileFamily:
             self.name, {"lengthscale": sqrt(space.n), "sigma2": 1.0}, False
         )
 
-    def build(self, space, spec, M):
-        h = _mismatch_counts(M).astype(float)
-        return spec.sigma2 * _profile(self.profile_name, spec.params, h)
-
-    def build_pairs(self, space, spec, X1, X2):
-        h = space.n - weighted_match_matrix(space, X1, X2, np.ones(space.n))
+    def pairs(self, space, spec, X1, X2):
+        h = _hamming_matrix(space, X1, X2)
         return spec.sigma2 * _profile(self.profile_name, spec.params, h)
 
     def pack(self, space, spec):
@@ -730,9 +694,9 @@ class _HammingRbfFamily(_ProfileFamily):
     name = "hamming_rbf"
     profile_name = "rbf"
 
-    def build_with_grads(self, space, spec, M):
-        K = self.build(space, spec, M)
-        h = _mismatch_counts(M).astype(float)
+    def build_with_grads(self, space, spec, X):
+        h = _hamming_matrix(space, X, X)
+        K = spec.sigma2 * _profile(self.profile_name, spec.params, h)
         ell = float(spec.params["lengthscale"])
         return K, [K * (2.0 * h / ell**2), K.copy()]
 
@@ -741,8 +705,8 @@ class _HammingMatern52Family(_ProfileFamily):
     name = "hamming_matern52"
     profile_name = "matern52"
 
-    def build_with_grads(self, space, spec, M):
-        h = _mismatch_counts(M).astype(float)
+    def build_with_grads(self, space, spec, X):
+        h = _hamming_matrix(space, X, X)
         ell = float(spec.params["lengthscale"])
         t = np.sqrt(5.0 * h) / ell
         K = spec.sigma2 * (1.0 + t + t**2 / 3.0) * np.exp(-t)
@@ -782,8 +746,8 @@ class _HammingRqFamily(_ProfileFamily):
             sigma2=float(np.exp(theta[-1])),
         )
 
-    def build_with_grads(self, space, spec, M):
-        h = _mismatch_counts(M).astype(float)
+    def build_with_grads(self, space, spec, X):
+        h = _hamming_matrix(space, X, X)
         ell = float(spec.params["lengthscale"])
         alpha = float(spec.params["alpha"])
         u = 1.0 + h / (2.0 * alpha * ell**2)
@@ -809,10 +773,6 @@ class _AdditiveBase:
         if np.any(vs <= 0):
             raise InvalidInputError("base variances must be > 0")
         _validate_rhos(space, cs / vs)
-
-    def _base_matrices(self, space, spec, M):
-        vs, cs = self._vs_cs(spec)
-        return [np.where(M[i], vs[i], cs[i]) for i in range(space.n)]
 
     def _pack_base(self, space, spec):
         vs, cs = self._vs_cs(spec)
@@ -840,12 +800,9 @@ class _AdditiveSumFamily(_AdditiveBase):
         vs, cs = self.default_base(space)
         return KernelSpec(self.name, {"vs": vs, "cs": cs}, True)
 
-    def build(self, space, spec, M):
-        return sum(self._base_matrices(space, spec, M))
-
-    def build_pairs(self, space, spec, X1, X2):
+    def pairs(self, space, spec, X1, X2):
         vs, cs = self._vs_cs(spec)
-        return float(np.sum(cs)) + weighted_match_matrix(space, X1, X2, vs - cs)
+        return float(np.sum(vs)) - weighted_mismatch_matrix(space, X1, X2, vs - cs)
 
     def pack(self, space, spec):
         return self._pack_base(space, spec)
@@ -872,13 +829,14 @@ class _RandomDecompositionFamily(_AdditiveBase):
             True,
         )
 
-    def build(self, space, spec, M):
-        base = self._base_matrices(space, spec, M)
-        out = np.zeros(M.shape[1:])
+    def pairs(self, space, spec, X1, X2):
+        vs, cs = self._vs_cs(spec)
+        out = np.zeros((X1.shape[0], X2.shape[0]))
         for comp in spec.params["decomposition"].components:
-            term = np.ones(M.shape[1:])
-            for i in comp:
-                term = term * base[i]
+            dims = list(comp)
+            term = np.ones(out.shape)
+            for base in _base_matrices(vs[dims], cs[dims], X1[:, dims], X2[:, dims]):
+                term = term * base
             out += term
         return out
 
@@ -907,25 +865,16 @@ class _ExplainableAdditiveFamily(_AdditiveBase):
             True,
         )
 
-    def build(self, space, spec, M):
-        base = self._base_matrices(space, spec, M)
+    def pairs(self, space, spec, X1, X2):
+        vs, cs = self._vs_cs(spec)
         weights = np.asarray(spec.params["degree_weights"], dtype=float)
-        n = space.n
-        # Newton-Girard on matrices: power sums then degree recurrence
-        powers = [np.ones(M.shape[1:])]
-        for k in range(1, n + 1):
-            powers.append(sum(b**k for b in base))
-        es = [np.ones(M.shape[1:])]
-        for d in range(1, n + 1):
-            total = np.zeros(M.shape[1:])
-            for k in range(1, d + 1):
-                total += (-1.0) ** (k - 1) * es[d - k] * powers[k]
-            es.append(total / d)
-        out = np.zeros(M.shape[1:])
-        for d in range(1, n + 1):
-            if weights[d - 1] != 0.0:
-                out += weights[d - 1] * es[d]
-        return out
+        shape = (X1.shape[0], X2.shape[0])
+        # es[d]: degree-d elementary symmetric polynomial of the bases so far
+        es = [np.ones(shape)] + [np.zeros(shape) for _ in range(space.n)]
+        for i, base in enumerate(_base_matrices(vs, cs, X1, X2), start=1):
+            for d in range(i, 0, -1):
+                es[d] += base * es[d - 1]
+        return sum(w * e for w, e in zip(weights, es[1:]))
 
     def pack(self, space, spec):
         w = np.asarray(spec.params["degree_weights"], dtype=float)
@@ -1020,19 +969,6 @@ _FAMILIES = {
 
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
 
-_MATCH_BASED = {
-    "heat",
-    "combo",
-    "casmopolitan",
-    "rho",
-    "hamming_rbf",
-    "hamming_matern52",
-    "hamming_rq",
-    "additive_sum",
-    "random_decomposition",
-    "explainable_additive",
-}
-
 
 def default_spec(space: SearchSpace, family: str, ard: bool = True, **overrides) -> KernelSpec:
     if family not in _FAMILIES:
@@ -1050,12 +986,7 @@ def validate_spec(space: SearchSpace, spec: KernelSpec) -> None:
 
 def value(space: SearchSpace, spec: KernelSpec, x, y) -> float:
     """Single kernel evaluation; the Gram builders are preferred in bulk."""
-    fam = _FAMILIES[spec.family]
-    if spec.family in _MATCH_BASED:
-        X1 = space.validate_points([x])
-        X2 = space.validate_points([y])
-        return float(fam.build(space, spec, _match_tensor(X1, X2))[0, 0])
-    return float(fam.value(space, spec, x, y))
+    return float(cross_gram(space, spec, [x], [y])[0, 0])
 
 
 def cross_gram(space: SearchSpace, spec: KernelSpec, points1, points2) -> np.ndarray:
@@ -1063,13 +994,8 @@ def cross_gram(space: SearchSpace, spec: KernelSpec, points1, points2) -> np.nda
     fam.validate(space, spec)
     X1 = space.validate_points(points1)
     X2 = space.validate_points(points2)
-    fast = getattr(fam, "build_pairs", None)
-    if fast is not None:
-        K = fast(space, spec, X1, X2)
-        if K is not None:
-            return K
-    if spec.family in _MATCH_BASED:
-        return fam.build(space, spec, _match_tensor(X1, X2))
+    if hasattr(fam, "pairs"):
+        return fam.pairs(space, spec, X1, X2)
     out = np.empty((X1.shape[0], X2.shape[0]))
     for a, x in enumerate(X1):
         for b, y in enumerate(X2):
@@ -1082,13 +1008,8 @@ def gram(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
     fam = _FAMILIES[spec.family]
     fam.validate(space, spec)
     X = space.validate_points(points)
-    fast = getattr(fam, "build_pairs", None)
-    if fast is not None:
-        K = fast(space, spec, X, X)
-        if K is not None:
-            return _symmetrize(K)
-    if spec.family in _MATCH_BASED:
-        return fam.build(space, spec, _match_tensor(X, X))
+    if hasattr(fam, "pairs"):
+        return _symmetrize(fam.pairs(space, spec, X, X))
     m = X.shape[0]
     out = np.empty((m, m))
     for a in range(m):
@@ -1099,29 +1020,16 @@ def gram(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
 
 
 def diag_values(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
-    """k(x, x) per point; constant for every coordinate-match-based family."""
+    """k(x, x) per point; one constant for every match-based family."""
     X = space.validate_points(points)
     fam = _FAMILIES[spec.family]
-    if spec.family in _MATCH_BASED:
-        all_match = np.ones((space.n, 1, 1), dtype=bool)
-        return np.full(X.shape[0], float(fam.build(space, spec, all_match)[0, 0]))
+    if hasattr(fam, "pairs"):
+        origin = np.zeros((1, space.n), dtype=int)
+        return np.full(X.shape[0], float(fam.pairs(space, spec, origin, origin)[0, 0]))
     return np.array([fam.value(space, spec, x, x) for x in X])
 
 
 # Internal hooks for the GP fitter: cached pair data and analytic grads.
-
-
-def match_tensor(space: SearchSpace, points) -> np.ndarray:
-    X = space.validate_points(points)
-    return _match_tensor(X, X)
-
-
-def gram_from_match(space: SearchSpace, spec: KernelSpec, M: np.ndarray) -> np.ndarray:
-    return _FAMILIES[spec.family].build(space, spec, M)
-
-
-def supports_match(spec: KernelSpec) -> bool:
-    return spec.family in _MATCH_BASED
 
 
 def has_analytic_grads(spec: KernelSpec) -> bool:
@@ -1149,8 +1057,8 @@ def mismatch_counts(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
     X = space.validate_points(points)
     _, group = np.unique(_weight_groups(space, spec), return_inverse=True)
     D = np.zeros((group.max() + 1, X.shape[0] ** 2))
-    for g, col in zip(group, X.T):
-        D[g] += (col[:, None] != col[None, :]).ravel()
+    for g, mask in zip(group, _mismatches(X, X)):
+        D[g] += mask.ravel()
     return D
 
 
@@ -1160,9 +1068,10 @@ def log_affine_weights(space: SearchSpace, spec: KernelSpec):
     return _FAMILIES[spec.family].log_weights(space, spec, first)
 
 
-def gram_with_grads(space: SearchSpace, spec: KernelSpec, M: np.ndarray):
+def gram_with_grads(space: SearchSpace, spec: KernelSpec, points):
     """Gram plus derivatives w.r.t. each unconstrained parameter, pack order."""
-    return _FAMILIES[spec.family].build_with_grads(space, spec, M)
+    X = space.validate_points(points)
+    return _FAMILIES[spec.family].build_with_grads(space, spec, X)
 
 
 def pack_spec(space: SearchSpace, spec: KernelSpec) -> np.ndarray:

@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +99,34 @@ class ExperimentConfig:
                 f"unknown benchmark {self.benchmark!r}; "
                 f"known: {benchmarks.list_benchmarks()}"
             )
+        for section, options, known in (
+            ("kernel", self.kernel_options, _kernel_keys(self.kernel_family)),
+            ("trust_region", self.tr_options, _field_names(bo.TrustRegionConfig)),
+            ("ga", self.ga_options, _field_names(bo.GaConfig)),
+            ("optimizer", self.optimizer_options, _field_names(gp.OptimizerConfig)),
+        ):
+            unknown = sorted(set(options) - known)
+            if unknown:
+                raise ConfigError(
+                    f"unknown key(s) {unknown} in [{section}]; known: {sorted(known)}"
+                )
 
     def run_id(self, seed: int) -> str:
         reloc = "-reloc" if self.relocate else ""
         return f"{self.benchmark}{reloc}:{self.kernel_family}:seed{seed}"
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+_BROADCASTS = {"beta": "betas", "lengthscale": "lengthscales", "rho": "rhos"}
+
+
+def _kernel_keys(family: str) -> set:
+    """[kernel] keys: the family's parameters and the scalars broadcast to them."""
+    params = kernels.default_spec(SearchSpace((2,)), family).params
+    return {*params, *(k for k, vector in _BROADCASTS.items() if vector in params)}
 
 
 def _parse_option_value(raw: str):

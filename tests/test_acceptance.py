@@ -210,7 +210,6 @@ def test_criterion_7_gp_numerical_correctness():
         space, all_pts[idx], rng.normal(size=12)
     )
     y = train.standardized()
-    M = kernels.match_tensor(space, train.points)
     families = [
         "heat", "casmopolitan", "rho",
         "hamming_rbf", "hamming_matern52", "hamming_rq",
@@ -224,7 +223,7 @@ def test_criterion_7_gp_numerical_correctness():
             spec = kernels.unpack_spec(space, base, theta)
             log_noise = float(rng.uniform(-6, -2))
             _, grad = gp._mll_and_grad(
-                space, spec, log_noise, train.points, M, y, gp.JITTER_LADDER
+                space, spec, log_noise, train.points, None, y, gp.JITTER_LADDER
             )
             full = np.concatenate([theta, [log_noise]])
             for j in range(full.size):
@@ -233,11 +232,11 @@ def test_criterion_7_gp_numerical_correctness():
                 tm = full.copy(); tm[j] -= step
                 vp, *_ = gp._mll_parts(
                     space, kernels.unpack_spec(space, base, tp[:-1]), tp[-1],
-                    train.points, M, y, gp.JITTER_LADDER,
+                    train.points, None, y, gp.JITTER_LADDER,
                 )
                 vm, *_ = gp._mll_parts(
                     space, kernels.unpack_spec(space, base, tm[:-1]), tm[-1],
-                    train.points, M, y, gp.JITTER_LADDER,
+                    train.points, None, y, gp.JITTER_LADDER,
                 )
                 fd = (vp - vm) / (2 * step)
                 rel = abs(grad[j] - fd) / max(abs(fd), abs(grad[j]), 1e-8)

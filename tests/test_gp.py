@@ -127,7 +127,6 @@ class TestGradients:
         sp = SearchSpace((3, 4, 2, 5))
         train = make_train(sp, rng, m=12)
         y = train.standardized()
-        M = kernels.match_tensor(sp, train.points)
         for _ in range(10):
             base = kernels.default_spec(sp, family)
             theta = kernels.pack_spec(sp, base) + rng.normal(scale=0.5, size=None)
@@ -137,7 +136,7 @@ class TestGradients:
             spec = kernels.unpack_spec(sp, base, theta)
             log_noise = float(rng.uniform(-6, -2))
             value, grad = gp._mll_and_grad(
-                sp, spec, log_noise, train.points, M, y, gp.JITTER_LADDER
+                sp, spec, log_noise, train.points, None, y, gp.JITTER_LADDER
             )
             full = np.concatenate([theta, [log_noise]])
             for j in range(full.size):
@@ -146,11 +145,11 @@ class TestGradients:
                 tm = full.copy(); tm[j] -= step
                 vp, *_ = gp._mll_parts(
                     sp, kernels.unpack_spec(sp, base, tp[:-1]), tp[-1],
-                    train.points, M, y, gp.JITTER_LADDER,
+                    train.points, None, y, gp.JITTER_LADDER,
                 )
                 vm, *_ = gp._mll_parts(
                     sp, kernels.unpack_spec(sp, base, tm[:-1]), tm[-1],
-                    train.points, M, y, gp.JITTER_LADDER,
+                    train.points, None, y, gp.JITTER_LADDER,
                 )
                 fd = (vp - vm) / (2 * step)
                 denom = max(abs(fd), abs(grad[j]), 1e-8)
@@ -235,11 +234,22 @@ class TestFusedRoute:
         assert v0 == v1
         np.testing.assert_array_equal(g0, g1)
 
-    def test_match_tensor_reaches_the_fused_route(self):
+    @given(log_affine_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_fit_gram_agrees_with_cross_gram(self, problem):
+        sp, spec, train, log_noise, _ = problem
+        y = train.standardized()
+        _, K, *_ = gp._mll_parts(
+            sp, spec, log_noise, train.points, None, y, gp.JITTER_LADDER
+        )
+        want = kernels.cross_gram(sp, spec, train.points, train.points)
+        np.testing.assert_allclose(K, want, rtol=1e-12, atol=0.0)
+
+    def test_pair_data_groups_counts_by_cardinality(self):
         sp = SearchSpace((3, 4, 2))
         X = make_train(sp, np.random.default_rng(15), m=10).points
         spec = kernels.default_spec(sp, "heat", ard=False)
-        counts = gp._pair_data(sp, spec, X, kernels.match_tensor(sp, X))
+        counts = gp._pair_data(sp, spec, X)
         np.testing.assert_array_equal(counts, kernels.mismatch_counts(sp, spec, X))
         assert counts.shape == (3, 100)  # one group per cardinality, not per dimension
 

@@ -94,14 +94,20 @@ class TestHeat:
         with pytest.raises(InvalidInputError):
             kn.heat_eval(sp, [-0.1, 0.5], [0, 0], [0, 1])
 
-    def test_op_counter_counts_one_per_dimension(self):
+    def test_heat_rho_called_once_per_mismatching_dimension(self, monkeypatch):
         sp = SearchSpace((4, 4, 4, 4, 4, 4, 4))
         rng = np.random.default_rng(1)
         x, y = sp.sample_points(2, rng)
-        with kn.count_multiplies() as ops:
-            kn.heat_eval(sp, np.full(7, 0.3), x, y)
-            kn.heat_eval(sp, np.full(7, 0.3), x, x)
-        assert ops == [7, 7]
+        calls = []
+        real = kn.heat_rho
+        monkeypatch.setattr(
+            kn, "heat_rho", lambda beta, g: calls.append(g) or real(beta, g)
+        )
+        kn.heat_eval(sp, np.full(7, 0.3), x, y)
+        assert len(calls) == np.count_nonzero(x != y) <= sp.n
+        calls.clear()
+        kn.heat_eval(sp, np.full(7, 0.3), x, x)
+        assert calls == []
 
     def test_ard_consistency(self):
         sp = SearchSpace((3, 5, 2))
@@ -446,6 +452,49 @@ class TestInvariantWrappers:
             kn.invariant_eval(sp, inner, "sum", [0, 0], [1, 1], samples=0)
 
 
+MATCH_BASED = (
+    "heat", "combo", "casmopolitan", "rho",
+    "hamming_rbf", "hamming_matern52", "hamming_rq",
+    "additive_sum", "random_decomposition", "explainable_additive",
+)
+
+
+def scalar_oracle(space, spec, x, y):
+    """The family's independent ``*_eval`` value for one pair."""
+    p, family = spec.params, spec.family
+    if family in ("heat", "combo"):
+        return kn.heat_eval(space, p["betas"], x, y, spec.sigma2)
+    if family == "casmopolitan":
+        return kn.casmo_eval(space, p["lengthscales"], x, y, spec.sigma2)
+    if family == "rho":
+        return kn.rho_eval(space, p["rhos"], x, y, spec.sigma2)
+    if family.startswith("hamming_"):
+        profile = family[len("hamming_"):]
+        return kn.hamming_family_eval(space, profile, p, x, y, spec.sigma2)
+    if family == "additive_sum":
+        return kn.additive_sum_eval(space, p["vs"], p["cs"], x, y)
+    if family == "random_decomposition":
+        return kn.random_decomposition_eval(
+            space, p["decomposition"], p["vs"], p["cs"], x, y
+        )
+    return kn.explainable_additive_eval(
+        space, p["degree_weights"], p["vs"], p["cs"], x, y
+    )
+
+
+def assert_routes_match_oracle(space, spec, xs, ys):
+    """cross_gram, gram, value and diag_values against the scalar oracle."""
+    cross = kn.cross_gram(space, spec, xs, ys)
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            want = scalar_oracle(space, spec, x, y)
+            assert cross[a, b] == pytest.approx(want, rel=1e-12, abs=1e-14), spec.family
+            assert kn.value(space, spec, x, y) == pytest.approx(cross[a, b], abs=1e-14)
+    own = [scalar_oracle(space, spec, x, x) for x in xs]
+    np.testing.assert_allclose(kn.diag_values(space, spec, xs), own, rtol=1e-12)
+    np.testing.assert_allclose(np.diag(kn.gram(space, spec, xs)), own, rtol=1e-12)
+
+
 class TestGram:
     def test_single_point(self):
         sp = SearchSpace((3, 3))
@@ -477,14 +526,23 @@ class TestGram:
 
     def test_cross_gram_matches_value(self):
         rng = np.random.default_rng(19)
-        sp = random_space(rng, min_n=2)
-        spec = spec_for(sp, "heat", rng)
-        xs = sp.sample_points(4, rng)
-        ys = sp.sample_points(3, rng)
-        cross = kn.cross_gram(sp, spec, xs, ys)
-        for a, x in enumerate(xs):
-            for b, y in enumerate(ys):
-                assert cross[a, b] == pytest.approx(kn.value(sp, spec, x, y), abs=1e-14)
+        for family in MATCH_BASED:
+            sp = random_space(rng, min_n=2)
+            spec = spec_for(sp, family, rng)
+            xs = sp.sample_points(4, rng)
+            ys = sp.sample_points(3, rng)
+            assert_routes_match_oracle(sp, spec, xs, ys)
+
+    def test_zero_and_negative_correlations_match_oracle(self):
+        sp = SearchSpace((2, 3, 4, 2))
+        pts = sp.enumerate_points()
+        heat = kn.KernelSpec("heat", {"betas": [0.0, 0.7, 0.0, 1.3], "sigma2": 1.7})
+        rho = kn.KernelSpec("rho", {"rhos": [-0.9, -0.4, 0.5, -0.2], "sigma2": 0.8})
+        for spec in (heat, rho):
+            assert_routes_match_oracle(sp, spec, pts, pts)
+        K = kn.gram(sp, heat, pts)
+        assert np.any(K == 0.0) and np.all(K >= 0.0)
+        assert np.any(kn.gram(sp, rho, pts) < 0.0)
 
 
 class TestEquivalenceAndInvariance:
@@ -591,10 +649,9 @@ class TestHeatProperties:
 
 def gram_grads(space, spec, pts):
     """dK/dtheta in pack order; log-affine families via their log-weights hook."""
-    M = kn.match_tensor(space, pts)
     if not kn.is_log_affine(spec):
-        return kn.gram_with_grads(space, spec, M)[1]
-    K = kn.gram_from_match(space, spec, M)
+        return kn.gram_with_grads(space, spec, pts)[1]
+    K = kn.gram(space, spec, pts)
     _, dw = kn.log_affine_weights(space, spec)
     D = kn.mismatch_counts(space, spec, pts).reshape(-1, *K.shape)
     per_group = [K * c * Dg for c, Dg in zip(dw, D)]
@@ -640,7 +697,6 @@ class TestSpecPacking:
                 theta = kn.pack_spec(sp, base)
                 spec = kn.unpack_spec(sp, base, theta + rng.normal(size=theta.size))
             pts = sp.sample_points(8, rng)
-            M = kn.match_tensor(sp, pts)
             theta = kn.pack_spec(sp, spec)
             grads = gram_grads(sp, spec, pts)
             assert len(grads) == theta.size
@@ -648,8 +704,8 @@ class TestSpecPacking:
                 step = 1e-6 * max(1.0, abs(theta[j]))
                 tp = theta.copy(); tp[j] += step
                 tm = theta.copy(); tm[j] -= step
-                Kp = kn.gram_from_match(sp, kn.unpack_spec(sp, spec, tp), M)
-                Km = kn.gram_from_match(sp, kn.unpack_spec(sp, spec, tm), M)
+                Kp = kn.gram(sp, kn.unpack_spec(sp, spec, tp), pts)
+                Km = kn.gram(sp, kn.unpack_spec(sp, spec, tm), pts)
                 fd = (Kp - Km) / (2 * step)
                 scale = max(1.0, np.max(np.abs(fd)))
                 assert np.max(np.abs(grads[j] - fd)) / scale < 1e-5, (family, j)

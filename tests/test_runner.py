@@ -201,6 +201,21 @@ class TestCli:
         path.write_text("[experiment]\nbenchmark = mystery\n")
         assert runner.main(["run", str(path)]) == 1
 
+    def test_misspelled_ga_key_exits_one_before_writing(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        text = path.read_text().replace("population_size = 12", "populaton_size = 10")
+        path.write_text(text)
+        assert runner.main(["run", str(path)]) == 1
+        assert "populaton_size" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_kernel_key_exits_one_before_writing(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text() + "\n[kernel]\nbetta = 5\n")
+        assert runner.main(["run", str(path)]) == 1
+        assert "betta" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_command(self, tmp_path, capsys):
         path = write_config(tmp_path, seeds="0")
         assert runner.main(["run", str(path)]) == 0
