@@ -4,14 +4,14 @@ Targets are standardized with the mean and standard deviation of all
 observed values and transformed back at prediction.  Hyperparameters are
 fitted by maximizing the marginal log-likelihood with Adam in an
 unconstrained parameterization (log for positive parameters, scaled logistic
-for bounded correlations); families with closed-form kernel derivatives get
-analytic gradients, the rest fall back to central finite differences.
+for bounded correlations).
 
-The log-affine families (heat, combo, casmopolitan; ARD or not) take one
-fused route: K = sigma2 * exp(w @ D) over exact mismatch counts D, one matrix
-per weight group, counted once per fit.  Each Adam step builds K once, takes
-K^-1 from the Cholesky factor (LAPACK potri) and gets every kernel gradient
-from one product of D with A = (alpha alpha^T - K^-1) o K.
+Every family takes one route.  ``kernels.fit_terms`` builds the family's
+per-fit kernel terms once per training set; ``fit`` and ``make_state`` get K
+from ``terms.gram``.  Each gradient step factors K + noise I once, takes
+K^-1 from the Cholesky factor (LAPACK potri), forms W = alpha alpha^T - K^-1
+and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>; the noise term is
+1/2 tr(W) noise.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
-FD_STEP = 1e-5  # relative step for finite-difference gradients
 
 
 @dataclass(frozen=True)
@@ -123,24 +122,9 @@ def _chol_with_jitter(K: np.ndarray, ladder) -> tuple[np.ndarray, float]:
     raise NumericFailure("covariance not factorizable after jitter escalation")
 
 
-def _pair_data(space, spec, X, D=None):
-    """Grouped mismatch counts for log-affine families, built once per fit.
-
-    Other families need nothing cached: their Gram comes from ``kernels``.
-    """
-    if D is None and kernels.is_log_affine(spec):
-        return kernels.mismatch_counts(space, spec, X)
-    return D
-
-
-def _mll_parts(space, spec, log_noise, X, D, y, ladder):
-    D = _pair_data(space, spec, X, D)
+def _mll_parts(terms, spec, log_noise, y, ladder):
     m = y.shape[0]
-    if D is not None:
-        w, _ = kernels.log_affine_weights(space, spec)
-        K = spec.sigma2 * np.exp(w @ D).reshape(m, m)
-    else:
-        K = kernels.gram(space, spec, X)
+    K = terms.gram(spec)
     noise = float(np.exp(log_noise))
     L, _ = _chol_with_jitter(K + noise * np.eye(m), ladder)
     alpha = cho_solve((L, True), y)
@@ -152,36 +136,14 @@ def _mll_parts(space, spec, log_noise, X, D, y, ladder):
     return value, K, L, alpha, noise
 
 
-def _mll_and_grad(space, spec, log_noise, X, D, y, ladder):
+def _mll_and_grad(terms, spec, log_noise, y, ladder):
     """Marginal log-likelihood and its gradient in the unconstrained space."""
-    D = _pair_data(space, spec, X, D)
-    value, K, L, alpha, noise = _mll_parts(space, spec, log_noise, X, D, y, ladder)
+    value, K, L, alpha, noise = _mll_parts(terms, spec, log_noise, y, ladder)
     K_inv, _ = dpotri(L, lower=1)  # fills the lower triangle; L's upper is 0
     K_inv += np.tril(K_inv, -1).T
     W = np.outer(alpha, alpha) - K_inv
-    if D is not None:
-        _, dw = kernels.log_affine_weights(space, spec)
-        A = W * K  # dK/dtheta_g = dw_g * K o D_g: one product with the counts
-        per_group = 0.5 * dw * (D @ A.ravel())
-        kernel_grad = np.append(
-            per_group if spec.ard else per_group.sum(), 0.5 * A.sum()
-        )
-    elif kernels.has_analytic_grads(spec):
-        _, grads = kernels.gram_with_grads(space, spec, X)
-        kernel_grad = np.array([0.5 * float(np.sum(W * G)) for G in grads])
-    else:
-        def value_at(t):
-            cur = kernels.unpack_spec(space, spec, t)
-            return _mll_parts(space, cur, log_noise, X, D, y, ladder)[0]
-
-        theta = kernels.pack_spec(space, spec)
-        steps = FD_STEP * np.maximum(1.0, np.abs(theta))
-        kernel_grad = np.array(
-            [(value_at(theta + e) - value_at(theta - e)) / (2.0 * h)
-             for h, e in zip(steps, np.diag(steps))]
-        )
     noise_grad = 0.5 * float(np.trace(W)) * noise  # dK/d log noise = noise * I
-    return value, np.concatenate([kernel_grad, [noise_grad]])
+    return value, np.append(terms.grad(spec, K, W), noise_grad)
 
 
 def _adam_ascent(objective, theta0: np.ndarray, config: OptimizerConfig):
@@ -218,8 +180,9 @@ def make_state(
         raise InvalidInputError("noise variance must be > 0")
     kernels.validate_spec(space, spec)
     y = train.standardized()
+    terms = kernels.fit_terms(space, spec, train.points)
     value, _, L, alpha, _ = _mll_parts(
-        space, spec, log(noise_variance), train.points, None, y, jitter_ladder
+        terms, spec, log(noise_variance), y, jitter_ladder
     )
     return GpState(
         space=space,
@@ -253,17 +216,13 @@ def fit(
     X = train.points
 
     def objective_for(start_spec):
-        D = _pair_data(space, start_spec, X)
+        terms = kernels.fit_terms(space, start_spec, X)
 
         def objective(theta, need_grad=True):
             cur = kernels.unpack_spec(space, start_spec, theta[:-1])
             if need_grad:
-                return _mll_and_grad(
-                    space, cur, theta[-1], X, D, y, config.jitter_ladder
-                )
-            value, *_ = _mll_parts(
-                space, cur, theta[-1], X, D, y, config.jitter_ladder
-            )
+                return _mll_and_grad(terms, cur, theta[-1], y, config.jitter_ladder)
+            value, *_ = _mll_parts(terms, cur, theta[-1], y, config.jitter_ladder)
             return value, None
         return objective
 

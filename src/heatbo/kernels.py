@@ -24,6 +24,13 @@ sum is affine in it.  ``rho`` (whose correlations may be negative) and the
 families with products inside components take one (m1, m2) mismatch mask
 per dimension at a time.  The scalar ``*_eval`` functions are independent
 oracles for these routes.
+
+For the GP fitter, ``fit_terms(space, spec, X)`` builds each family's
+per-fit kernel terms once per training set: ``gram(spec)`` gives K and
+``grad(spec, K, W)`` gives 1/2 <W, dK/dtheta_j> for every packed
+parameter.  heat, combo and casmopolitan use grouped mismatch counts,
+``rho`` its prefix/suffix products, the distance profiles f' on one
+Hamming matrix, and every other family central differences of ``gram``.
 """
 
 from __future__ import annotations
@@ -183,6 +190,22 @@ def _profile(family: str, params: dict, h: np.ndarray) -> np.ndarray:
             raise InvalidInputError("rq shape alpha must be > 0")
         return (1.0 + h / (2.0 * alpha * ell**2)) ** (-alpha)
     raise InvalidInputError(f"unknown profile family {family!r}")
+
+
+def _profile_grads(family: str, params: dict, h: np.ndarray) -> list:
+    """Derivatives of ``_profile`` in its log shape parameters, pack order."""
+    ell = float(params["lengthscale"])
+    if family == "rbf":
+        return [np.exp(-h / ell**2) * (2.0 * h / ell**2)]
+    if family == "matern52":
+        t = np.sqrt(5.0 * h) / ell
+        return [np.exp(-t) * t**2 * (1.0 + t) / 3.0]
+    alpha = float(params["alpha"])  # rq
+    u = 1.0 + h / (2.0 * alpha * ell**2)
+    return [
+        u ** (-alpha - 1.0) * h / ell**2,
+        u ** (-alpha) * alpha * (-np.log(u) + h / (2.0 * alpha * ell**2 * u)),
+    ]
 
 
 def hamming_family_eval(
@@ -494,8 +517,161 @@ def _rho_bounds(space: SearchSpace) -> np.ndarray:
     return np.array([-1.0 / (g - 1.0) for g in space.cardinalities])
 
 
+def _rho_product(spec: KernelSpec, masks, shape) -> np.ndarray:
+    """sigma2 * prod_i (rho_i where the rows differ in dimension i, else 1)."""
+    K = np.full(shape, spec.sigma2)
+    for rho, mask in zip(np.asarray(spec.params["rhos"], dtype=float), masks):
+        K = K * np.where(mask, rho, 1.0)
+    return K
+
+
+# Per-fit kernel terms: built once from (space, spec, X) for one training set,
+# then ``gram(spec)`` gives K and ``grad(spec, K, W)`` gives 1/2 <W, dK/dtheta_j>
+# for every packed theta_j; with W = alpha alpha^T - (K + noise I)^-1 that is
+# the kernel part of the marginal log-likelihood gradient.
+#
+# Fourth-order central differences for _GramDifferenceTerms.  W = alpha
+# alpha^T - (K + noise I)^-1 can reach 1e5 and amplifies the rounding error of
+# dK, which shrinks as the step grows; at this step the two-point rule's
+# truncation error is already too large for kernels such as ``invariant``.
+FD_STEP = 1e-3
+_FD_STENCIL = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
+
+
+class _GramDifferenceTerms:
+    """Central differences of ``gram``: the route for families without a closed form."""
+
+    def __init__(self, space, spec, X):
+        self.space, self.X = space, X
+
+    def gram(self, spec):
+        return gram(self.space, spec, self.X)
+
+    def grad(self, spec, K, W):
+        theta = pack_spec(self.space, spec)
+        steps = FD_STEP * np.maximum(1.0, np.abs(theta))
+        out = []
+        for h, e in zip(steps, np.diag(steps)):
+            dK = sum(
+                c * self.gram(unpack_spec(self.space, spec, theta + k * e))
+                for k, c in _FD_STENCIL
+            )
+            out.append(0.5 * float(np.sum(W * dK)) / h)
+        return np.array(out)
+
+
+class _LogAffineTerms:
+    """heat, combo, casmopolitan: K = sigma2 * exp(w @ D) over exact counts D.
+
+    D holds one row of mismatch counts per weight group (ARD: per dimension;
+    otherwise the family's tied groups), counted once.  Its entries are small
+    integers, so every summation order gives the same bits and relocating
+    categories leaves them unchanged.  w and dw/dtheta are computed once per
+    spec, with the family's scalar ``log_weights``.
+    """
+
+    def __init__(self, space, spec, X):
+        self.space, self.ard, self.m = space, spec.ard, X.shape[0]
+        self.family = _FAMILIES[spec.family]
+        labels = np.arange(space.n) if spec.ard else self.family.tied_groups(space)
+        _, self.first, group = np.unique(labels, return_index=True, return_inverse=True)
+        self.D = np.zeros((self.first.size, self.m**2))
+        for g, mask in zip(group, _mismatches(X, X)):
+            self.D[g] += mask.ravel()
+        self._last = (None, None)
+
+    def _weights(self, spec):
+        if self._last[0] is not spec:
+            self._last = (spec, self.family.log_weights(self.space, spec, self.first))
+        return self._last[1]
+
+    def gram(self, spec):
+        w, _ = self._weights(spec)
+        return spec.sigma2 * np.exp(w @ self.D).reshape(self.m, self.m)
+
+    def grad(self, spec, K, W):
+        _, dw = self._weights(spec)
+        A = W * K  # dK/dtheta_g = dw_g * K o D_g: one product with the counts
+        per_group = 0.5 * dw * (self.D @ A.ravel())
+        return np.append(per_group if self.ard else per_group.sum(), 0.5 * A.sum())
+
+
+class _RhoTerms:
+    """rho: one mismatch mask per dimension, taken once per fit."""
+
+    def __init__(self, space, spec, X):
+        self.space, self.masks = space, list(_mismatches(X, X))
+
+    def gram(self, spec):
+        return _symmetrize(_rho_product(spec, self.masks, self.masks[0].shape))
+
+    def grad(self, spec, K, W):
+        rhos = np.asarray(spec.params["rhos"], dtype=float)
+        lo = _rho_bounds(self.space)
+        s = (rhos - lo) / (1.0 - lo)
+        drho_dtheta = (1.0 - lo) * s * (1.0 - s)
+        factors = [np.where(mask, r, 1.0) for r, mask in zip(rhos, self.masks)]
+        # prefix/suffix products allow rho_i == 0 without 0/0 division
+        suffix = [np.ones_like(K)]  # suffix[i]: product of the factors after i
+        for f in reversed(factors[1:]):
+            suffix.append(suffix[-1] * f)
+        suffix.reverse()
+        prefix, out = np.ones_like(K), []
+        for f, mask, after, c in zip(factors, self.masks, suffix, drho_dtheta):
+            leave_one_out = np.where(mask, prefix * after, 0.0)
+            out.append(0.5 * c * spec.sigma2 * float(np.sum(W * leave_one_out)))
+            prefix = prefix * f
+        return np.array(out + [0.5 * float(np.sum(W * K))])
+
+
+class _ProfileTerms:
+    """Distance profiles: f and f' on one Hamming matrix held for the fit."""
+
+    def __init__(self, space, spec, X):
+        self.h = _hamming_matrix(space, X, X)
+        self.profile_name = _FAMILIES[spec.family].profile_name
+
+    def gram(self, spec):
+        return _symmetrize(spec.sigma2 * _profile(self.profile_name, spec.params, self.h))
+
+    def grad(self, spec, K, W):
+        dprofile = _profile_grads(self.profile_name, spec.params, self.h)
+        return np.array(
+            [0.5 * spec.sigma2 * float(np.sum(W * G)) for G in dprofile]
+            + [0.5 * float(np.sum(W * K))]
+        )
+
+
 class _LogAffineFamily:
-    """K = sigma2 * exp(sum_i w_i [x_i != y_i]), w_i from ``log_weights``."""
+    """K = sigma2 * exp(sum_i w_i [x_i != y_i]), w_i from ``log_weights``.
+
+    ``param`` names the per-dimension parameter (one value without ARD),
+    packed as its log, ahead of log sigma2.
+    """
+
+    terms = _LogAffineTerms
+    positive = True  # else zero is allowed too
+
+    def validate(self, space, spec):
+        values = _spread(space, spec.params[self.param])
+        if np.any(values < 0) or (self.positive and np.any(values == 0)):
+            bound = "> 0" if self.positive else ">= 0"
+            raise InvalidInputError(f"{self.param} must be {bound}")
+        if spec.sigma2 <= 0:
+            raise InvalidInputError("sigma2 must be > 0")
+        expected = space.n if spec.ard else 1
+        if np.atleast_1d(np.asarray(spec.params[self.param])).size != expected:
+            raise InvalidInputError(f"{self.param} count does not match the ard flag")
+
+    def pack(self, space, spec):
+        values = np.atleast_1d(np.asarray(spec.params[self.param], dtype=float))
+        return np.concatenate([np.log(values), [np.log(spec.sigma2)]])
+
+    def unpack(self, space, spec, theta):
+        k = theta.size - 1
+        return spec.replace_params(
+            **{self.param: np.exp(theta[:k])}, sigma2=float(np.exp(theta[-1]))
+        )
 
     def pairs(self, space, spec, X1, X2):
         w, _ = self.log_weights(space, spec, np.arange(space.n))
@@ -506,30 +682,12 @@ class _HeatFamily(_LogAffineFamily):
     """Diffusion kernel; also covers the normalized per-factor spectral product."""
 
     name = "heat"
-
-    def validate(self, space, spec):
-        betas = _spread(space, spec.params["betas"])
-        if np.any(betas < 0):
-            raise InvalidInputError("betas must be >= 0")
-        if spec.sigma2 <= 0:
-            raise InvalidInputError("sigma2 must be > 0")
-        expected = space.n if spec.ard else 1
-        if np.atleast_1d(np.asarray(spec.params["betas"])).size != expected:
-            raise InvalidInputError("beta count does not match the ard flag")
+    param = "betas"
+    positive = False  # beta = 0 gives rho = 0
 
     def default_spec(self, space, ard=True):
         betas = np.full(space.n if ard else 1, 1.0 / space.n)
         return KernelSpec(self.name, {"betas": betas, "sigma2": 1.0}, ard)
-
-    def pack(self, space, spec):
-        betas = np.atleast_1d(np.asarray(spec.params["betas"], dtype=float))
-        return np.concatenate([np.log(betas), [np.log(spec.sigma2)]])
-
-    def unpack(self, space, spec, theta):
-        k = theta.size - 1
-        return spec.replace_params(
-            betas=np.exp(theta[:k]), sigma2=float(np.exp(theta[-1]))
-        )
 
     def log_weights(self, space, spec, dims):
         """log rho_i and its derivative in the packed log beta_i, for ``dims``."""
@@ -549,44 +707,21 @@ class _HeatFamily(_LogAffineFamily):
 
 
 class _ComboClosedFamily(_HeatFamily):
-    """Alias family: identical correlations, selectable by name in configs."""
+    """Alias family: identical correlations, but the spectral product needs beta > 0."""
 
     name = "combo"
-
-    def validate(self, space, spec):
-        super().validate(space, spec)
-        if np.any(_spread(space, spec.params["betas"]) <= 0):
-            raise InvalidInputError("spectral product needs strictly positive betas")
+    positive = True
 
 
 class _CasmoFamily(_LogAffineFamily):
     name = "casmopolitan"
-
-    def validate(self, space, spec):
-        ells = _spread(space, spec.params["lengthscales"])
-        if np.any(ells <= 0):
-            raise InvalidInputError("lengthscales must be > 0")
-        if spec.sigma2 <= 0:
-            raise InvalidInputError("sigma2 must be > 0")
-        expected = space.n if spec.ard else 1
-        if np.atleast_1d(np.asarray(spec.params["lengthscales"])).size != expected:
-            raise InvalidInputError("lengthscale count does not match the ard flag")
+    param = "lengthscales"
 
     def default_spec(self, space, ard=True):
         ells = heat_betas_to_casmo_lengthscales(space, np.full(space.n, 1.0 / space.n))
         if not ard:
             ells = np.array([float(np.mean(ells))])
         return KernelSpec(self.name, {"lengthscales": ells, "sigma2": 1.0}, ard)
-
-    def pack(self, space, spec):
-        ells = np.atleast_1d(np.asarray(spec.params["lengthscales"], dtype=float))
-        return np.concatenate([np.log(ells), [np.log(spec.sigma2)]])
-
-    def unpack(self, space, spec, theta):
-        k = theta.size - 1
-        return spec.replace_params(
-            lengthscales=np.exp(theta[:k]), sigma2=float(np.exp(theta[-1]))
-        )
 
     def log_weights(self, space, spec, dims):
         """-l_i / n, which is also its derivative in log l_i, for ``dims``."""
@@ -599,6 +734,7 @@ class _CasmoFamily(_LogAffineFamily):
 
 class _RhoFamily:
     name = "rho"
+    terms = _RhoTerms
 
     def validate(self, space, spec):
         rhos = np.asarray(spec.params["rhos"], dtype=float)
@@ -616,11 +752,7 @@ class _RhoFamily:
 
     def pairs(self, space, spec, X1, X2):
         """Product of per-dimension factors; correlations may be negative."""
-        rhos = np.asarray(spec.params["rhos"], dtype=float)
-        K = np.full((X1.shape[0], X2.shape[0]), spec.sigma2)
-        for rho, mask in zip(rhos, _mismatches(X1, X2)):
-            K = K * np.where(mask, rho, 1.0)
-        return K
+        return _rho_product(spec, _mismatches(X1, X2), (X1.shape[0], X2.shape[0]))
 
     def pack(self, space, spec):
         rhos = np.asarray(spec.params["rhos"], dtype=float)
@@ -634,131 +766,63 @@ class _RhoFamily:
         rhos = lo + (1.0 - lo) * _logistic(theta[:-1])
         return spec.replace_params(rhos=rhos, sigma2=float(np.exp(theta[-1])))
 
-    def build_with_grads(self, space, spec, X):
-        rhos = np.asarray(spec.params["rhos"], dtype=float)
-        lo = _rho_bounds(space)
-        m = X.shape[0]
-        factors = [np.where(mask, r, 1.0) for r, mask in zip(rhos, _mismatches(X, X))]
-        # prefix/suffix products allow rho_i == 0 without 0/0 division
-        prefix = [np.ones((m, m))]
-        for f in factors:
-            prefix.append(prefix[-1] * f)
-        suffix = [np.ones((m, m))]
-        for f in reversed(factors):
-            suffix.append(suffix[-1] * f)
-        suffix.reverse()
-        K = spec.sigma2 * prefix[-1]
-        s = (rhos - lo) / (1.0 - lo)
-        drho_dtheta = (1.0 - lo) * s * (1.0 - s)
-        grads = []
-        for i, mask in enumerate(_mismatches(X, X)):
-            leave_one_out = prefix[i] * suffix[i + 1]
-            dK_drho = spec.sigma2 * np.where(mask, leave_one_out, 0.0)
-            grads.append(dK_drho * drho_dtheta[i])
-        grads.append(K.copy())
-        return K, grads
-
 
 class _ProfileFamily:
-    """Shared machinery for the distance-profile kernels."""
+    """Shared machinery for the distance-profile kernels.
+
+    ``shape_params`` are the profile's positive parameters, packed as logs in
+    this order ahead of log sigma2.
+    """
 
     profile_name: str
+    shape_params = ("lengthscale",)
+    terms = _ProfileTerms
 
     def validate(self, space, spec):
-        if float(spec.params["lengthscale"]) <= 0:
-            raise InvalidInputError("lengthscale must be > 0")
+        for key in self.shape_params:
+            if float(spec.params[key]) <= 0:
+                raise InvalidInputError(f"{key} must be > 0")
         if spec.sigma2 <= 0:
             raise InvalidInputError("sigma2 must be > 0")
 
     def default_spec(self, space, ard=True):
-        return KernelSpec(
-            self.name, {"lengthscale": sqrt(space.n), "sigma2": 1.0}, False
-        )
+        params = {key: 1.0 for key in self.shape_params}
+        params.update(lengthscale=sqrt(space.n), sigma2=1.0)
+        return KernelSpec(self.name, params, False)
 
     def pairs(self, space, spec, X1, X2):
         h = _hamming_matrix(space, X1, X2)
         return spec.sigma2 * _profile(self.profile_name, spec.params, h)
 
     def pack(self, space, spec):
-        return np.array(
-            [np.log(float(spec.params["lengthscale"])), np.log(spec.sigma2)]
-        )
+        logs = [np.log(float(spec.params[key])) for key in self.shape_params]
+        return np.array(logs + [np.log(spec.sigma2)])
 
     def unpack(self, space, spec, theta):
-        return spec.replace_params(
-            lengthscale=float(np.exp(theta[0])), sigma2=float(np.exp(theta[-1]))
-        )
+        shape = {key: float(np.exp(t)) for key, t in zip(self.shape_params, theta)}
+        return spec.replace_params(**shape, sigma2=float(np.exp(theta[-1])))
 
 
 class _HammingRbfFamily(_ProfileFamily):
     name = "hamming_rbf"
     profile_name = "rbf"
 
-    def build_with_grads(self, space, spec, X):
-        h = _hamming_matrix(space, X, X)
-        K = spec.sigma2 * _profile(self.profile_name, spec.params, h)
-        ell = float(spec.params["lengthscale"])
-        return K, [K * (2.0 * h / ell**2), K.copy()]
-
 
 class _HammingMatern52Family(_ProfileFamily):
     name = "hamming_matern52"
     profile_name = "matern52"
 
-    def build_with_grads(self, space, spec, X):
-        h = _hamming_matrix(space, X, X)
-        ell = float(spec.params["lengthscale"])
-        t = np.sqrt(5.0 * h) / ell
-        K = spec.sigma2 * (1.0 + t + t**2 / 3.0) * np.exp(-t)
-        dK_dlogell = spec.sigma2 * np.exp(-t) * t**2 * (1.0 + t) / 3.0
-        return K, [dK_dlogell, K.copy()]
-
 
 class _HammingRqFamily(_ProfileFamily):
     name = "hamming_rq"
     profile_name = "rq"
-
-    def validate(self, space, spec):
-        super().validate(space, spec)
-        if float(spec.params["alpha"]) <= 0:
-            raise InvalidInputError("rq shape alpha must be > 0")
-
-    def default_spec(self, space, ard=True):
-        return KernelSpec(
-            self.name,
-            {"lengthscale": sqrt(space.n), "alpha": 1.0, "sigma2": 1.0},
-            False,
-        )
-
-    def pack(self, space, spec):
-        return np.array(
-            [
-                np.log(float(spec.params["lengthscale"])),
-                np.log(float(spec.params["alpha"])),
-                np.log(spec.sigma2),
-            ]
-        )
-
-    def unpack(self, space, spec, theta):
-        return spec.replace_params(
-            lengthscale=float(np.exp(theta[0])),
-            alpha=float(np.exp(theta[1])),
-            sigma2=float(np.exp(theta[-1])),
-        )
-
-    def build_with_grads(self, space, spec, X):
-        h = _hamming_matrix(space, X, X)
-        ell = float(spec.params["lengthscale"])
-        alpha = float(spec.params["alpha"])
-        u = 1.0 + h / (2.0 * alpha * ell**2)
-        K = spec.sigma2 * u ** (-alpha)
-        dK_dlogell = spec.sigma2 * u ** (-alpha - 1.0) * h / ell**2
-        dK_dlogalpha = K * alpha * (-np.log(u) + h / (2.0 * alpha * ell**2 * u))
-        return K, [dK_dlogell, dK_dlogalpha, K.copy()]
+    shape_params = ("lengthscale", "alpha")
 
 
 class _AdditiveBase:
     """Common validation and packing for the compound-symmetry additive families."""
+
+    terms = _GramDifferenceTerms
 
     def _vs_cs(self, spec):
         return (
@@ -774,18 +838,18 @@ class _AdditiveBase:
             raise InvalidInputError("base variances must be > 0")
         _validate_rhos(space, cs / vs)
 
-    def _pack_base(self, space, spec):
+    def pack(self, space, spec):
         vs, cs = self._vs_cs(spec)
         lo = _rho_bounds(space)
         ratio = cs / vs
         return np.concatenate([np.log(vs), _logit((ratio - lo) / (1.0 - lo))])
 
-    def _unpack_base(self, space, theta):
-        n = theta.size // 2
+    def unpack(self, space, spec, theta):
+        n = space.n
         vs = np.exp(theta[:n])
         lo = _rho_bounds(space)
         ratio = lo + (1.0 - lo) * _logistic(theta[n : 2 * n])
-        return vs, vs * ratio
+        return spec.replace_params(vs=vs, cs=vs * ratio)
 
     def default_base(self, space):
         vs = np.full(space.n, 1.0 / space.n)
@@ -803,13 +867,6 @@ class _AdditiveSumFamily(_AdditiveBase):
     def pairs(self, space, spec, X1, X2):
         vs, cs = self._vs_cs(spec)
         return float(np.sum(vs)) - weighted_mismatch_matrix(space, X1, X2, vs - cs)
-
-    def pack(self, space, spec):
-        return self._pack_base(space, spec)
-
-    def unpack(self, space, spec, theta):
-        vs, cs = self._unpack_base(space, theta)
-        return spec.replace_params(vs=vs, cs=cs)
 
 
 class _RandomDecompositionFamily(_AdditiveBase):
@@ -839,13 +896,6 @@ class _RandomDecompositionFamily(_AdditiveBase):
                 term = term * base
             out += term
         return out
-
-    def pack(self, space, spec):
-        return self._pack_base(space, spec)
-
-    def unpack(self, space, spec, theta):
-        vs, cs = self._unpack_base(space, theta)
-        return spec.replace_params(vs=vs, cs=cs)
 
 
 class _ExplainableAdditiveFamily(_AdditiveBase):
@@ -879,21 +929,19 @@ class _ExplainableAdditiveFamily(_AdditiveBase):
     def pack(self, space, spec):
         w = np.asarray(spec.params["degree_weights"], dtype=float)
         return np.concatenate(
-            [self._pack_base(space, spec), np.log(np.maximum(w, 1e-300))]
+            [super().pack(space, spec), np.log(np.maximum(w, 1e-300))]
         )
 
     def unpack(self, space, spec, theta):
-        n = space.n
-        vs, cs = self._unpack_base(space, theta[: 2 * n])
-        return spec.replace_params(
-            vs=vs, cs=cs, degree_weights=np.exp(theta[2 * n :])
-        )
+        base = super().unpack(space, spec, theta)
+        return base.replace_params(degree_weights=np.exp(theta[2 * space.n :]))
 
 
 class _InvariantFamily:
     """Wrapper making an inner family invariant to dimension permutations."""
 
     name = "invariant"
+    terms = _GramDifferenceTerms
 
     def validate(self, space, spec):
         inner = spec.params["inner"]
@@ -1029,49 +1077,17 @@ def diag_values(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
     return np.array([fam.value(space, spec, x, x) for x in X])
 
 
-# Internal hooks for the GP fitter: cached pair data and analytic grads.
+# Internal hooks for the GP fitter: packing and the per-fit kernel terms.
 
 
-def has_analytic_grads(spec: KernelSpec) -> bool:
-    return hasattr(_FAMILIES[spec.family], "build_with_grads")
+def fit_terms(space: SearchSpace, spec: KernelSpec, points):
+    """Kernel terms for one training set: ``gram(spec)`` and ``grad(spec, K, W)``.
 
-
-def is_log_affine(spec: KernelSpec) -> bool:
-    """K = sigma2 * exp(sum_g w_g D_g) over grouped mismatch counts D_g."""
-    return hasattr(_FAMILIES[spec.family], "log_weights")
-
-
-def _weight_groups(space: SearchSpace, spec: KernelSpec) -> np.ndarray:
-    """Label per dimension; dimensions with one label share one log-weight."""
-    if spec.ard:
-        return np.arange(space.n)
-    return np.asarray(_FAMILIES[spec.family].tied_groups(space))
-
-
-def mismatch_counts(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
-    """(groups, m * m) counts of mismatching dimensions per weight group.
-
-    The entries are small integers, so every summation order gives the same
-    bits, and relocating categories leaves them unchanged.
+    ``spec`` fixes the family and its structure (ARD, decomposition, inner
+    kernel); later calls may pass any spec of that structure.
     """
     X = space.validate_points(points)
-    _, group = np.unique(_weight_groups(space, spec), return_inverse=True)
-    D = np.zeros((group.max() + 1, X.shape[0] ** 2))
-    for g, mask in zip(group, _mismatches(X, X)):
-        D[g] += mask.ravel()
-    return D
-
-
-def log_affine_weights(space: SearchSpace, spec: KernelSpec):
-    """Per-group log-weights w and dw/dtheta, in ``mismatch_counts`` order."""
-    _, first = np.unique(_weight_groups(space, spec), return_index=True)
-    return _FAMILIES[spec.family].log_weights(space, spec, first)
-
-
-def gram_with_grads(space: SearchSpace, spec: KernelSpec, points):
-    """Gram plus derivatives w.r.t. each unconstrained parameter, pack order."""
-    X = space.validate_points(points)
-    return _FAMILIES[spec.family].build_with_grads(space, spec, X)
+    return _FAMILIES[spec.family].terms(space, spec, X)
 
 
 def pack_spec(space: SearchSpace, spec: KernelSpec) -> np.ndarray:

@@ -110,6 +110,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown key(s) {unknown} in [{section}]; known: {sorted(known)}"
                 )
+            # the dataclass sections take numbers only; [kernel] may name a mode
+            text = sorted(k for k, v in options.items() if isinstance(v, str))
+            if text and section != "kernel":
+                raise ConfigError(f"non-numeric value for {text} in [{section}]")
 
     def run_id(self, seed: int) -> str:
         reloc = "-reloc" if self.relocate else ""
@@ -144,7 +148,10 @@ def _parse_option_value(raw: str):
 def load_config(path) -> ExperimentConfig:
     """Read a key = value sectioned config file."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     exp = parser["experiment"] if parser.has_section("experiment") else {}
@@ -177,7 +184,7 @@ def load_config(path) -> ExperimentConfig:
             ga_options=section_dict("ga"),
             optimizer_options=section_dict("optimizer"),
         )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, configparser.Error) as exc:
         raise ConfigError(f"bad config value: {exc}")
     config.validate()
     return config

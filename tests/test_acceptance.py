@@ -218,25 +218,24 @@ def test_criterion_7_gp_numerical_correctness():
     for family in families:
         base = kernels.default_spec(space, family)
         size = kernels.pack_spec(space, base).size
+        terms = kernels.fit_terms(space, base, train.points)
         for _ in range(10):
             theta = kernels.pack_spec(space, base) + rng.normal(scale=0.5, size=size)
             spec = kernels.unpack_spec(space, base, theta)
             log_noise = float(rng.uniform(-6, -2))
-            _, grad = gp._mll_and_grad(
-                space, spec, log_noise, train.points, None, y, gp.JITTER_LADDER
-            )
+            _, grad = gp._mll_and_grad(terms, spec, log_noise, y, gp.JITTER_LADDER)
             full = np.concatenate([theta, [log_noise]])
             for j in range(full.size):
                 step = 1e-5 * max(1.0, abs(full[j]))
                 tp = full.copy(); tp[j] += step
                 tm = full.copy(); tm[j] -= step
                 vp, *_ = gp._mll_parts(
-                    space, kernels.unpack_spec(space, base, tp[:-1]), tp[-1],
-                    train.points, None, y, gp.JITTER_LADDER,
+                    terms, kernels.unpack_spec(space, base, tp[:-1]), tp[-1],
+                    y, gp.JITTER_LADDER,
                 )
                 vm, *_ = gp._mll_parts(
-                    space, kernels.unpack_spec(space, base, tm[:-1]), tm[-1],
-                    train.points, None, y, gp.JITTER_LADDER,
+                    terms, kernels.unpack_spec(space, base, tm[:-1]), tm[-1],
+                    y, gp.JITTER_LADDER,
                 )
                 fd = (vp - vm) / (2 * step)
                 rel = abs(grad[j] - fd) / max(abs(fd), abs(grad[j]), 1e-8)

@@ -120,13 +120,19 @@ class TestMll:
 class TestGradients:
     @pytest.mark.parametrize(
         "family",
-        ["heat", "casmopolitan", "rho", "hamming_rbf", "hamming_matern52", "hamming_rq"],
+        [
+            "heat", "casmopolitan", "rho", "hamming_rbf", "hamming_matern52",
+            "hamming_rq", "additive_sum", "random_decomposition",
+            "explainable_additive", "invariant",
+        ],
     )
     def test_mll_gradient_matches_finite_differences(self, family):
         rng = np.random.default_rng(hash(family) % 2**32)
-        sp = SearchSpace((3, 4, 2, 5))
+        # the padded projection pools dimensions, so it needs one alphabet
+        sp = SearchSpace((3, 3, 3, 3) if family == "invariant" else (3, 4, 2, 5))
         train = make_train(sp, rng, m=12)
         y = train.standardized()
+        terms = kernels.fit_terms(sp, kernels.default_spec(sp, family), train.points)
         for _ in range(10):
             base = kernels.default_spec(sp, family)
             theta = kernels.pack_spec(sp, base) + rng.normal(scale=0.5, size=None)
@@ -135,23 +141,21 @@ class TestGradients:
             )
             spec = kernels.unpack_spec(sp, base, theta)
             log_noise = float(rng.uniform(-6, -2))
-            value, grad = gp._mll_and_grad(
-                sp, spec, log_noise, train.points, None, y, gp.JITTER_LADDER
-            )
+            value, grad = gp._mll_and_grad(terms, spec, log_noise, y, gp.JITTER_LADDER)
             full = np.concatenate([theta, [log_noise]])
             for j in range(full.size):
-                step = 1e-5 * max(1.0, abs(full[j]))
-                tp = full.copy(); tp[j] += step
-                tm = full.copy(); tm[j] -= step
-                vp, *_ = gp._mll_parts(
-                    sp, kernels.unpack_spec(sp, base, tp[:-1]), tp[-1],
-                    train.points, None, y, gp.JITTER_LADDER,
-                )
-                vm, *_ = gp._mll_parts(
-                    sp, kernels.unpack_spec(sp, base, tm[:-1]), tm[-1],
-                    train.points, None, y, gp.JITTER_LADDER,
-                )
-                fd = (vp - vm) / (2 * step)
+                step = 1e-3 * max(1.0, abs(full[j]))
+
+                def mll_at(k):
+                    t = full.copy(); t[j] += k * step
+                    return gp._mll_parts(
+                        terms, kernels.unpack_spec(sp, base, t[:-1]), t[-1],
+                        y, gp.JITTER_LADDER,
+                    )[0]
+
+                # fourth-order central difference: on ill-conditioned draws the
+                # two-point rule's rounding error alone exceeds 1e-4 relative
+                fd = (mll_at(-2) - 8 * mll_at(-1) + 8 * mll_at(1) - mll_at(2)) / (12 * step)
                 denom = max(abs(fd), abs(grad[j]), 1e-8)
                 assert abs(grad[j] - fd) / denom <= 1e-4, (family, j)
 
@@ -204,10 +208,8 @@ class TestFusedRoute:
     def test_matches_explicit_gradient_oracle(self, problem):
         sp, spec, train, log_noise, _ = problem
         y = train.standardized()
-        M = gp._pair_data(sp, spec, train.points)
-        value, grad = gp._mll_and_grad(
-            sp, spec, log_noise, train.points, M, y, gp.JITTER_LADDER
-        )
+        terms = kernels.fit_terms(sp, spec, train.points)
+        value, grad = gp._mll_and_grad(terms, spec, log_noise, y, gp.JITTER_LADDER)
         want_value, want_grad = explicit_mll_and_grad(
             sp, spec, log_noise, train.points, y
         )
@@ -225,8 +227,7 @@ class TestFusedRoute:
         )
         results = [
             gp._mll_and_grad(
-                sp, spec, log_noise, pts, gp._pair_data(sp, spec, pts), y,
-                gp.JITTER_LADDER,
+                kernels.fit_terms(sp, spec, pts), spec, log_noise, y, gp.JITTER_LADDER
             )
             for pts in (train.points, moved)
         ]
@@ -240,18 +241,20 @@ class TestFusedRoute:
         sp, spec, train, log_noise, _ = problem
         y = train.standardized()
         _, K, *_ = gp._mll_parts(
-            sp, spec, log_noise, train.points, None, y, gp.JITTER_LADDER
+            kernels.fit_terms(sp, spec, train.points), spec, log_noise, y,
+            gp.JITTER_LADDER,
         )
         want = kernels.cross_gram(sp, spec, train.points, train.points)
         np.testing.assert_allclose(K, want, rtol=1e-12, atol=0.0)
 
-    def test_pair_data_groups_counts_by_cardinality(self):
+    def test_fit_terms_group_counts_by_cardinality(self):
         sp = SearchSpace((3, 4, 2))
         X = make_train(sp, np.random.default_rng(15), m=10).points
         spec = kernels.default_spec(sp, "heat", ard=False)
-        counts = gp._pair_data(sp, spec, X)
-        np.testing.assert_array_equal(counts, kernels.mismatch_counts(sp, spec, X))
+        counts = kernels.fit_terms(sp, spec, X).D
         assert counts.shape == (3, 100)  # one group per cardinality, not per dimension
+        hamming = (X[:, None, :] != X[None, :, :]).sum(axis=2)
+        np.testing.assert_array_equal(counts.sum(axis=0), hamming.ravel())
 
 
 class TestFit:

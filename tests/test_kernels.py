@@ -647,15 +647,36 @@ class TestHeatProperties:
             assert value == 2.0
 
 
-def gram_grads(space, spec, pts):
-    """dK/dtheta in pack order; log-affine families via their log-weights hook."""
-    if not kn.is_log_affine(spec):
-        return kn.gram_with_grads(space, spec, pts)[1]
-    K = kn.gram(space, spec, pts)
-    _, dw = kn.log_affine_weights(space, spec)
-    D = kn.mismatch_counts(space, spec, pts).reshape(-1, *K.shape)
-    per_group = [K * c * Dg for c, Dg in zip(dw, D)]
-    return (per_group if spec.ard else [sum(per_group)]) + [K]
+NON_LOG_AFFINE = tuple(
+    f for f in kn.FAMILY_NAMES if f not in ("heat", "combo", "casmopolitan")
+)
+
+
+def fit_terms_spec(space, family, rng):
+    """spec_for with a random sigma2, plus invariant wrappers in every mode."""
+    if family != "invariant":
+        spec = spec_for(space, family, rng)
+        if "sigma2" in spec.params:
+            spec = spec.replace_params(sigma2=float(rng.uniform(0.5, 2.0)))
+        return spec
+    mode = str(rng.choice(["sum", "proj", "padded_proj", "prod"]))
+    inner = fit_terms_spec(space, "hamming_rq" if mode == "padded_proj" else "rho", rng)
+    params = {"inner": inner, "mode": mode, "samples": 3, "seed": int(rng.integers(9))}
+    return kn.KernelSpec(family, params, False)
+
+
+class TestFitTerms:
+    @given(st.sampled_from(NON_LOG_AFFINE), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_gram_is_bitwise_the_public_gram(self, family, seed):
+        rng = np.random.default_rng(seed)
+        sp = random_space(rng, min_n=2)
+        if family == "invariant":  # dimension permutations need one alphabet
+            sp = SearchSpace((sp.cardinalities[0],) * sp.n)
+        pts = sp.sample_points(int(rng.integers(2, 12)), rng)
+        terms = kn.fit_terms(sp, fit_terms_spec(sp, family, rng), pts)
+        spec = fit_terms_spec(sp, family, rng)  # any spec of the same structure
+        np.testing.assert_array_equal(terms.gram(spec), kn.gram(sp, spec, pts))
 
 
 class TestSpecPacking:
@@ -681,6 +702,7 @@ class TestSpecPacking:
 
     def test_analytic_gradients_match_finite_differences(self):
         rng = np.random.default_rng(26)
+        w_rng = np.random.default_rng(126)
         cases = [
             (family, True) for family in (
                 "heat", "combo", "casmopolitan", "rho",
@@ -698,7 +720,10 @@ class TestSpecPacking:
                 spec = kn.unpack_spec(sp, base, theta + rng.normal(size=theta.size))
             pts = sp.sample_points(8, rng)
             theta = kn.pack_spec(sp, spec)
-            grads = gram_grads(sp, spec, pts)
+            W = w_rng.normal(size=(8, 8))
+            W = W + W.T
+            terms = kn.fit_terms(sp, spec, pts)
+            grads = terms.grad(spec, terms.gram(spec), W)  # 1/2 <W, dK/dtheta_j>
             assert len(grads) == theta.size
             for j in range(theta.size):
                 step = 1e-6 * max(1.0, abs(theta[j]))
@@ -706,6 +731,6 @@ class TestSpecPacking:
                 tm = theta.copy(); tm[j] -= step
                 Kp = kn.gram(sp, kn.unpack_spec(sp, spec, tp), pts)
                 Km = kn.gram(sp, kn.unpack_spec(sp, spec, tm), pts)
-                fd = (Kp - Km) / (2 * step)
-                scale = max(1.0, np.max(np.abs(fd)))
-                assert np.max(np.abs(grads[j] - fd)) / scale < 1e-5, (family, j)
+                fd = 0.5 * float(np.sum(W * (Kp - Km))) / (2 * step)
+                scale = max(1.0, abs(fd))
+                assert abs(grads[j] - fd) / scale < 1e-5, (family, j)

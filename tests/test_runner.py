@@ -209,6 +209,21 @@ class TestCli:
         assert "populaton_size" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_duplicate_section_exits_one_before_writing(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text() + "\n[ga]\ngenerations = 5\n")
+        assert runner.main(["run", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_numeric_ga_value_exits_one_before_writing(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        text = path.read_text().replace("population_size = 12", "population_size = abc")
+        path.write_text(text)
+        assert runner.main(["run", str(path)]) == 1
+        assert "population_size" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_kernel_key_exits_one_before_writing(self, tmp_path, capsys):
         path = write_config(tmp_path)
         path.write_text(path.read_text() + "\n[kernel]\nbetta = 5\n")
