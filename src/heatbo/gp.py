@@ -6,12 +6,12 @@ fitted by maximizing the marginal log-likelihood with Adam in an
 unconstrained parameterization (log for positive parameters, scaled logistic
 for bounded correlations).
 
-Every family takes one route.  ``kernels.fit_terms`` builds the family's
-per-fit kernel terms once per training set; ``fit`` and ``make_state`` get K
-from ``terms.gram``.  Each gradient step factors K + noise I once, takes
-K^-1 from the Cholesky factor (LAPACK potri), forms W = alpha alpha^T - K^-1
-and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>; the noise term is
-1/2 tr(W) noise.
+Every family takes one route.  ``kernels.fit_terms`` encodes the training
+set once; ``fit`` and ``make_state`` get K from ``terms.gram``, which is bit
+for bit ``kernels.gram``.  Each gradient step factors K + noise I once,
+takes K^-1 from the Cholesky factor (LAPACK potri), forms W = alpha
+alpha^T - K^-1 and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>; the noise
+term is 1/2 tr(W) noise.
 """
 
 from __future__ import annotations

@@ -15,29 +15,26 @@ parameterization with per-dimension correlations, additive variants, and
 wrappers that make any inner kernel invariant to a group acting on the
 dimensions.
 
-Every match-based family has one Gram function, ``pairs(space, spec, X1,
-X2)``, which ``gram``, ``cross_gram``, ``value`` and ``diag_values`` all
-call.  Each is built on the weighted mismatch matrix ``sum_i w_i [x_i !=
-y_i]``: heat, combo and casmopolitan are ``sigma2 * exp`` of it, the
-distance profiles are functions of it with unit weights, and the additive
-sum is affine in it.  ``rho`` (whose correlations may be negative) and the
-families with products inside components take one (m1, m2) mismatch mask
-per dimension at a time.  The scalar ``*_eval`` functions are independent
-oracles for these routes.
-
-For the GP fitter, ``fit_terms(space, spec, X)`` builds each family's
-per-fit kernel terms once per training set: ``gram(spec)`` gives K and
-``grad(spec, K, W)`` gives 1/2 <W, dK/dtheta_j> for every packed
-parameter.  heat, combo and casmopolitan use grouped mismatch counts,
-``rho`` its prefix/suffix products, the distance profiles f' on one
-Hamming matrix, and every other family central differences of ``gram``.
+Every family has one kernel arithmetic: ``encode(space, spec, X1, X2)``
+holds what its Gram needs about two point sets and ``kernel(spec, enc)``
+returns the matrix.  ``gram``, ``cross_gram``, ``value``, ``diag_values``
+and the GP fitter's ``fit_terms`` all go through that pair, so the fit's K
+is bit for bit ``gram``.  heat, combo and casmopolitan are ``sigma2 * exp``
+of an exact weighted mismatch count (one-hot products, weights on one
+binary grid), the distance profiles functions of the exact Hamming matrix,
+and ``additive_sum`` affine in a weighted one-hot product; the other
+families take one mismatch mask per dimension.  ``fit_terms(space, spec,
+X)`` encodes a training set once; its ``grad(spec, K, W)`` gives 1/2 <W,
+dK/dtheta_j> in closed form where the family has one, else by central
+differences.  The scalar ``*_eval`` functions are independent oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, frexp, log, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -443,55 +440,59 @@ class KernelSpec:
         return float(self.params.get("sigma2", 1.0))
 
 
-def _mismatches(X1: np.ndarray, X2: np.ndarray):
-    """One boolean (m1, m2) mask per dimension, in order: do the rows differ there."""
-    return (c1[:, None] != c2[None, :] for c1, c2 in zip(X1.T, X2.T))
-
-
-def _one_hot_matrix(space: SearchSpace, X: np.ndarray) -> np.ndarray:
-    """(m, sum g_i) float encoding with one block per dimension."""
+def _one_hot_pair(space: SearchSpace, X1, X2) -> SimpleNamespace:
+    """Z1 and 1 - Z2, one one-hot block per dimension: the two sides of
+    ``_weighted_mismatches``."""
     offsets = np.concatenate([[0], np.cumsum(space.cardinalities)[:-1]])
-    Z = np.zeros((X.shape[0], space.one_hot_width))
-    cols = X + offsets  # (m, n) global column index of each coordinate
-    Z[np.arange(X.shape[0])[:, None], cols] = 1.0
-    return Z
+
+    def one_hot(X):
+        Z = np.zeros((X.shape[0], space.one_hot_width))
+        Z[np.arange(X.shape[0])[:, None], X + offsets] = 1.0
+        return Z
+
+    Z1 = one_hot(X1)
+    return SimpleNamespace(
+        cards=space.cardinalities, Z1=Z1, Z2c=1.0 - (Z1 if X2 is X1 else one_hot(X2))
+    )
 
 
-_ONE_HOT_WIDTH_LIMIT = 512  # beyond this the flat per-dimension loop wins
+def _weighted_mismatches(pair: SimpleNamespace, weights) -> np.ndarray:
+    """sum_i w_i [x_i != y_i] for every pair of rows, as (Z1 * w) @ (1 - Z2).T.
 
-
-def weighted_mismatch_matrix(space: SearchSpace, X1, X2, weights) -> np.ndarray:
-    """sum_i w_i * [x_i != y_i] for every pair of rows.
-
-    All product-form and distance-profile kernels reduce to a function of
-    this matrix, which is why one-hot encoding plus a standard continuous
-    kernel reproduces them.  Only mismatching dimensions contribute, so a
-    floored log-weight of -1e300 (a zero correlation) gives an exact zero
-    after ``exp`` and is never cancelled against itself.  Narrow encodings
-    go through a single one-hot BLAS product, (Z1 * w) @ (1 - Z2).T; wide
-    ones use a per-dimension accumulation whose cost is independent of the
-    category counts.
+    Only mismatches contribute, so a floored log-weight of -1e300 (a zero
+    correlation) is never cancelled against itself and exp gives exactly 0.
     """
-    weights = np.asarray(weights, dtype=float)
-    if space.one_hot_width <= _ONE_HOT_WIDTH_LIMIT:
-        Z1 = _one_hot_matrix(space, X1)
-        Z2 = Z1 if X2 is X1 else _one_hot_matrix(space, X2)
-        scale = np.repeat(weights, space.cardinalities)
-        return (Z1 * scale) @ (1.0 - Z2).T
-    total = np.zeros((X1.shape[0], X2.shape[0]))
-    for w, mask in zip(weights, _mismatches(X1, X2)):
-        total += w * mask
-    return total
+    return (pair.Z1 * np.repeat(weights, pair.cards)) @ pair.Z2c.T
 
 
-def _hamming_matrix(space: SearchSpace, X1, X2) -> np.ndarray:
-    """Squared distance h = number of mismatching dimensions, exact integers."""
-    return weighted_mismatch_matrix(space, X1, X2, np.ones(space.n))
+def mismatch_counts(space: SearchSpace, X1, X2, groups) -> np.ndarray:
+    """Exact mismatch counts per weight group, shape (G, m1, m2).
+
+    ``groups`` labels each dimension, and groups come in sorted label order.
+    Entry [g, a, b] is Z1_g (1 - Z2_g)^T over group g's one-hot columns: at
+    most n products of 0 and 1, exact in any summation order and unchanged
+    when categories are relocated.
+    """
+    pair, columns = _one_hot_pair(space, X1, X2), np.repeat(groups, space.cardinalities)
+    return np.stack([
+        pair.Z1[:, columns == g] @ pair.Z2c[:, columns == g].T for g in sorted(set(groups))
+    ])
 
 
-def _base_matrices(vs, cs, X1, X2):
-    """Per-dimension base-kernel matrices, one at a time: v_i on a match, else c_i."""
-    return (np.where(mask, c, v) for v, c, mask in zip(vs, cs, _mismatches(X1, X2)))
+def _dyadic(w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``w`` rounded onto one binary grid on which every sum of its entries is exact.
+
+    ``sizes`` counts the dimensions that share each weight.  With 2**e above
+    sum sizes * |w|, adding and removing C = 3 * 2**e rounds each weight to
+    a multiple of 2**(e - 51), by at most 2**-51 times the sum; every partial
+    sum is then a multiple below 2**53 steps.  So a one-hot product gives the
+    same bits whatever its BLAS summation order, which follows the column
+    positions that relocating categories permutes.  Floored weights (-1e300)
+    pass unchanged, and exp of any sum holding one is 0.
+    """
+    total = sum(abs(x) * k for x, k in zip(w.tolist(), sizes.tolist()) if x > -1e300)
+    C = 3.0 * 2.0 ** frexp(total)[1]
+    return (w + C) - C
 
 
 def _symmetrize(K: np.ndarray) -> np.ndarray:
@@ -501,7 +502,8 @@ def _symmetrize(K: np.ndarray) -> np.ndarray:
     commutative, and costs two passes instead of the triangular mirror's
     mask construction.
     """
-    return 0.5 * (K + K.T)
+    S = K + K.T
+    return np.multiply(S, 0.5, out=S)
 
 
 def _logistic(t):
@@ -517,139 +519,41 @@ def _rho_bounds(space: SearchSpace) -> np.ndarray:
     return np.array([-1.0 / (g - 1.0) for g in space.cardinalities])
 
 
-def _rho_product(spec: KernelSpec, masks, shape) -> np.ndarray:
-    """sigma2 * prod_i (rho_i where the rows differ in dimension i, else 1)."""
-    K = np.full(shape, spec.sigma2)
-    for rho, mask in zip(np.asarray(spec.params["rhos"], dtype=float), masks):
-        K = K * np.where(mask, rho, 1.0)
-    return K
+def _base_matrices(vs, cs, masks):
+    """Per-dimension base-kernel matrices, one at a time: v_i on a match, else c_i."""
+    return (np.where(mask, c, v) for v, c, mask in zip(vs, cs, masks))
 
 
-# Per-fit kernel terms: built once from (space, spec, X) for one training set,
-# then ``gram(spec)`` gives K and ``grad(spec, K, W)`` gives 1/2 <W, dK/dtheta_j>
-# for every packed theta_j; with W = alpha alpha^T - (K + noise I)^-1 that is
-# the kernel part of the marginal log-likelihood gradient.
-#
-# Fourth-order central differences for _GramDifferenceTerms.  W = alpha
-# alpha^T - (K + noise I)^-1 can reach 1e5 and amplifies the rounding error of
-# dK, which shrinks as the step grows; at this step the two-point rule's
-# truncation error is already too large for kernels such as ``invariant``.
-FD_STEP = 1e-3
-_FD_STENCIL = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
+class _Family:
+    """``encode`` reads only a spec's structure; ``kernel``, ``grad`` any spec of it."""
+
+    grad = None  # without one, _FitTerms takes differences of the kernel
+
+    def encode(self, space, spec, X1, X2):
+        """One boolean (m1, m2) mask per dimension, in order: do the rows differ there."""
+        masks = [c1[:, None] != c2[None, :] for c1, c2 in zip(X1.T, X2.T)]
+        return SimpleNamespace(space=space, masks=masks)
+
+    def diag(self, space, spec, X):
+        """k(x, x) per point: one constant for every match-based family, and
+        sigma2 (no mismatch, exactly) for each family that has one."""
+        if "sigma2" in spec.params:
+            return np.full(X.shape[0], spec.sigma2)
+        value = self.kernel(spec, self.encode(space, spec, X[:1], X[:1]))[0, 0]
+        return np.full(X.shape[0], float(value))
 
 
-class _GramDifferenceTerms:
-    """Central differences of ``gram``: the route for families without a closed form."""
-
-    def __init__(self, space, spec, X):
-        self.space, self.X = space, X
-
-    def gram(self, spec):
-        return gram(self.space, spec, self.X)
-
-    def grad(self, spec, K, W):
-        theta = pack_spec(self.space, spec)
-        steps = FD_STEP * np.maximum(1.0, np.abs(theta))
-        out = []
-        for h, e in zip(steps, np.diag(steps)):
-            dK = sum(
-                c * self.gram(unpack_spec(self.space, spec, theta + k * e))
-                for k, c in _FD_STENCIL
-            )
-            out.append(0.5 * float(np.sum(W * dK)) / h)
-        return np.array(out)
-
-
-class _LogAffineTerms:
-    """heat, combo, casmopolitan: K = sigma2 * exp(w @ D) over exact counts D.
-
-    D holds one row of mismatch counts per weight group (ARD: per dimension;
-    otherwise the family's tied groups), counted once.  Its entries are small
-    integers, so every summation order gives the same bits and relocating
-    categories leaves them unchanged.  w and dw/dtheta are computed once per
-    spec, with the family's scalar ``log_weights``.
-    """
-
-    def __init__(self, space, spec, X):
-        self.space, self.ard, self.m = space, spec.ard, X.shape[0]
-        self.family = _FAMILIES[spec.family]
-        labels = np.arange(space.n) if spec.ard else self.family.tied_groups(space)
-        _, self.first, group = np.unique(labels, return_index=True, return_inverse=True)
-        self.D = np.zeros((self.first.size, self.m**2))
-        for g, mask in zip(group, _mismatches(X, X)):
-            self.D[g] += mask.ravel()
-        self._last = (None, None)
-
-    def _weights(self, spec):
-        if self._last[0] is not spec:
-            self._last = (spec, self.family.log_weights(self.space, spec, self.first))
-        return self._last[1]
-
-    def gram(self, spec):
-        w, _ = self._weights(spec)
-        return spec.sigma2 * np.exp(w @ self.D).reshape(self.m, self.m)
-
-    def grad(self, spec, K, W):
-        _, dw = self._weights(spec)
-        A = W * K  # dK/dtheta_g = dw_g * K o D_g: one product with the counts
-        per_group = 0.5 * dw * (self.D @ A.ravel())
-        return np.append(per_group if self.ard else per_group.sum(), 0.5 * A.sum())
-
-
-class _RhoTerms:
-    """rho: one mismatch mask per dimension, taken once per fit."""
-
-    def __init__(self, space, spec, X):
-        self.space, self.masks = space, list(_mismatches(X, X))
-
-    def gram(self, spec):
-        return _symmetrize(_rho_product(spec, self.masks, self.masks[0].shape))
-
-    def grad(self, spec, K, W):
-        rhos = np.asarray(spec.params["rhos"], dtype=float)
-        lo = _rho_bounds(self.space)
-        s = (rhos - lo) / (1.0 - lo)
-        drho_dtheta = (1.0 - lo) * s * (1.0 - s)
-        factors = [np.where(mask, r, 1.0) for r, mask in zip(rhos, self.masks)]
-        # prefix/suffix products allow rho_i == 0 without 0/0 division
-        suffix = [np.ones_like(K)]  # suffix[i]: product of the factors after i
-        for f in reversed(factors[1:]):
-            suffix.append(suffix[-1] * f)
-        suffix.reverse()
-        prefix, out = np.ones_like(K), []
-        for f, mask, after, c in zip(factors, self.masks, suffix, drho_dtheta):
-            leave_one_out = np.where(mask, prefix * after, 0.0)
-            out.append(0.5 * c * spec.sigma2 * float(np.sum(W * leave_one_out)))
-            prefix = prefix * f
-        return np.array(out + [0.5 * float(np.sum(W * K))])
-
-
-class _ProfileTerms:
-    """Distance profiles: f and f' on one Hamming matrix held for the fit."""
-
-    def __init__(self, space, spec, X):
-        self.h = _hamming_matrix(space, X, X)
-        self.profile_name = _FAMILIES[spec.family].profile_name
-
-    def gram(self, spec):
-        return _symmetrize(spec.sigma2 * _profile(self.profile_name, spec.params, self.h))
-
-    def grad(self, spec, K, W):
-        dprofile = _profile_grads(self.profile_name, spec.params, self.h)
-        return np.array(
-            [0.5 * spec.sigma2 * float(np.sum(W * G)) for G in dprofile]
-            + [0.5 * float(np.sum(W * K))]
-        )
-
-
-class _LogAffineFamily:
+class _LogAffineFamily(_Family):
     """K = sigma2 * exp(sum_i w_i [x_i != y_i]), w_i from ``log_weights``.
 
     ``param`` names the per-dimension parameter (one value without ARD),
-    packed as its log, ahead of log sigma2.
+    packed as its log, ahead of log sigma2.  On one ``_dyadic`` grid the
+    exponent is exact, as the weights' one-hot product or, once a gradient
+    has counted the mismatches per weight group, as sum_g w_g D_g.  So fit,
+    predict, relocated inputs and tied ARD values all give the same bits.
+    The fit asks for K and then its gradient: weights once per spec.
     """
 
-    terms = _LogAffineTerms
     positive = True  # else zero is allowed too
 
     def validate(self, space, spec):
@@ -673,9 +577,40 @@ class _LogAffineFamily:
             **{self.param: np.exp(theta[:k])}, sigma2=float(np.exp(theta[-1]))
         )
 
-    def pairs(self, space, spec, X1, X2):
-        w, _ = self.log_weights(space, spec, np.arange(space.n))
-        return spec.sigma2 * np.exp(weighted_mismatch_matrix(space, X1, X2, w))
+    def encode(self, space, spec, X1, X2):
+        groups = np.arange(space.n) if spec.ard else self.tied_groups(space)
+        _, first, inverse, sizes = np.unique(  # sorted, as mismatch_counts orders them
+            groups, return_index=True, return_inverse=True, return_counts=True
+        )
+        return SimpleNamespace(
+            space=space, ard=spec.ard, points=(X1, X2), first=first, inverse=inverse,
+            sizes=sizes, pair=_one_hot_pair(space, X1, X2), counts=None, last=(None, None),
+        )
+
+    def _weights(self, spec, enc):
+        if enc.last[0] is not spec:
+            enc.last = (spec, self.log_weights(enc.space, spec, enc.first))
+        return enc.last[1]
+
+    def kernel(self, spec, enc):
+        w, _ = self._weights(spec, enc)
+        w = _dyadic(w, enc.sizes)
+        # exact on the dyadic grid, so the counts a gradient caches give the same bits
+        if enc.counts is None:
+            exponent = _weighted_mismatches(enc.pair, w[enc.inverse])
+        else:
+            exponent = (w @ enc.counts).reshape(len(enc.pair.Z1), -1)
+        np.exp(exponent, out=exponent)  # in place: no fresh pages for a large Gram
+        return np.multiply(exponent, spec.sigma2, out=exponent)
+
+    def grad(self, spec, enc, K, W):
+        _, dw = self._weights(spec, enc)
+        if enc.counts is None:
+            D = mismatch_counts(enc.space, *enc.points, enc.inverse)
+            enc.counts = D.reshape(len(D), -1)
+        A = W * K  # dK/dtheta_g = dw_g * K o D_g: one product with the counts
+        per_group = 0.5 * dw * (enc.counts @ A.ravel())
+        return np.append(per_group if enc.ard else per_group.sum(), 0.5 * A.sum())
 
 
 class _HeatFamily(_LogAffineFamily):
@@ -732,9 +667,10 @@ class _CasmoFamily(_LogAffineFamily):
         return (0,) * space.n
 
 
-class _RhoFamily:
+class _RhoFamily(_Family):
+    """Product of per-dimension factors; correlations may be negative."""
+
     name = "rho"
-    terms = _RhoTerms
 
     def validate(self, space, spec):
         rhos = np.asarray(spec.params["rhos"], dtype=float)
@@ -750,9 +686,30 @@ class _RhoFamily:
         )
         return KernelSpec(self.name, {"rhos": rhos, "sigma2": 1.0}, True)
 
-    def pairs(self, space, spec, X1, X2):
-        """Product of per-dimension factors; correlations may be negative."""
-        return _rho_product(spec, _mismatches(X1, X2), (X1.shape[0], X2.shape[0]))
+    def kernel(self, spec, enc):
+        """sigma2 * prod_i (rho_i where the rows differ in dimension i, else 1)."""
+        K = np.full(enc.masks[0].shape, spec.sigma2)
+        for rho, mask in zip(np.asarray(spec.params["rhos"], dtype=float), enc.masks):
+            K = K * np.where(mask, rho, 1.0)
+        return K
+
+    def grad(self, spec, enc, K, W):
+        rhos = np.asarray(spec.params["rhos"], dtype=float)
+        lo = _rho_bounds(enc.space)
+        s = (rhos - lo) / (1.0 - lo)
+        drho_dtheta = (1.0 - lo) * s * (1.0 - s)
+        factors = [np.where(mask, r, 1.0) for r, mask in zip(rhos, enc.masks)]
+        # prefix/suffix products allow rho_i == 0 without 0/0 division
+        suffix = [np.ones_like(K)]  # suffix[i]: product of the factors after i
+        for f in reversed(factors[1:]):
+            suffix.append(suffix[-1] * f)
+        suffix.reverse()
+        prefix, out = np.ones_like(K), []
+        for f, mask, after, c in zip(factors, enc.masks, suffix, drho_dtheta):
+            leave_one_out = np.where(mask, prefix * after, 0.0)
+            out.append(0.5 * c * spec.sigma2 * float(np.sum(W * leave_one_out)))
+            prefix = prefix * f
+        return np.array(out + [0.5 * float(np.sum(W * K))])
 
     def pack(self, space, spec):
         rhos = np.asarray(spec.params["rhos"], dtype=float)
@@ -767,16 +724,16 @@ class _RhoFamily:
         return spec.replace_params(rhos=rhos, sigma2=float(np.exp(theta[-1])))
 
 
-class _ProfileFamily:
+class _ProfileFamily(_Family):
     """Shared machinery for the distance-profile kernels.
 
     ``shape_params`` are the profile's positive parameters, packed as logs in
-    this order ahead of log sigma2.
+    this order ahead of log sigma2.  The encoding is the exact Hamming
+    matrix h, and the gradient is f' on it.
     """
 
     profile_name: str
     shape_params = ("lengthscale",)
-    terms = _ProfileTerms
 
     def validate(self, space, spec):
         for key in self.shape_params:
@@ -790,9 +747,18 @@ class _ProfileFamily:
         params.update(lengthscale=sqrt(space.n), sigma2=1.0)
         return KernelSpec(self.name, params, False)
 
-    def pairs(self, space, spec, X1, X2):
-        h = _hamming_matrix(space, X1, X2)
+    def encode(self, space, spec, X1, X2):
+        return mismatch_counts(space, X1, X2, np.zeros(space.n))[0]
+
+    def kernel(self, spec, h):
         return spec.sigma2 * _profile(self.profile_name, spec.params, h)
+
+    def grad(self, spec, h, K, W):
+        dprofile = _profile_grads(self.profile_name, spec.params, h)
+        return np.array(
+            [0.5 * spec.sigma2 * float(np.sum(W * G)) for G in dprofile]
+            + [0.5 * float(np.sum(W * K))]
+        )
 
     def pack(self, space, spec):
         logs = [np.log(float(spec.params[key])) for key in self.shape_params]
@@ -819,10 +785,8 @@ class _HammingRqFamily(_ProfileFamily):
     shape_params = ("lengthscale", "alpha")
 
 
-class _AdditiveBase:
-    """Common validation and packing for the compound-symmetry additive families."""
-
-    terms = _GramDifferenceTerms
+class _AdditiveBase(_Family):
+    """Common validation, packing and mask encoding for the additive families."""
 
     def _vs_cs(self, spec):
         return (
@@ -864,9 +828,12 @@ class _AdditiveSumFamily(_AdditiveBase):
         vs, cs = self.default_base(space)
         return KernelSpec(self.name, {"vs": vs, "cs": cs}, True)
 
-    def pairs(self, space, spec, X1, X2):
+    def encode(self, space, spec, X1, X2):
+        return _one_hot_pair(space, X1, X2)
+
+    def kernel(self, spec, pair):
         vs, cs = self._vs_cs(spec)
-        return float(np.sum(vs)) - weighted_mismatch_matrix(space, X1, X2, vs - cs)
+        return float(np.sum(vs)) - _weighted_mismatches(pair, vs - cs)
 
 
 class _RandomDecompositionFamily(_AdditiveBase):
@@ -886,13 +853,13 @@ class _RandomDecompositionFamily(_AdditiveBase):
             True,
         )
 
-    def pairs(self, space, spec, X1, X2):
+    def kernel(self, spec, enc):
         vs, cs = self._vs_cs(spec)
-        out = np.zeros((X1.shape[0], X2.shape[0]))
+        out = np.zeros(enc.masks[0].shape)
         for comp in spec.params["decomposition"].components:
             dims = list(comp)
             term = np.ones(out.shape)
-            for base in _base_matrices(vs[dims], cs[dims], X1[:, dims], X2[:, dims]):
+            for base in _base_matrices(vs[dims], cs[dims], [enc.masks[i] for i in dims]):
                 term = term * base
             out += term
         return out
@@ -915,13 +882,13 @@ class _ExplainableAdditiveFamily(_AdditiveBase):
             True,
         )
 
-    def pairs(self, space, spec, X1, X2):
+    def kernel(self, spec, enc):
         vs, cs = self._vs_cs(spec)
         weights = np.asarray(spec.params["degree_weights"], dtype=float)
-        shape = (X1.shape[0], X2.shape[0])
+        shape = enc.masks[0].shape
         # es[d]: degree-d elementary symmetric polynomial of the bases so far
-        es = [np.ones(shape)] + [np.zeros(shape) for _ in range(space.n)]
-        for i, base in enumerate(_base_matrices(vs, cs, X1, X2), start=1):
+        es = [np.ones(shape)] + [np.zeros(shape) for _ in range(vs.size)]
+        for i, base in enumerate(_base_matrices(vs, cs, enc.masks), start=1):
             for d in range(i, 0, -1):
                 es[d] += base * es[d - 1]
         return sum(w * e for w, e in zip(weights, es[1:]))
@@ -937,11 +904,17 @@ class _ExplainableAdditiveFamily(_AdditiveBase):
         return base.replace_params(degree_weights=np.exp(theta[2 * space.n :]))
 
 
-class _InvariantFamily:
-    """Wrapper making an inner family invariant to dimension permutations."""
+class _InvariantFamily(_Family):
+    """Wrapper making an inner family invariant to dimension permutations.
+
+    The encoding is the padded-encoding distance (``padded_proj``), the
+    inner family's encoding of the sorted rows (``proj``), or the rows under
+    each of the S sampled permutations (``sum``, ``prod``), which the kernel
+    encodes for the inner family one permutation of X1 at a time: S m1 m2
+    inner entries at once rather than S^2 m1 m2.
+    """
 
     name = "invariant"
-    terms = _GramDifferenceTerms
 
     def validate(self, space, spec):
         inner = spec.params["inner"]
@@ -951,11 +924,7 @@ class _InvariantFamily:
         if not isinstance(inner, KernelSpec):
             raise InvalidInputError("inner kernel must be a KernelSpec")
         _FAMILIES[inner.family].validate(space, inner)
-        if mode == "padded_proj" and inner.family not in (
-            "hamming_rbf",
-            "hamming_matern52",
-            "hamming_rq",
-        ):
+        if mode == "padded_proj" and not isinstance(_FAMILIES[inner.family], _ProfileFamily):
             raise InvalidInputError("padded projection needs a distance-profile inner")
         if mode in ("sum", "prod") and spec.params.get("samples", 200) is not None:
             if int(spec.params.get("samples", 200)) < 1:
@@ -969,24 +938,39 @@ class _InvariantFamily:
             False,
         )
 
-    def value(self, space, spec, x, y):
-        inner = spec.params["inner"]
-        mode = spec.params["mode"]
-        if mode == "padded_proj":
-            params = dict(inner.params)
-            params["sigma2"] = inner.sigma2
-            profile_name = _FAMILIES[inner.family].profile_name
-            return invariant_eval(space, (profile_name, params), mode, x, y)
-        inner_fn = lambda a, b: value(space, inner, a, b)
-        return invariant_eval(
-            space,
-            inner_fn,
-            mode,
-            x,
-            y,
-            samples=spec.params.get("samples", 200),
-            seed=int(spec.params.get("seed", 0)),
+    def encode(self, space, spec, X1, X2):
+        inner, mode = spec.params["inner"], spec.params["mode"]
+        if mode == "padded_proj":  # the inner profile's Hamming matrix, padded
+            g = _require_equal_alphabet(space)
+            C1, C2 = (np.stack([np.sum(X == c, axis=1) for c in range(g)]) for X in (X1, X2))
+            h = sum(np.abs(c1[:, None] - c2[None, :]) for c1, c2 in zip(C1, C2))
+            return h.astype(float)
+        if mode == "proj":
+            rows = [space.validate_points(np.sort(X, axis=1)) for X in (X1, X2)]
+            return _FAMILIES[inner.family].encode(space, inner, *rows)
+        perms = _dimension_permutations(
+            space.n, spec.params.get("samples", 200), int(spec.params.get("seed", 0))
         )
+        return SimpleNamespace(
+            space=space, rows1=[space.validate_points(X1[:, p]) for p in perms],
+            rows2=space.validate_points(np.concatenate([X2[:, q] for q in perms])),
+        )
+
+    def kernel(self, spec, enc):
+        inner, mode = spec.params["inner"], spec.params["mode"]
+        family = _FAMILIES[inner.family]
+        if mode not in ("sum", "prod"):
+            return family.kernel(inner, enc)
+        reduce, S = (np.mean if mode == "sum" else np.prod), len(enc.rows1)
+        return reduce([  # block p: (x under p, y under each q, y)
+            reduce(family.kernel(inner, family.encode(enc.space, inner, R, enc.rows2))
+                   .reshape(len(R), S, -1), axis=1)
+            for R in enc.rows1
+        ], axis=0)
+
+    def diag(self, space, spec, X):
+        """k(x, x) depends on x here: one value per point."""
+        return np.array([value(space, spec, x, x) for x in X])
 
     def pack(self, space, spec):
         inner = spec.params["inner"]
@@ -1042,13 +1026,7 @@ def cross_gram(space: SearchSpace, spec: KernelSpec, points1, points2) -> np.nda
     fam.validate(space, spec)
     X1 = space.validate_points(points1)
     X2 = space.validate_points(points2)
-    if hasattr(fam, "pairs"):
-        return fam.pairs(space, spec, X1, X2)
-    out = np.empty((X1.shape[0], X2.shape[0]))
-    for a, x in enumerate(X1):
-        for b, y in enumerate(X2):
-            out[a, b] = fam.value(space, spec, x, y)
-    return out
+    return fam.kernel(spec, fam.encode(space, spec, X1, X2))
 
 
 def gram(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
@@ -1056,38 +1034,59 @@ def gram(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
     fam = _FAMILIES[spec.family]
     fam.validate(space, spec)
     X = space.validate_points(points)
-    if hasattr(fam, "pairs"):
-        return _symmetrize(fam.pairs(space, spec, X, X))
-    m = X.shape[0]
-    out = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            out[a, b] = fam.value(space, spec, X[a], X[b])
-            out[b, a] = out[a, b]
-    return out
+    return _symmetrize(fam.kernel(spec, fam.encode(space, spec, X, X)))
 
 
 def diag_values(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
-    """k(x, x) per point; one constant for every match-based family."""
+    """k(x, x) per point."""
     X = space.validate_points(points)
-    fam = _FAMILIES[spec.family]
-    if hasattr(fam, "pairs"):
-        origin = np.zeros((1, space.n), dtype=int)
-        return np.full(X.shape[0], float(fam.pairs(space, spec, origin, origin)[0, 0]))
-    return np.array([fam.value(space, spec, x, x) for x in X])
+    return _FAMILIES[spec.family].diag(space, spec, X)
 
 
 # Internal hooks for the GP fitter: packing and the per-fit kernel terms.
+#
+# Fourth-order central differences for families without ``grad``.  W = alpha
+# alpha^T - (K + noise I)^-1 can reach 1e5 and amplifies the rounding error of
+# dK, which shrinks as the step grows; at this step the two-point rule's
+# truncation error is already too large for kernels such as ``invariant``.
+FD_STEP = 1e-3
+_FD_STENCIL = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
 
 
-def fit_terms(space: SearchSpace, spec: KernelSpec, points):
-    """Kernel terms for one training set: ``gram(spec)`` and ``grad(spec, K, W)``.
+class _FitTerms:
+    """One training set's encoding, built once, and its family's arithmetic on it.
 
-    ``spec`` fixes the family and its structure (ARD, decomposition, inner
-    kernel); later calls may pass any spec of that structure.
+    ``gram(spec)`` is K, bit for bit what ``kernels.gram`` returns, and
+    ``grad(spec, K, W)`` is 1/2 <W, dK/dtheta_j> for every packed theta_j;
+    with W = alpha alpha^T - (K + noise I)^-1 that is the kernel part of the
+    marginal log-likelihood gradient.
     """
-    X = space.validate_points(points)
-    return _FAMILIES[spec.family].terms(space, spec, X)
+
+    def __init__(self, space, spec, X):
+        self.space, self.family = space, _FAMILIES[spec.family]
+        self.enc = self.family.encode(space, spec, X, X)
+
+    def gram(self, spec):
+        return _symmetrize(self.family.kernel(spec, self.enc))
+
+    def grad(self, spec, K, W):
+        if self.family.grad is not None:
+            return self.family.grad(spec, self.enc, K, W)
+        theta = pack_spec(self.space, spec)
+        steps = FD_STEP * np.maximum(1.0, np.abs(theta))
+        out = []
+        for h, e in zip(steps, np.diag(steps)):
+            dK = sum(
+                c * self.gram(unpack_spec(self.space, spec, theta + k * e))
+                for k, c in _FD_STENCIL
+            )
+            out.append(0.5 * float(np.sum(W * dK)) / h)
+        return np.array(out)
+
+
+def fit_terms(space: SearchSpace, spec: KernelSpec, points) -> _FitTerms:
+    """Kernel terms for one training set; ``spec`` fixes only the structure."""
+    return _FitTerms(space, spec, space.validate_points(points))
 
 
 def pack_spec(space: SearchSpace, spec: KernelSpec) -> np.ndarray:

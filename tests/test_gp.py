@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,7 +129,7 @@ class TestGradients:
         ],
     )
     def test_mll_gradient_matches_finite_differences(self, family):
-        rng = np.random.default_rng(hash(family) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(family.encode()))
         # the padded projection pools dimensions, so it needs one alphabet
         sp = SearchSpace((3, 3, 3, 3) if family == "invariant" else (3, 4, 2, 5))
         train = make_train(sp, rng, m=12)
@@ -135,7 +137,6 @@ class TestGradients:
         terms = kernels.fit_terms(sp, kernels.default_spec(sp, family), train.points)
         for _ in range(10):
             base = kernels.default_spec(sp, family)
-            theta = kernels.pack_spec(sp, base) + rng.normal(scale=0.5, size=None)
             theta = kernels.pack_spec(sp, base) + rng.normal(
                 scale=0.5, size=kernels.pack_spec(sp, base).size
             )
@@ -200,8 +201,27 @@ def log_affine_problems(draw):
     return sp, spec, train, float(rng.uniform(-6.0, -2.0)), rng
 
 
+@st.composite
+def exact_problems(draw):
+    """Log-affine (ARD or not) and distance-profile problems, up to 30 points
+    and a one-hot width of 48: wide enough for a BLAS product's summation
+    order to depend on the column positions that relocation permutes."""
+    cards = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=8)))
+    family = draw(st.sampled_from([
+        "heat", "combo", "casmopolitan", "hamming_rbf", "hamming_matern52", "hamming_rq",
+    ]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    sp = SearchSpace(cards)
+    m = draw(st.integers(2, 30))
+    train = gp.TrainingSet.from_observations(sp, sp.sample_points(m, rng), rng.normal(size=m))
+    base = kernels.default_spec(sp, family, ard=draw(st.booleans()))
+    theta = kernels.pack_spec(sp, base)
+    spec = kernels.unpack_spec(sp, base, theta + rng.normal(scale=0.5, size=theta.size))
+    return sp, spec, train, float(rng.uniform(-6.0, -2.0)), rng
+
+
 class TestFusedRoute:
-    """heat, combo and casmopolitan fit through grouped mismatch counts."""
+    """The log-affine fit route, and the exact arithmetic fit and predict share."""
 
     @given(log_affine_problems())
     @settings(max_examples=60, deadline=None)
@@ -235,26 +255,66 @@ class TestFusedRoute:
         assert v0 == v1
         np.testing.assert_array_equal(g0, g1)
 
-    @given(log_affine_problems())
+    @given(exact_problems())
     @settings(max_examples=60, deadline=None)
     def test_fit_gram_agrees_with_cross_gram(self, problem):
+        # The log-affine exponent is exact (dyadic weights times exact counts,
+        # in any summation order, ARD included) and the profiles see the exact
+        # Hamming matrix, so fit and predict share every bit.
         sp, spec, train, log_noise, _ = problem
         y = train.standardized()
         _, K, *_ = gp._mll_parts(
             kernels.fit_terms(sp, spec, train.points), spec, log_noise, y,
             gp.JITTER_LADDER,
         )
-        want = kernels.cross_gram(sp, spec, train.points, train.points)
-        np.testing.assert_allclose(K, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(
+            K, kernels.cross_gram(sp, spec, train.points, train.points)
+        )
+
+    @given(exact_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_relocation_leaves_predictions_bitwise_equal(self, problem):
+        sp, spec, train, log_noise, rng = problem
+        reloc = sample_relocation(sp, int(rng.integers(2**31)))
+        queries = sp.sample_points(7, rng)
+        moved = gp.TrainingSet.from_observations(
+            sp, apply_relocation_many(reloc, train.points), train.raw_targets
+        )
+        moved_queries = apply_relocation_many(reloc, queries)
+        np.testing.assert_array_equal(
+            kernels.cross_gram(sp, spec, queries, train.points),
+            kernels.cross_gram(sp, spec, moved_queries, moved.points),
+        )
+        noise = float(np.exp(log_noise))
+        m0, v0 = gp.predict_batch(gp.make_state(sp, train, spec, noise), queries)
+        m1, v1 = gp.predict_batch(gp.make_state(sp, moved, spec, noise), moved_queries)
+        np.testing.assert_array_equal(m0, m1)
+        np.testing.assert_array_equal(v0, v1)
 
     def test_fit_terms_group_counts_by_cardinality(self):
         sp = SearchSpace((3, 4, 2))
         X = make_train(sp, np.random.default_rng(15), m=10).points
-        spec = kernels.default_spec(sp, "heat", ard=False)
-        counts = kernels.fit_terms(sp, spec, X).D
-        assert counts.shape == (3, 100)  # one group per cardinality, not per dimension
+        counts = kernels.mismatch_counts(sp, X, X, sp.cardinalities)
+        assert counts.shape == (3, 10, 10)  # one group per cardinality, not per dimension
         hamming = (X[:, None, :] != X[None, :, :]).sum(axis=2)
-        np.testing.assert_array_equal(counts.sum(axis=0), hamming.ravel())
+        np.testing.assert_array_equal(counts.sum(axis=0), hamming)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mismatch_counts_match_brute_force(self, data):
+        # (130, 130, 130, 130, 3) has a one-hot width of 523, above 512
+        cards = data.draw(st.one_of(
+            st.lists(st.integers(2, 6), min_size=1, max_size=6).map(tuple),
+            st.just((130, 130, 130, 130, 3)),
+        ))
+        sp = SearchSpace(cards)
+        groups = data.draw(st.lists(st.integers(0, 2), min_size=sp.n, max_size=sp.n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        X1 = sp.sample_points(data.draw(st.integers(1, 9)), rng)
+        X2 = sp.sample_points(data.draw(st.integers(1, 9)), rng)
+        differ = X1[:, None, :] != X2[None, :, :]
+        want = [differ[:, :, np.equal(groups, g)].sum(axis=2) for g in np.unique(groups)]
+        np.testing.assert_array_equal(kernels.mismatch_counts(sp, X1, X2, groups), want)
 
 
 class TestFit:

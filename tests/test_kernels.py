@@ -1,4 +1,5 @@
 import itertools
+import zlib
 
 import numpy as np
 import pytest
@@ -477,6 +478,15 @@ def scalar_oracle(space, spec, x, y):
         return kn.random_decomposition_eval(
             space, p["decomposition"], p["vs"], p["cs"], x, y
         )
+    if family == "invariant":
+        inner = p["inner"]
+        if p["mode"] == "padded_proj":
+            profile = (inner.family[len("hamming_"):], dict(inner.params))
+            return kn.invariant_eval(space, profile, "padded_proj", x, y)
+        return kn.invariant_eval(
+            space, lambda a, b: scalar_oracle(space, inner, a, b), p["mode"], x, y,
+            samples=p["samples"], seed=p["seed"],
+        )
     return kn.explainable_additive_eval(
         space, p["degree_weights"], p["vs"], p["cs"], x, y
     )
@@ -532,6 +542,18 @@ class TestGram:
             xs = sp.sample_points(4, rng)
             ys = sp.sample_points(3, rng)
             assert_routes_match_oracle(sp, spec, xs, ys)
+
+    @pytest.mark.parametrize("mode", ["sum", "proj", "padded_proj", "prod"])
+    def test_invariant_matches_oracle(self, mode):
+        rng = np.random.default_rng(zlib.crc32(mode.encode()))
+        sp = SearchSpace((4,) * 5)
+        inner = spec_for(sp, "hamming_rq" if mode == "padded_proj" else "rho", rng)
+        inner = inner.replace_params(sigma2=1.3)
+        spec = kn.KernelSpec(
+            "invariant", {"inner": inner, "mode": mode, "samples": 4, "seed": 2}, False
+        )
+        xs, ys = sp.sample_points(4, rng), sp.sample_points(3, rng)
+        assert_routes_match_oracle(sp, spec, xs, ys)
 
     def test_zero_and_negative_correlations_match_oracle(self):
         sp = SearchSpace((2, 3, 4, 2))
@@ -647,13 +669,12 @@ class TestHeatProperties:
             assert value == 2.0
 
 
-NON_LOG_AFFINE = tuple(
-    f for f in kn.FAMILY_NAMES if f not in ("heat", "combo", "casmopolitan")
-)
-
-
-def fit_terms_spec(space, family, rng):
+def fit_terms_spec(space, family, rng, ard=True):
     """spec_for with a random sigma2, plus invariant wrappers in every mode."""
+    if family in ("heat", "combo", "casmopolitan") and not ard:
+        base = kn.default_spec(space, family, ard=False)
+        theta = kn.pack_spec(space, base)
+        return kn.unpack_spec(space, base, theta + rng.normal(size=theta.size))
     if family != "invariant":
         spec = spec_for(space, family, rng)
         if "sigma2" in spec.params:
@@ -666,17 +687,24 @@ def fit_terms_spec(space, family, rng):
 
 
 class TestFitTerms:
-    @given(st.sampled_from(NON_LOG_AFFINE), st.integers(0, 2**31))
-    @settings(max_examples=60, deadline=None)
-    def test_gram_is_bitwise_the_public_gram(self, family, seed):
+    @given(st.sampled_from(kn.FAMILY_NAMES), st.booleans(), st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_gram_is_bitwise_the_public_gram(self, family, ard, seed):
         rng = np.random.default_rng(seed)
         sp = random_space(rng, min_n=2)
         if family == "invariant":  # dimension permutations need one alphabet
             sp = SearchSpace((sp.cardinalities[0],) * sp.n)
         pts = sp.sample_points(int(rng.integers(2, 12)), rng)
-        terms = kn.fit_terms(sp, fit_terms_spec(sp, family, rng), pts)
-        spec = fit_terms_spec(sp, family, rng)  # any spec of the same structure
-        np.testing.assert_array_equal(terms.gram(spec), kn.gram(sp, spec, pts))
+        built_from = fit_terms_spec(sp, family, rng, ard)
+        terms = kn.fit_terms(sp, built_from, pts)
+        # any spec of the same structure (ARD flag, invariance mode, inner family)
+        theta = kn.pack_spec(sp, built_from)
+        spec = kn.unpack_spec(sp, built_from, theta + rng.normal(scale=0.3, size=theta.size))
+        K = kn.gram(sp, spec, pts)
+        np.testing.assert_array_equal(terms.gram(spec), K)
+        # a gradient may leave more of the encoding cached (log-affine counts): same bits
+        terms.grad(spec, K, np.ones_like(K))
+        np.testing.assert_array_equal(terms.gram(spec), K)
 
 
 class TestSpecPacking:
