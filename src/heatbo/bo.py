@@ -253,16 +253,16 @@ def ga_optimize(
     )
 
     best_unobserved = None  # (value, point)
-    best_any = None
 
     def digest(pop, values):
-        nonlocal best_unobserved, best_any
-        for p, v in zip(pop, values):
-            if best_any is None or v > best_any[0]:
-                best_any = (v, p.copy())
-            if tuple(int(c) for c in p) not in exclude:
-                if best_unobserved is None or v > best_unobserved[0]:
-                    best_unobserved = (v, p.copy())
+        """Keep the first acquisition-best unobserved row; a later one must beat it."""
+        nonlocal best_unobserved
+        fresh = np.array([p not in exclude for p in map(tuple, pop.tolist())])
+        if not fresh.any():
+            return
+        j = int(np.flatnonzero(fresh)[np.argmax(values[fresh])])
+        if best_unobserved is None or values[j] > best_unobserved[0]:
+            best_unobserved = (values[j], pop[j].copy())
 
     values = np.asarray(acq(population), dtype=float)
     digest(population, values)
@@ -306,9 +306,7 @@ def ga_optimize(
     # Every candidate we evaluated was already observed; decide exhaustion.
     if ball_size(space, radius) <= _ENUMERATION_CAP:
         ball = enumerate_ball(space, center, radius)
-        fresh = np.array(
-            [tuple(int(c) for c in p) not in exclude for p in ball]
-        )
+        fresh = np.array([p not in exclude for p in map(tuple, ball.tolist())])
         if not np.any(fresh):
             raise TrustRegionExhausted(
                 f"all {len(ball)} points within radius {radius} observed"
@@ -318,7 +316,7 @@ def ga_optimize(
         return candidates[int(np.argmax(vals))]
     for _ in range(10000):
         p = _random_in_ball(space, center, radius, rng)
-        if tuple(int(c) for c in p) not in exclude:
+        if tuple(p.tolist()) not in exclude:
             return p
     raise TrustRegionExhausted("could not sample an unobserved point")
 

@@ -12,6 +12,12 @@ for bit ``kernels.gram``.  Each gradient step factors K + noise I once,
 takes K^-1 from the Cholesky factor (LAPACK potri), forms W = alpha
 alpha^T - K^-1 and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>; the noise
 term is 1/2 tr(W) noise.
+
+Predictions take the same arithmetic.  ``make_state`` builds the training
+side of the cross-kernel once (``kernels.cross_terms``: for heat, combo and
+casmopolitan the training one-hot block and the dyadic weights per column),
+so each ``predict_batch`` call encodes only its query rows, and its k(X,
+X_train) is bit for bit ``kernels.cross_gram``.
 """
 
 from __future__ import annotations
@@ -94,7 +100,8 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class GpState:
-    """Fitted surrogate: spec, noise, training set and factored covariance."""
+    """Fitted surrogate: spec, noise, training set, factored covariance and the
+    training side of the cross-kernel."""
 
     space: SearchSpace
     spec: kernels.KernelSpec
@@ -103,6 +110,7 @@ class GpState:
     chol_lower: np.ndarray  # L with L @ L.T = K + noise * I
     weights: np.ndarray  # (K + noise * I)^{-1} y_std
     mll_value: float
+    cross: kernels._CrossTerms  # k(X, X_train) with the training side built once
 
     def prior_variance(self) -> float:
         """Prior predictive variance in raw target units."""
@@ -192,6 +200,7 @@ def make_state(
         chol_lower=L,
         weights=alpha,
         mll_value=value,
+        cross=kernels.cross_terms(space, spec, train.points),
     )
 
 
@@ -253,7 +262,8 @@ def mll(state: GpState) -> float:
 def predict_batch(state: GpState, points) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance in raw target units for each query point."""
     X = state.space.validate_points(points)
-    k_star = kernels.cross_gram(state.space, state.spec, X, state.train.points)
+    kernels.validate_spec(state.space, state.spec)
+    k_star = state.cross.cross_gram(X)
     mean_std = k_star @ state.weights
     v = solve_triangular(state.chol_lower, k_star.T, lower=True)
     prior_diag = kernels.diag_values(state.space, state.spec, X)

@@ -26,7 +26,11 @@ and ``additive_sum`` affine in a weighted one-hot product; the other
 families take one mismatch mask per dimension.  ``fit_terms(space, spec,
 X)`` encodes a training set once; its ``grad(spec, K, W)`` gives 1/2 <W,
 dK/dtheta_j> in closed form where the family has one, else by central
-differences.  The scalar ``*_eval`` functions are independent oracles.
+differences.  ``cross_terms(space, spec, X)`` builds the training side of
+the cross-kernel once for predictions: ``train_side`` and ``cross`` split
+``encode`` where a family has a per-side part (the log-affine one-hot block
+and column weights), and give ``cross_gram``'s bits.  The scalar ``*_eval``
+functions are independent oracles.
 """
 
 from __future__ import annotations
@@ -77,12 +81,6 @@ def heat_rho(beta: float, g: int) -> float:
         raise InvalidInputError(f"beta must be >= 0, got {beta}")
     e = exp(-beta * g)
     return (1.0 - e) / (1.0 + (g - 1.0) * e)
-
-
-def _heat_rho_grad(beta: float, g: int) -> float:
-    """d rho / d beta in closed form."""
-    e = exp(-beta * g)
-    return (g * g * e) / (1.0 + (g - 1.0) * e) ** 2
 
 
 def beta_to_gamma(beta: float, g: int) -> float:
@@ -440,19 +438,19 @@ class KernelSpec:
         return float(self.params.get("sigma2", 1.0))
 
 
-def _one_hot_pair(space: SearchSpace, X1, X2) -> SimpleNamespace:
-    """Z1 and 1 - Z2, one one-hot block per dimension: the two sides of
-    ``_weighted_mismatches``."""
+def _one_hot(space: SearchSpace, X) -> np.ndarray:
+    """One one-hot block per dimension, shape (m, sum g_i)."""
     offsets = np.concatenate([[0], np.cumsum(space.cardinalities)[:-1]])
+    Z = np.zeros((X.shape[0], space.one_hot_width))
+    Z[np.arange(X.shape[0])[:, None], X + offsets] = 1.0
+    return Z
 
-    def one_hot(X):
-        Z = np.zeros((X.shape[0], space.one_hot_width))
-        Z[np.arange(X.shape[0])[:, None], X + offsets] = 1.0
-        return Z
 
-    Z1 = one_hot(X1)
+def _one_hot_pair(space: SearchSpace, X1, X2) -> SimpleNamespace:
+    """Z1 and 1 - Z2: the two sides of ``_weighted_mismatches``."""
+    Z1 = _one_hot(space, X1)
     return SimpleNamespace(
-        cards=space.cardinalities, Z1=Z1, Z2c=1.0 - (Z1 if X2 is X1 else one_hot(X2))
+        cards=space.cardinalities, Z1=Z1, Z2c=1.0 - (Z1 if X2 is X1 else _one_hot(space, X2))
     )
 
 
@@ -495,6 +493,12 @@ def _dyadic(w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return (w + C) - C
 
 
+def _scaled_exp(exponent: np.ndarray, sigma2: float) -> np.ndarray:
+    """sigma2 * exp(exponent), in place: no fresh pages for a large Gram."""
+    np.exp(exponent, out=exponent)
+    return np.multiply(exponent, sigma2, out=exponent)
+
+
 def _symmetrize(K: np.ndarray) -> np.ndarray:
     """Exact symmetry regardless of BLAS summation order.
 
@@ -528,6 +532,15 @@ class _Family:
     """``encode`` reads only a spec's structure; ``kernel``, ``grad`` any spec of it."""
 
     grad = None  # without one, _FitTerms takes differences of the kernel
+
+    def train_side(self, space, spec, X2):
+        """What a cross-kernel against fixed rows X2 keeps of them; ``cross``
+        reads it.  The rows themselves, unless the family splits ``encode``."""
+        return X2
+
+    def cross(self, space, spec, X1, side):
+        """k(X1, X2) from ``train_side(space, spec, X2)``: bit for bit ``kernel``."""
+        return self.kernel(spec, self.encode(space, spec, X1, side))
 
     def encode(self, space, spec, X1, X2):
         """One boolean (m1, m2) mask per dimension, in order: do the rows differ there."""
@@ -600,8 +613,18 @@ class _LogAffineFamily(_Family):
             exponent = _weighted_mismatches(enc.pair, w[enc.inverse])
         else:
             exponent = (w @ enc.counts).reshape(len(enc.pair.Z1), -1)
-        np.exp(exponent, out=exponent)  # in place: no fresh pages for a large Gram
-        return np.multiply(exponent, spec.sigma2, out=exponent)
+        return _scaled_exp(exponent, spec.sigma2)
+
+    def train_side(self, space, spec, X2):
+        """1 - Z2 and the dyadic weights repeated per one-hot column: the parts
+        of ``_weighted_mismatches`` that do not depend on X1."""
+        enc = self.encode(space, spec, X2, X2)
+        w = _dyadic(self._weights(spec, enc)[0], enc.sizes)
+        return enc.pair.Z2c, np.repeat(w[enc.inverse], space.cardinalities)
+
+    def cross(self, space, spec, X1, side):
+        Z2c, column_weights = side
+        return _scaled_exp((_one_hot(space, X1) * column_weights) @ Z2c.T, spec.sigma2)
 
     def grad(self, spec, enc, K, W):
         _, dw = self._weights(spec, enc)
@@ -625,14 +648,21 @@ class _HeatFamily(_LogAffineFamily):
         return KernelSpec(self.name, {"betas": betas, "sigma2": 1.0}, ard)
 
     def log_weights(self, space, spec, dims):
-        """log rho_i and its derivative in the packed log beta_i, for ``dims``."""
-        betas = _spread(space, spec.params["betas"])[dims]
-        cards = [space.cardinalities[i] for i in dims]
-        rhos = np.array([heat_rho(b, g) for b, g in zip(betas, cards)])
-        dw = [
-            b * _heat_rho_grad(b, g) / r if r > 0 else 0.0
-            for b, g, r in zip(betas, cards, rhos)
-        ]
+        """log rho_i and its derivative in the packed log beta_i, for ``dims``.
+
+        One scalar exp(-beta_i g_i) per dimension serves both: rho_i as in
+        ``heat_rho`` and d rho_i / d beta_i = g_i^2 e / (1 + (g_i - 1) e)^2.
+        """
+        rhos, dw = [], []
+        for b, i in zip(_spread(space, spec.params["betas"])[dims].tolist(), dims.tolist()):
+            if b < 0:
+                raise InvalidInputError(f"beta must be >= 0, got {b}")
+            g = space.cardinalities[i]
+            e = exp(-b * g)
+            d = 1.0 + (g - 1.0) * e
+            r = (1.0 - e) / d
+            rhos.append(r)
+            dw.append(b * ((g * g * e) / d**2) / r if r > 0 else 0.0)
         with np.errstate(divide="ignore"):  # rho = 0 (beta = 0): exp(-1e300) = 0
             return np.maximum(np.log(rhos), -1e300), np.array(dw)
 
@@ -1043,7 +1073,8 @@ def diag_values(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
     return _FAMILIES[spec.family].diag(space, spec, X)
 
 
-# Internal hooks for the GP fitter: packing and the per-fit kernel terms.
+# Internal hooks for the GP: packing, the per-fit kernel terms and the
+# per-state cross-kernel.
 #
 # Fourth-order central differences for families without ``grad``.  W = alpha
 # alpha^T - (K + noise I)^-1 can reach 1e5 and amplifies the rounding error of
@@ -1087,6 +1118,24 @@ class _FitTerms:
 def fit_terms(space: SearchSpace, spec: KernelSpec, points) -> _FitTerms:
     """Kernel terms for one training set; ``spec`` fixes only the structure."""
     return _FitTerms(space, spec, space.validate_points(points))
+
+
+class _CrossTerms:
+    """One spec's cross-kernel against one training set, whose side is built
+    once: ``cross_gram(X)`` is bit for bit ``cross_gram(space, spec, X,
+    X_train)`` for validated rows X."""
+
+    def __init__(self, space, spec, X):
+        self.space, self.spec, self.family = space, spec, _FAMILIES[spec.family]
+        self.side = self.family.train_side(space, spec, X)
+
+    def cross_gram(self, X):
+        return self.family.cross(self.space, self.spec, X, self.side)
+
+
+def cross_terms(space: SearchSpace, spec: KernelSpec, points) -> _CrossTerms:
+    """The cross-kernel of one validated spec against a fixed training set."""
+    return _CrossTerms(space, spec, space.validate_points(points))
 
 
 def pack_spec(space: SearchSpace, spec: KernelSpec) -> np.ndarray:

@@ -204,6 +204,163 @@ class TestGaOptimize:
             )
 
 
+def reference_ga_optimize(acq, space, tr, config, exclude=frozenset()):
+    """``bo.ga_optimize`` with per-row bookkeeping: one tuple and one strict
+    comparison per evaluated row.  It makes the same RNG draws, so it
+    evaluates the same rows; only the choice among them is under test."""
+    center = np.asarray(tr.center)
+    radius = int(tr.radius)
+    if radius == 0:
+        return center.copy()
+    rng = np.random.default_rng(config.seed)
+    pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / space.n
+    population = np.stack(
+        [center.copy()]
+        + [bo._random_in_ball(space, center, radius, rng)
+           for _ in range(config.population_size - 1)]
+    )
+    best_unobserved = None
+
+    def digest(pop, values):
+        nonlocal best_unobserved
+        for p, v in zip(pop, values):
+            if tuple(int(c) for c in p) not in exclude:
+                if best_unobserved is None or v > best_unobserved[0]:
+                    best_unobserved = (v, p.copy())
+
+    values = np.asarray(acq(population), dtype=float)
+    digest(population, values)
+    cards = np.asarray(space.cardinalities)
+    n_children = config.population_size - config.elite_count
+    for _ in range(config.generations):
+        order = np.argsort(values)[::-1]
+        elites = population[order[: config.elite_count]]
+        idx = rng.integers(0, len(population), size=(n_children, 2, config.tournament_size))
+        winner_slot = np.argmax(values[idx], axis=2)
+        winners = np.take_along_axis(idx, winner_slot[..., None], axis=2)[..., 0]
+        p1 = population[winners[:, 0]]
+        p2 = population[winners[:, 1]]
+        do_cross = rng.random(n_children) < config.crossover_prob
+        mask = rng.random((n_children, space.n)) < 0.5
+        children = np.where(do_cross[:, None] & mask, p2, p1)
+        mut_mask = rng.random((n_children, space.n)) < pm
+        offsets = rng.integers(0, cards - 1, size=(n_children, space.n))
+        children = np.where(mut_mask, (children + 1 + offsets) % cards, children)
+        over = np.flatnonzero(np.count_nonzero(children != center, axis=1) > radius)
+        for row in over:
+            children[row] = bo._repair_into_ball(space, children[row], center, radius, rng)
+        population = np.vstack([elites, children])
+        values = np.asarray(acq(population), dtype=float)
+        digest(population, values)
+
+    if best_unobserved is not None:
+        return best_unobserved[1]
+    if bo.ball_size(space, radius) <= bo._ENUMERATION_CAP:
+        ball = bo.enumerate_ball(space, center, radius)
+        fresh = np.array([tuple(int(c) for c in p) not in exclude for p in ball])
+        if not np.any(fresh):
+            raise bo.TrustRegionExhausted(
+                f"all {len(ball)} points within radius {radius} observed"
+            )
+        candidates = ball[fresh]
+        vals = np.asarray(acq(candidates), dtype=float)
+        return candidates[int(np.argmax(vals))]
+    for _ in range(10000):
+        p = bo._random_in_ball(space, center, radius, rng)
+        if tuple(int(c) for c in p) not in exclude:
+            return p
+    raise bo.TrustRegionExhausted("could not sample an unobserved point")
+
+
+@st.composite
+def ga_problems(draw):
+    """A trust region, a GA configuration, a heavily tied acquisition and an
+    observed set.  Every set but ``none`` and ``random`` holds every row the
+    GA evaluates, so those draws reach a fallback: enumeration on small
+    balls, random draws on balls of more than ``bo._ENUMERATION_CAP`` points.
+    ``most`` adds 90% of the space, so a fallback draw is mostly observed, and
+    ``ball`` the whole ball where it can be enumerated: exhaustion."""
+    cards = tuple(draw(st.one_of(
+        st.lists(st.integers(2, 4), min_size=1, max_size=6),
+        st.just([4] * 7),  # a 16,384-point ball at radius 7: the random-draw fallback
+    )))
+    sp = SearchSpace(cards)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    radius = draw(st.integers(1, sp.n))
+    center = tuple(int(v) for v in sp.sample_points(1, rng)[0])
+    cfg = bo.TrustRegionConfig.for_space(sp, l_min=0, l_init=radius)
+    tr = bo.TrustRegionState(center=center, radius=radius, config=cfg)
+    population = draw(st.integers(2, 12))
+    ga = bo.GaConfig(
+        population_size=population,
+        generations=draw(st.integers(0, 4)),
+        elite_count=draw(st.integers(0, population - 1)),
+        seed=draw(st.integers(0, 2**31)),
+    )
+    hidden = sp.sample_points(1, rng)[0]
+    weights = rng.integers(-2, 3, size=sp.n)
+    acq = draw(st.sampled_from([
+        lambda P: np.zeros(len(P)),
+        lambda P: (P @ weights % 3).astype(float),
+        lambda P: -np.count_nonzero(P != hidden, axis=1).astype(float),
+    ]))
+    kind = draw(st.sampled_from(["none", "random", "evaluated", "most", "ball"]))
+    exclude = set()
+    if kind == "random":
+        exclude = {tuple(int(v) for v in p) for p in sp.sample_points(20, rng)}
+    elif kind != "none":
+        seen = []
+
+        def recording(P):
+            seen.extend(map(tuple, P.tolist()))
+            return acq(P)
+
+        reference_ga_optimize(recording, sp, tr, ga)
+        exclude = set(seen)
+        if kind == "most":
+            points = sp.enumerate_points()
+            exclude |= set(map(tuple, points[rng.random(len(points)) < 0.9].tolist()))
+        elif kind == "ball" and bo.ball_size(sp, radius) <= bo._ENUMERATION_CAP:
+            exclude |= set(map(tuple, bo.enumerate_ball(sp, np.array(center), radius).tolist()))
+    return sp, tr, ga, acq, frozenset(exclude)
+
+
+def run_ga(optimize, problem):
+    sp, tr, ga, acq, exclude = problem
+    try:
+        return optimize(acq, sp, tr, ga, exclude=exclude)
+    except bo.TrustRegionExhausted as exc:
+        return exc
+
+
+class TestGaBookkeeping:
+    @given(ga_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_row_reference(self, problem):
+        got = run_ga(bo.ga_optimize, problem)
+        want = run_ga(reference_ga_optimize, problem)
+        assert type(got) is type(want)
+        if isinstance(want, Exception):
+            assert str(got) == str(want)
+        else:
+            np.testing.assert_array_equal(got, want)
+
+    @given(ga_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_result_in_ball_and_unobserved(self, problem):
+        sp, tr, _, _, exclude = problem
+        got = run_ga(bo.ga_optimize, problem)
+        if isinstance(got, Exception):
+            # raised only once the whole (enumerable) ball is observed
+            assert bo.ball_size(sp, tr.radius) <= bo._ENUMERATION_CAP
+            ball = bo.enumerate_ball(sp, np.array(tr.center), tr.radius)
+            assert set(map(tuple, ball.tolist())) <= exclude
+            return
+        assert hamming_distance(got, tr.center) <= tr.radius
+        if tr.radius > 0:  # radius 0 returns the center unconditionally
+            assert tuple(got.tolist()) not in exclude
+
+
 def quadratic_objective(hidden):
     def f(x):
         return float(np.count_nonzero(np.asarray(x) != hidden))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from heatbo import gp, kernels
 from heatbo.space import (
@@ -202,14 +203,18 @@ def log_affine_problems(draw):
 
 
 @st.composite
-def exact_problems(draw):
-    """Log-affine (ARD or not) and distance-profile problems, up to 30 points
-    and a one-hot width of 48: wide enough for a BLAS product's summation
-    order to depend on the column positions that relocation permutes."""
+def exact_problems(draw, families=(
+    "heat", "combo", "casmopolitan", "hamming_rbf", "hamming_matern52", "hamming_rq",
+)):
+    """Log-affine (ARD or not) and distance-profile problems by default, up to
+    30 points and a one-hot width of 48: wide enough for a BLAS product's
+    summation order to depend on the column positions that relocation
+    permutes.  ``invariant`` gets one alphabet: its padded projection pools
+    the dimensions."""
     cards = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=8)))
-    family = draw(st.sampled_from([
-        "heat", "combo", "casmopolitan", "hamming_rbf", "hamming_matern52", "hamming_rq",
-    ]))
+    family = draw(st.sampled_from(families))
+    if family == "invariant":
+        cards = (cards[0],) * len(cards)
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     sp = SearchSpace(cards)
     m = draw(st.integers(2, 30))
@@ -461,6 +466,37 @@ class TestPredict:
             )
             np.testing.assert_allclose(mean, base_mean, atol=1e-10)
             np.testing.assert_allclose(var, base_var, atol=1e-10)
+
+
+class TestPredictionCache:
+    """``make_state`` builds the training side of the cross-kernel once; each
+    ``predict_batch`` call must still see ``kernels.cross_gram`` bit for bit."""
+
+    @given(exact_problems(kernels.FAMILY_NAMES), st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_state_cross_kernel_is_cross_gram(self, problem, count):
+        sp, spec, train, log_noise, rng = problem
+        state = gp.make_state(sp, train, spec, float(np.exp(log_noise)))
+        queries = sp.sample_points(count, rng)
+        k_star = kernels.cross_gram(sp, spec, queries, train.points)
+        np.testing.assert_array_equal(state.cross.cross_gram(queries), k_star)
+        # predict_batch's arithmetic, taken through cross_gram
+        v = solve_triangular(state.chol_lower, k_star.T, lower=True)
+        prior = kernels.diag_values(sp, spec, queries)
+        means, variances = gp.predict_batch(state, queries)
+        np.testing.assert_array_equal(means, train.destandardize_mean(k_star @ state.weights))
+        np.testing.assert_array_equal(
+            variances,
+            train.destandardize_variance(np.maximum(prior - np.sum(v**2, axis=0), 0.0)),
+        )
+
+    def test_spec_validated_on_every_call(self):
+        sp = SearchSpace((3, 4))
+        train = make_train(sp, np.random.default_rng(16), m=6)
+        state = gp.make_state(sp, train, kernels.default_spec(sp, "heat"), 1e-3)
+        state.spec.params["sigma2"] = -1.0
+        with pytest.raises(InvalidInputError):
+            gp.predict_batch(state, train.points)
 
 
 class TestJitter:
