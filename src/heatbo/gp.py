@@ -13,6 +13,12 @@ takes K^-1 from the Cholesky factor (LAPACK potri), forms W = alpha
 alpha^T - K^-1 and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>; the noise
 term is 1/2 tr(W) noise.
 
+The linear algebra calls LAPACK directly through this module's own
+``cholesky``, ``cho_solve`` and ``solve_triangular``, without scipy.linalg's
+per-call checks and copies.  A step makes one copy of K: the noise goes
+onto its diagonal and dpotrf factors it in place; only a jitter level
+above zero takes another.  The bits are those of K + noise I + jitter I.
+
 Predictions take the same arithmetic.  ``make_state`` builds the training
 side of the cross-kernel once (``kernels.cross_terms``: for heat, combo and
 casmopolitan the training one-hot block and the dyadic weights per column),
@@ -26,8 +32,7 @@ from dataclasses import dataclass
 from math import log, pi
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 from . import kernels
 from .space import InvalidInputError, NumericFailure, SearchSpace
@@ -118,13 +123,58 @@ class GpState:
         return float(diag[0]) * self.train.std**2
 
 
-def _chol_with_jitter(K: np.ndarray, ladder) -> tuple[np.ndarray, float]:
-    mean_diag = float(np.mean(np.diag(K)))
+def cholesky(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of A with a zeroed upper triangle (LAPACK dpotrf).
+
+    An F-ordered A is factored in place.  Raises ``np.linalg.LinAlgError``
+    when A is not positive definite.
+    """
+    L, info = dpotrf(A, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrf info {info}: not positive definite")
+    return L
+
+
+# dpotrs and dtrtrs report an error only for an illegal argument or a zero on
+# L's diagonal, which a factor from ``cholesky`` never has.
+def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L^T x = b, for L from ``cholesky`` (LAPACK dpotrs)."""
+    return dpotrs(L, b, lower=1)[0]
+
+
+def solve_triangular(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with L X = B, for L from ``cholesky`` (LAPACK dtrtrs)."""
+    return dtrtrs(L, B, lower=1)[0]
+
+
+def _diagonal(A: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a C- or F-contiguous square matrix."""
+    return A.ravel(order="K")[:: A.shape[0] + 1]
+
+
+def _chol_with_jitter(K: np.ndarray, ladder, noise: float = 0.0) -> tuple[np.ndarray, float]:
+    """Factor of K + noise I + jitter I at the first ladder level that factors,
+    and that jitter: the level times the mean of K + noise I's diagonal.
+
+    Each try takes one F-ordered copy of K, the layout dpotrf factors in
+    place; adding 0.0 off the diagonal keeps the bits of adding a scaled
+    identity.  Level 0 needs no mean.
+    """
+    if not (np.isfinite(K).all() and np.isfinite(noise)):
+        raise NumericFailure("covariance has non-finite entries")
+    mean_diag = None
     for level in ladder:
-        try:
+        A = np.add(K, 0.0, order="F")
+        diag = _diagonal(A)
+        diag += noise
+        jitter = 0.0
+        if level:
+            if mean_diag is None:
+                mean_diag = float(np.mean(diag))
             jitter = level * mean_diag
-            L = cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
-            return L, jitter
+            diag += jitter
+        try:
+            return cholesky(A), jitter
         except np.linalg.LinAlgError:
             continue
     raise NumericFailure("covariance not factorizable after jitter escalation")
@@ -134,8 +184,8 @@ def _mll_parts(terms, spec, log_noise, y, ladder):
     m = y.shape[0]
     K = terms.gram(spec)
     noise = float(np.exp(log_noise))
-    L, _ = _chol_with_jitter(K + noise * np.eye(m), ladder)
-    alpha = cho_solve((L, True), y)
+    L, _ = _chol_with_jitter(K, ladder, noise)
+    alpha = cho_solve(L, y)
     value = (
         -0.5 * float(y @ alpha)
         - float(np.sum(np.log(np.diag(L))))
@@ -147,9 +197,13 @@ def _mll_parts(terms, spec, log_noise, y, ladder):
 def _mll_and_grad(terms, spec, log_noise, y, ladder):
     """Marginal log-likelihood and its gradient in the unconstrained space."""
     value, K, L, alpha, noise = _mll_parts(terms, spec, log_noise, y, ladder)
-    K_inv, _ = dpotri(L, lower=1)  # fills the lower triangle; L's upper is 0
-    K_inv += np.tril(K_inv, -1).T
-    W = np.outer(alpha, alpha) - K_inv
+    # potri overwrites L with the lower triangle of K^-1 and keeps its zero
+    # upper triangle: adding the transpose mirrors it, doubling the diagonal
+    K_inv, _ = dpotri(L, lower=1, overwrite_c=1)
+    S = K_inv + K_inv.T
+    _diagonal(S)[:] = _diagonal(K_inv)
+    W = np.outer(alpha, alpha)
+    W -= S
     noise_grad = 0.5 * float(np.trace(W)) * noise  # dK/d log noise = noise * I
     return value, np.append(terms.grad(spec, K, W), noise_grad)
 
@@ -265,9 +319,8 @@ def predict_batch(state: GpState, points) -> tuple[np.ndarray, np.ndarray]:
     kernels.validate_spec(state.space, state.spec)
     k_star = state.cross.cross_gram(X)
     mean_std = k_star @ state.weights
-    v = solve_triangular(state.chol_lower, k_star.T, lower=True)
-    prior_diag = kernels.diag_values(state.space, state.spec, X)
-    var_std = prior_diag - np.sum(v**2, axis=0)
+    v = solve_triangular(state.chol_lower, k_star.T)
+    var_std = state.cross.diag(X) - np.sum(v**2, axis=0)
     var_std = np.maximum(var_std, 0.0)
     return (
         state.train.destandardize_mean(mean_std),

@@ -488,9 +488,22 @@ def _dyadic(w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     positions that relocating categories permutes.  Floored weights (-1e300)
     pass unchanged, and exp of any sum holding one is 0.
     """
-    total = sum(abs(x) * k for x, k in zip(w.tolist(), sizes.tolist()) if x > -1e300)
-    C = 3.0 * 2.0 ** frexp(total)[1]
+    C = 3.0 * 2.0 ** frexp(_grid_total(w, sizes))[1]
     return (w + C) - C
+
+
+def _grid_total(w: np.ndarray, sizes: np.ndarray) -> float:
+    """sum sizes * |w| over the weights above the floor, added left to right.
+
+    A scalar loop: for the few weights of a spec it is faster than a numpy
+    reduction, and unlike ``sum`` (compensated for floats from Python 3.12
+    on) it fixes the order.
+    """
+    total = 0.0
+    for x, k in zip(w.tolist(), sizes.tolist()):
+        if x > -1e300:
+            total += abs(x) * k
+    return total
 
 
 def _scaled_exp(exponent: np.ndarray, sigma2: float) -> np.ndarray:
@@ -953,7 +966,7 @@ class _InvariantFamily(_Family):
             raise InvalidInputError(f"unknown invariance mode {mode!r}")
         if not isinstance(inner, KernelSpec):
             raise InvalidInputError("inner kernel must be a KernelSpec")
-        _FAMILIES[inner.family].validate(space, inner)
+        validate_spec(space, inner)
         if mode == "padded_proj" and not isinstance(_FAMILIES[inner.family], _ProfileFamily):
             raise InvalidInputError("padded projection needs a distance-profile inner")
         if mode in ("sum", "prod") and spec.params.get("samples", 200) is not None:
@@ -1038,11 +1051,17 @@ def default_spec(space: SearchSpace, family: str, ard: bool = True, **overrides)
     spec = _FAMILIES[family].default_spec(space, ard)
     if overrides:
         spec = spec.replace_params(**overrides)
-    _FAMILIES[family].validate(space, spec)
+    validate_spec(space, spec)
     return spec
 
 
 def validate_spec(space: SearchSpace, spec: KernelSpec) -> None:
+    """The family's own checks, after one shared by every family: each numeric
+    hyperparameter is finite."""
+    for key, value in spec.params.items():
+        values = np.asarray(value)
+        if values.dtype.kind in "biuf" and not np.isfinite(values).all():
+            raise InvalidInputError(f"{key} must be finite, got {value!r}")
     _FAMILIES[spec.family].validate(space, spec)
 
 
@@ -1053,7 +1072,7 @@ def value(space: SearchSpace, spec: KernelSpec, x, y) -> float:
 
 def cross_gram(space: SearchSpace, spec: KernelSpec, points1, points2) -> np.ndarray:
     fam = _FAMILIES[spec.family]
-    fam.validate(space, spec)
+    validate_spec(space, spec)
     X1 = space.validate_points(points1)
     X2 = space.validate_points(points2)
     return fam.kernel(spec, fam.encode(space, spec, X1, X2))
@@ -1062,7 +1081,7 @@ def cross_gram(space: SearchSpace, spec: KernelSpec, points1, points2) -> np.nda
 def gram(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
     """Pairwise kernel matrix; exactly symmetric by construction."""
     fam = _FAMILIES[spec.family]
-    fam.validate(space, spec)
+    validate_spec(space, spec)
     X = space.validate_points(points)
     return _symmetrize(fam.kernel(spec, fam.encode(space, spec, X, X)))
 
@@ -1131,6 +1150,10 @@ class _CrossTerms:
 
     def cross_gram(self, X):
         return self.family.cross(self.space, self.spec, X, self.side)
+
+    def diag(self, X):
+        """k(x, x) for validated rows X: ``diag_values`` without validating again."""
+        return self.family.diag(self.space, self.spec, X)
 
 
 def cross_terms(space: SearchSpace, spec: KernelSpec, points) -> _CrossTerms:

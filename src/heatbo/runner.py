@@ -300,6 +300,10 @@ def summarize(traces: dict) -> list[dict]:
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute all seeds, write one trace CSV per seed plus one summary CSV."""
     config.validate()
+    try:  # the initial kernel spec and run settings, checked before any output
+        _build_run_components(config, _build_objective(config).space)
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from None
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,13 @@
 import zlib
+from math import log, pi
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotri
 
 from heatbo import gp, kernels
 from heatbo.space import (
@@ -497,6 +500,133 @@ class TestPredictionCache:
         state.spec.params["sigma2"] = -1.0
         with pytest.raises(InvalidInputError):
             gp.predict_batch(state, train.points)
+
+    # invariant's own encoding validates the rows it sorts or permutes
+    @pytest.mark.parametrize("family", [f for f in kernels.FAMILY_NAMES if f != "invariant"])
+    def test_query_rows_validated_once(self, family, monkeypatch):
+        sp = SearchSpace((3, 4, 2))
+        train = make_train(sp, np.random.default_rng(17), m=8)
+        state = gp.make_state(sp, train, kernels.default_spec(sp, family), 1e-3)
+        calls = []
+        validate = SearchSpace.validate_points
+
+        def counting(self, points):
+            calls.append(len(points))
+            return validate(self, points)
+
+        monkeypatch.setattr(SearchSpace, "validate_points", counting)
+        gp.predict_batch(state, train.points[:5])
+        assert calls == [5]
+
+
+def reference_step(terms, spec, log_noise, y, ladder):
+    """The formulation the lean step replaced: scipy.linalg's wrappers, two
+    scaled identity matrices and a tril mirror of potri's output.  Returns
+    the value, the gradient, L and the jitter."""
+    m = y.shape[0]
+    K = terms.gram(spec)
+    noise = float(np.exp(log_noise))
+    C = K + noise * np.eye(m)
+    mean_diag = float(np.mean(np.diag(C)))
+    for level in ladder:
+        try:
+            jitter = level * mean_diag
+            L = scipy.linalg.cholesky(C + jitter * np.eye(m), lower=True)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        raise gp.NumericFailure("not factorizable")
+    alpha = scipy.linalg.cho_solve((L, True), y)
+    value = (
+        -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L)))) - 0.5 * m * log(2.0 * pi)
+    )
+    K_inv, _ = dpotri(L, lower=1)
+    K_inv += np.tril(K_inv, -1).T
+    W = np.outer(alpha, alpha) - K_inv
+    grad = np.append(terms.grad(spec, K, W), 0.5 * float(np.trace(W)) * noise)
+    return value, grad, L, jitter
+
+
+def bits(x):
+    """The IEEE bit patterns: equal bits, not merely equal values (-0.0, NaN)."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+@st.composite
+def lean_step_problems(draw):
+    """Every family, ARD or not, up to 16 points; some draws repeat a row and
+    take noise near 1e-300, so that only a jitter level above 0 factors."""
+    family = draw(st.sampled_from(kernels.FAMILY_NAMES))
+    cards = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+    if family == "invariant":
+        cards = (cards[0],) * len(cards)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    sp = SearchSpace(cards)
+    m = draw(st.integers(2, 16))
+    X = sp.sample_points(m, rng)
+    near_singular = draw(st.booleans())
+    if near_singular:
+        X[-1] = X[0]
+    log_noise = log(1e-300) + rng.uniform(-2, 2) if near_singular else rng.uniform(-6, -2)
+    train = gp.TrainingSet.from_observations(sp, X, rng.normal(size=m))
+    base = kernels.default_spec(sp, family, ard=draw(st.booleans()))
+    theta = kernels.pack_spec(sp, base)
+    spec = kernels.unpack_spec(sp, base, theta + rng.normal(scale=0.5, size=theta.size))
+    return kernels.fit_terms(sp, spec, train.points), spec, float(log_noise), train
+
+
+class TestLeanStep:
+    """Direct LAPACK, one copy of K and a one-pass mirror give the bits of
+    the scipy.linalg formulation."""
+
+    def assert_same_step(self, terms, spec, log_noise, y, ladder=gp.JITTER_LADDER):
+        value, grad, L, jitter = reference_step(terms, spec, log_noise, y, ladder)
+        got_value, got_grad = gp._mll_and_grad(terms, spec, log_noise, y, ladder)
+        got_L, got_jitter = gp._chol_with_jitter(
+            terms.gram(spec), ladder, float(np.exp(log_noise))
+        )
+        assert bits(got_value) == bits(value)
+        np.testing.assert_array_equal(bits(got_grad), bits(grad))
+        np.testing.assert_array_equal(bits(got_L), bits(L))
+        assert bits(got_jitter) == bits(jitter)
+        return jitter
+
+    @given(lean_step_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_scipy_formulation(self, problem):
+        terms, spec, log_noise, train = problem
+        self.assert_same_step(terms, spec, log_noise, train.standardized())
+
+    def test_jitter_levels_above_zero_bitwise_equal(self):
+        sp = SearchSpace((3, 3))
+        train = gp.TrainingSet.from_observations(
+            sp, [[0, 0], [0, 0], [1, 1], [2, 1]], [1.0, 1.2, 2.0, 0.5]
+        )
+        spec = kernels.default_spec(sp, "heat", betas=np.full(2, 0.5))
+        terms = kernels.fit_terms(sp, spec, train.points)
+        jitter = self.assert_same_step(terms, spec, log(1e-300), train.standardized())
+        assert jitter > 0
+        # a ladder whose first level already jitters
+        self.assert_same_step(terms, spec, -3.0, train.standardized(), (1e-6, 1e-4))
+
+    def test_non_finite_covariance_is_numeric_failure(self):
+        K = np.eye(3)
+        K[2, 1] = K[1, 2] = np.nan
+        with pytest.raises(gp.NumericFailure):
+            gp._chol_with_jitter(K, gp.JITTER_LADDER, 1e-3)
+
+    def test_overflowing_gram_is_numeric_failure(self):
+        sp = SearchSpace((3, 4, 2))
+        train = make_train(sp, np.random.default_rng(18), m=6)
+        spec = kernels.default_spec(sp, "heat", sigma2=1e308)
+        terms = kernels.fit_terms(sp, spec, train.points)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(terms.gram(spec)).all()  # K + K^T overflows
+            with pytest.raises(gp.NumericFailure):
+                gp._mll_and_grad(terms, spec, -3.0, train.standardized(), gp.JITTER_LADDER)
+            with pytest.raises(gp.NumericFailure):
+                gp.make_state(sp, train, spec, 1e-3)
 
 
 class TestJitter:

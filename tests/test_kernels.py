@@ -1,5 +1,8 @@
 import itertools
+import operator
 import zlib
+from functools import reduce
+from math import frexp
 
 import numpy as np
 import pytest
@@ -705,6 +708,70 @@ class TestFitTerms:
         # a gradient may leave more of the encoding cached (log-affine counts): same bits
         terms.grad(spec, K, np.ones_like(K))
         np.testing.assert_array_equal(terms.gram(spec), K)
+
+
+def poisoned(spec, bad):
+    """One spec per float hyperparameter, with that parameter's first entry
+    set to ``bad``; for ``invariant`` the inner spec's parameters."""
+    target = spec.params["inner"] if spec.family == "invariant" else spec
+    out = []
+    for key, value in target.params.items():
+        values = np.array(value)
+        if values.dtype.kind != "f":
+            continue
+        values.flat[0] = bad
+        changed = target.replace_params(**{key: values if values.ndim else float(values)})
+        out.append(spec.replace_params(inner=changed) if spec.family == "invariant" else changed)
+    return out
+
+
+class TestHyperparameterValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("family", kn.FAMILY_NAMES)
+    def test_non_finite_hyperparameters_rejected(self, family, bad):
+        sp = SearchSpace((3, 3, 3))
+        specs = poisoned(kn.default_spec(sp, family), bad)
+        assert specs
+        for spec in specs:
+            with pytest.raises(InvalidInputError, match="finite"):
+                kn.validate_spec(sp, spec)
+            with pytest.raises(InvalidInputError):
+                kn.gram(sp, spec, sp.sample_points(3, np.random.default_rng(0)))
+
+
+def dyadic_reference(w, sizes):
+    """``_dyadic`` with its total as a generator summed left to right, as
+    Python's ``sum`` adds floats before 3.12; returns the total too."""
+    terms = (abs(x) * k for x, k in zip(w.tolist(), sizes.tolist()) if x > -1e300)
+    total = reduce(operator.add, terms, 0)
+    C = 3.0 * 2.0 ** frexp(total)[1]
+    return (w + C) - C, total
+
+
+class TestDyadic:
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(-60.0, 0.0), st.floats(-1e3, 1e3), st.just(-1e300),
+                    st.just(-np.inf), st.just(np.nan),
+                ),
+                st.integers(1, 12),
+            ),
+            min_size=1, max_size=60,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_grid_and_bits_as_generator_sum(self, pairs):
+        w = np.array([x for x, _ in pairs])
+        sizes = np.array([k for _, k in pairs])
+        want, total = dyadic_reference(w, sizes)
+        # equal bits, so the same grid exponent
+        got_total = kn._grid_total(w, sizes)
+        assert np.float64(got_total).view(np.uint64) == np.float64(total).view(np.uint64)
+        np.testing.assert_array_equal(
+            kn._dyadic(w, sizes).view(np.uint64), want.view(np.uint64)
+        )
 
 
 class TestSpecPacking:

@@ -231,6 +231,18 @@ class TestCli:
         assert "betta" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kernel_lines", ["beta = nan", "beta = -1", "sigma2 = inf", "sigma2 = nan"]
+    )
+    def test_invalid_kernel_value_exits_one_before_writing(
+        self, tmp_path, capsys, kernel_lines
+    ):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text() + f"\n[kernel]\n{kernel_lines}\n")
+        assert runner.main(["run", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_command(self, tmp_path, capsys):
         path = write_config(tmp_path, seeds="0")
         assert runner.main(["run", str(path)]) == 0
