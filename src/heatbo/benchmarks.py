@@ -434,12 +434,24 @@ def _binary_space(n):
     return SearchSpace((2,) * n)
 
 
+_INSTANCE = {"path", "num_variables", "num_clauses", "seed"}
+_OPTIONS = {  # per benchmark, "sfu_" for every sfu_* name
+    "labs": {"n"}, "maxsat": _INSTANCE, "cluster_expansion": _INSTANCE,
+    "contamination": set(), "pest_control": set(), "sfu_": {"dims", "grid"},
+}
+
+
 def make_benchmark(name: str, noise_seed: int = 0, **options) -> BenchmarkObjective:
     """Construct a benchmark objective by name.
 
     Options: ``n`` (labs), ``path``/``num_variables``/``num_clauses``/``seed``
-    (maxsat, cluster_expansion), ``dims``/``grid`` (sfu_*).
+    (maxsat, cluster_expansion), ``dims``/``grid`` (sfu_*); any other option
+    is an ``InvalidInputError``.
     """
+    known = _OPTIONS.get("sfu_" if name.startswith("sfu_") else name, set(options))
+    unknown = set(options) - known
+    if unknown:
+        raise InvalidInputError(f"benchmark {name!r} takes no option(s) {sorted(unknown)}")
     if name == "labs":
         n = int(options.get("n", 50))
         return BenchmarkObjective("labs", _binary_space(n), labs_energy, noise_seed)

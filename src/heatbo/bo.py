@@ -519,32 +519,15 @@ def run_bo(
 
     clock = time.perf_counter if measure_time else (lambda: 0.0)
     trace: list[IterationRecord] = []
-    for point in initial_points:
+    for i in range(init_count + budget):
+        initial = i < init_count  # the design is observed without a region update
         t0 = clock()
-        value = float(objective(point))
-        obj_ms = (clock() - t0) * 1e3
-        observe(run, point, value, update_region=False)
-        trace.append(
-            IterationRecord(
-                iteration=run.iteration,
-                point=tuple(int(v) for v in point),
-                raw_value=value,
-                incumbent=run.incumbent_value,
-                elapsed_ms=0.0,
-                objective_ms=obj_ms,
-                tr_radius=run.tr.radius,
-            )
-        )
-        run.iteration += 1
-
-    for _ in range(budget):
-        t0 = clock()
-        point = suggest(run)
-        alg_ms = (clock() - t0) * 1e3
+        point = initial_points[i] if initial else suggest(run)
+        alg_ms = 0.0 if initial else (clock() - t0) * 1e3
         t1 = clock()
         value = float(objective(point))
         obj_ms = (clock() - t1) * 1e3
-        observe(run, point, value)
+        observe(run, point, value, update_region=not initial)
         trace.append(
             IterationRecord(
                 iteration=run.iteration,

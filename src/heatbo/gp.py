@@ -6,9 +6,10 @@ fitted by maximizing the marginal log-likelihood with Adam in an
 unconstrained parameterization (log for positive parameters, scaled logistic
 for bounded correlations).
 
-Every family takes one route.  ``kernels.fit_terms`` encodes the training
-set once; ``fit`` and ``make_state`` get K from ``terms.gram``, which is bit
-for bit ``kernels.gram``.  Each gradient step factors K + noise I once,
+Every family takes one route.  ``fit`` encodes the training set once
+(``kernels.fit_terms``); both Adam starts, each unpacked through ``spec``,
+and the returned state share those terms, and K comes from ``terms.gram``,
+bit for bit ``kernels.gram``.  Each gradient step factors K + noise I once,
 takes K^-1 from the Cholesky factor (LAPACK potri), forms W = alpha
 alpha^T - K^-1 and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>; the noise
 term is 1/2 tr(W) noise.
@@ -19,11 +20,10 @@ per-call checks and copies.  A step makes one copy of K: the noise goes
 onto its diagonal and dpotrf factors it in place; only a jitter level
 above zero takes another.  The bits are those of K + noise I + jitter I.
 
-Predictions take the same arithmetic.  ``make_state`` builds the training
-side of the cross-kernel once (``kernels.cross_terms``: for heat, combo and
-casmopolitan the training one-hot block and the dyadic weights per column),
-so each ``predict_batch`` call encodes only its query rows, and its k(X,
-X_train) is bit for bit ``kernels.cross_gram``.
+Predictions take the same arithmetic.  ``predict_batch`` asks the state's
+terms for ``cross_gram``, which for heat, combo and casmopolitan encodes
+only the query rows' one-hot block against the cached training side, and
+its k(X, X_train) is bit for bit ``kernels.cross_gram``.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class GpState:
     """Fitted surrogate: spec, noise, training set, factored covariance and the
-    training side of the cross-kernel."""
+    training set's kernel terms."""
 
     space: SearchSpace
     spec: kernels.KernelSpec
@@ -115,11 +115,11 @@ class GpState:
     chol_lower: np.ndarray  # L with L @ L.T = K + noise * I
     weights: np.ndarray  # (K + noise * I)^{-1} y_std
     mll_value: float
-    cross: kernels._CrossTerms  # k(X, X_train) with the training side built once
+    terms: kernels._FitTerms  # the training set's encoding, shared with the fit
 
     def prior_variance(self) -> float:
         """Prior predictive variance in raw target units."""
-        diag = kernels.diag_values(self.space, self.spec, self.train.points[:1])
+        diag = self.terms.diag(self.spec, self.train.points[:1])
         return float(diag[0]) * self.train.std**2
 
 
@@ -238,24 +238,20 @@ def make_state(
     jitter_ladder=JITTER_LADDER,
 ) -> GpState:
     """Assemble a state from explicit hyperparameters without any fitting."""
+    return _state(space, train, spec, noise_variance, jitter_ladder)
+
+
+def _state(space, train, spec, noise_variance, ladder, terms=None) -> GpState:
+    """``make_state`` on the training set's ``terms``, built here if not given."""
     if noise_variance <= 0:
         raise InvalidInputError("noise variance must be > 0")
     kernels.validate_spec(space, spec)
-    y = train.standardized()
-    terms = kernels.fit_terms(space, spec, train.points)
+    if terms is None:
+        terms = kernels.fit_terms(space, spec, train.points)
     value, _, L, alpha, _ = _mll_parts(
-        terms, spec, log(noise_variance), y, jitter_ladder
+        terms, spec, log(noise_variance), train.standardized(), ladder
     )
-    return GpState(
-        space=space,
-        spec=spec,
-        noise_variance=noise_variance,
-        train=train,
-        chol_lower=L,
-        weights=alpha,
-        mll_value=value,
-        cross=kernels.cross_terms(space, spec, train.points),
-    )
+    return GpState(space, spec, noise_variance, train, L, alpha, value, terms)
 
 
 def fit(
@@ -269,43 +265,38 @@ def fit(
     """Maximize the marginal log-likelihood; best of the available starts wins.
 
     Starts from ``spec`` (typically family defaults) and, when given, from
-    the previous fit's hyperparameters.  Deterministic: full-batch gradients,
-    no stochasticity anywhere.
+    the previous fit's hyperparameters, which must share ``spec``'s family,
+    ard flag and parameter count.  Deterministic: full-batch gradients, no
+    stochasticity anywhere.
     """
     if train.count < 2:
         raise InvalidInputError("need at least 2 training points to fit")
     kernels.validate_spec(space, spec)
-    y = train.standardized()
-    X = train.points
-
-    def objective_for(start_spec):
-        terms = kernels.fit_terms(space, start_spec, X)
-
-        def objective(theta, need_grad=True):
-            cur = kernels.unpack_spec(space, start_spec, theta[:-1])
-            if need_grad:
-                return _mll_and_grad(terms, cur, theta[-1], y, config.jitter_ladder)
-            value, *_ = _mll_parts(terms, cur, theta[-1], y, config.jitter_ladder)
-            return value, None
-        return objective
-
-    starts = [(spec, config.initial_noise)]
+    starts = [(kernels.pack_spec(space, spec), config.initial_noise)]
     if warm_start is not None:
-        starts.append((warm_start, warm_noise if warm_noise else config.initial_noise))
+        warm = kernels.pack_spec(space, warm_start)
+        shape = (warm_start.family, warm_start.ard, warm.size)
+        if shape != (spec.family, spec.ard, starts[0][0].size):
+            raise InvalidInputError("warm start differs from spec in family, ard or length")
+        starts.append((warm, warm_noise if warm_noise else config.initial_noise))
+    y = train.standardized()
+    terms = kernels.fit_terms(space, spec, train.points)
 
-    best = None
-    for start_spec, start_noise in starts:
-        theta0 = np.concatenate(
-            [kernels.pack_spec(space, start_spec), [log(start_noise)]]
-        )
-        theta_opt, value = _adam_ascent(objective_for(start_spec), theta0, config)
-        if best is None or value > best[2]:
-            best = (start_spec, theta_opt, value)
+    def objective(theta, need_grad=True):
+        cur = kernels.unpack_spec(space, spec, theta[:-1])
+        if need_grad:
+            return _mll_and_grad(terms, cur, theta[-1], y, config.jitter_ladder)
+        value, *_ = _mll_parts(terms, cur, theta[-1], y, config.jitter_ladder)
+        return value, None
 
-    start_spec, theta_opt, _ = best
-    fitted_spec = kernels.unpack_spec(space, start_spec, theta_opt[:-1])
+    results = [
+        _adam_ascent(objective, np.concatenate([packed, [log(noise)]]), config)
+        for packed, noise in starts
+    ]
+    theta_opt, _ = max(results, key=lambda result: result[1])  # the first on a tie
+    fitted_spec = kernels.unpack_spec(space, spec, theta_opt[:-1])
     fitted_noise = float(np.exp(theta_opt[-1]))
-    return make_state(space, train, fitted_spec, fitted_noise, config.jitter_ladder)
+    return _state(space, train, fitted_spec, fitted_noise, config.jitter_ladder, terms)
 
 
 def mll(state: GpState) -> float:
@@ -317,10 +308,10 @@ def predict_batch(state: GpState, points) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance in raw target units for each query point."""
     X = state.space.validate_points(points)
     kernels.validate_spec(state.space, state.spec)
-    k_star = state.cross.cross_gram(X)
+    k_star = state.terms.cross_gram(state.spec, X)
     mean_std = k_star @ state.weights
     v = solve_triangular(state.chol_lower, k_star.T)
-    var_std = state.cross.diag(X) - np.sum(v**2, axis=0)
+    var_std = state.terms.diag(state.spec, X) - np.sum(v**2, axis=0)
     var_std = np.maximum(var_std, 0.0)
     return (
         state.train.destandardize_mean(mean_std),

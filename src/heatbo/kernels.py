@@ -24,13 +24,11 @@ of an exact weighted mismatch count (one-hot products, weights on one
 binary grid), the distance profiles functions of the exact Hamming matrix,
 and ``additive_sum`` affine in a weighted one-hot product; the other
 families take one mismatch mask per dimension.  ``fit_terms(space, spec,
-X)`` encodes a training set once; its ``grad(spec, K, W)`` gives 1/2 <W,
-dK/dtheta_j> in closed form where the family has one, else by central
-differences.  ``cross_terms(space, spec, X)`` builds the training side of
-the cross-kernel once for predictions: ``train_side`` and ``cross`` split
-``encode`` where a family has a per-side part (the log-affine one-hot block
-and column weights), and give ``cross_gram``'s bits.  The scalar ``*_eval``
-functions are independent oracles.
+X)`` encodes a training set once, for the GP's fit and predictions alike:
+its ``grad(spec, K, W)`` gives 1/2 <W, dK/dtheta_j> in closed form where
+the family has one, else by central differences, and its ``cross_gram(spec,
+X1)`` gives ``cross_gram``'s bits, the log-affine families encoding only
+X1's one-hot block.  The scalar ``*_eval`` functions are independent oracles.
 """
 
 from __future__ import annotations
@@ -546,14 +544,10 @@ class _Family:
 
     grad = None  # without one, _FitTerms takes differences of the kernel
 
-    def train_side(self, space, spec, X2):
-        """What a cross-kernel against fixed rows X2 keeps of them; ``cross``
-        reads it.  The rows themselves, unless the family splits ``encode``."""
-        return X2
-
-    def cross(self, space, spec, X1, side):
-        """k(X1, X2) from ``train_side(space, spec, X2)``: bit for bit ``kernel``."""
-        return self.kernel(spec, self.encode(space, spec, X1, side))
+    def cross(self, space, spec, X1, X2, enc):
+        """k(X1, X2), given ``enc``, X2's encoding against itself: bit for bit
+        ``kernel`` of the pair's own encoding."""
+        return self.kernel(spec, self.encode(space, spec, X1, X2))
 
     def encode(self, space, spec, X1, X2):
         """One boolean (m1, m2) mask per dimension, in order: do the rows differ there."""
@@ -628,16 +622,13 @@ class _LogAffineFamily(_Family):
             exponent = (w @ enc.counts).reshape(len(enc.pair.Z1), -1)
         return _scaled_exp(exponent, spec.sigma2)
 
-    def train_side(self, space, spec, X2):
-        """1 - Z2 and the dyadic weights repeated per one-hot column: the parts
-        of ``_weighted_mismatches`` that do not depend on X1."""
-        enc = self.encode(space, spec, X2, X2)
+    def cross(self, space, spec, X1, X2, enc):
+        """Only X1's one-hot block is new: 1 - Z2 and the weights are ``enc``'s."""
         w = _dyadic(self._weights(spec, enc)[0], enc.sizes)
-        return enc.pair.Z2c, np.repeat(w[enc.inverse], space.cardinalities)
-
-    def cross(self, space, spec, X1, side):
-        Z2c, column_weights = side
-        return _scaled_exp((_one_hot(space, X1) * column_weights) @ Z2c.T, spec.sigma2)
+        pair = SimpleNamespace(
+            cards=space.cardinalities, Z1=_one_hot(space, X1), Z2c=enc.pair.Z2c
+        )
+        return _scaled_exp(_weighted_mismatches(pair, w[enc.inverse]), spec.sigma2)
 
     def grad(self, spec, enc, K, W):
         _, dw = self._weights(spec, enc)
@@ -1092,8 +1083,7 @@ def diag_values(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
     return _FAMILIES[spec.family].diag(space, spec, X)
 
 
-# Internal hooks for the GP: packing, the per-fit kernel terms and the
-# per-state cross-kernel.
+# Internal hooks for the GP: packing and the per-training-set kernel terms.
 #
 # Fourth-order central differences for families without ``grad``.  W = alpha
 # alpha^T - (K + noise I)^-1 can reach 1e5 and amplifies the rounding error of
@@ -1109,15 +1099,22 @@ class _FitTerms:
     ``gram(spec)`` is K, bit for bit what ``kernels.gram`` returns, and
     ``grad(spec, K, W)`` is 1/2 <W, dK/dtheta_j> for every packed theta_j;
     with W = alpha alpha^T - (K + noise I)^-1 that is the kernel part of the
-    marginal log-likelihood gradient.
+    marginal log-likelihood gradient.  For validated rows X1, ``cross_gram``
+    and ``diag`` are ``cross_gram(space, spec, X1, X)`` and ``diag_values``.
     """
 
     def __init__(self, space, spec, X):
-        self.space, self.family = space, _FAMILIES[spec.family]
+        self.space, self.family, self.X = space, _FAMILIES[spec.family], X
         self.enc = self.family.encode(space, spec, X, X)
 
     def gram(self, spec):
         return _symmetrize(self.family.kernel(spec, self.enc))
+
+    def cross_gram(self, spec, X1):
+        return self.family.cross(self.space, spec, X1, self.X, self.enc)
+
+    def diag(self, spec, X1):
+        return self.family.diag(self.space, spec, X1)
 
     def grad(self, spec, K, W):
         if self.family.grad is not None:
@@ -1137,28 +1134,6 @@ class _FitTerms:
 def fit_terms(space: SearchSpace, spec: KernelSpec, points) -> _FitTerms:
     """Kernel terms for one training set; ``spec`` fixes only the structure."""
     return _FitTerms(space, spec, space.validate_points(points))
-
-
-class _CrossTerms:
-    """One spec's cross-kernel against one training set, whose side is built
-    once: ``cross_gram(X)`` is bit for bit ``cross_gram(space, spec, X,
-    X_train)`` for validated rows X."""
-
-    def __init__(self, space, spec, X):
-        self.space, self.spec, self.family = space, spec, _FAMILIES[spec.family]
-        self.side = self.family.train_side(space, spec, X)
-
-    def cross_gram(self, X):
-        return self.family.cross(self.space, self.spec, X, self.side)
-
-    def diag(self, X):
-        """k(x, x) for validated rows X: ``diag_values`` without validating again."""
-        return self.family.diag(self.space, self.spec, X)
-
-
-def cross_terms(space: SearchSpace, spec: KernelSpec, points) -> _CrossTerms:
-    """The cross-kernel of one validated spec against a fixed training set."""
-    return _CrossTerms(space, spec, space.validate_points(points))
 
 
 def pack_spec(space: SearchSpace, spec: KernelSpec) -> np.ndarray:

@@ -14,7 +14,7 @@ import csv
 import ctypes
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -100,12 +100,12 @@ class ExperimentConfig:
                 f"known: {benchmarks.list_benchmarks()}"
             )
         for section, options, known in (
-            ("kernel", self.kernel_options, _kernel_keys(self.kernel_family)),
-            ("trust_region", self.tr_options, _field_names(bo.TrustRegionConfig)),
-            ("ga", self.ga_options, _field_names(bo.GaConfig)),
-            ("optimizer", self.optimizer_options, _field_names(gp.OptimizerConfig)),
+            ("kernel", self.kernel_options, dict.fromkeys(_kernel_keys(self.kernel_family))),
+            ("trust_region", self.tr_options, _field_types(bo.TrustRegionConfig)),
+            ("ga", self.ga_options, _field_types(bo.GaConfig)),
+            ("optimizer", self.optimizer_options, _field_types(gp.OptimizerConfig)),
         ):
-            unknown = sorted(set(options) - known)
+            unknown = sorted(set(options) - set(known))
             if unknown:
                 raise ConfigError(
                     f"unknown key(s) {unknown} in [{section}]; known: {sorted(known)}"
@@ -114,14 +114,18 @@ class ExperimentConfig:
             text = sorted(k for k, v in options.items() if isinstance(v, str))
             if text and section != "kernel":
                 raise ConfigError(f"non-numeric value for {text} in [{section}]")
+            fractional = [k for k in sorted(options) if known[k] in (int, "int")
+                          and type(options[k]) is not int]  # neither 2.5 nor true
+            if fractional:
+                raise ConfigError(f"non-integer value for {fractional} in [{section}]")
 
     def run_id(self, seed: int) -> str:
         reloc = "-reloc" if self.relocate else ""
         return f"{self.benchmark}{reloc}:{self.kernel_family}:seed{seed}"
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in fields(cls)}
+def _field_types(cls) -> dict:
+    return {f.name: f.type for f in fields(cls)}
 
 
 _BROADCASTS = {"beta": "betas", "lengthscale": "lengthscales", "rho": "rhos"}
@@ -297,12 +301,34 @@ def summarize(traces: dict) -> list[dict]:
     return rows
 
 
+def _outcome(config: ExperimentConfig, seed: int):
+    """The seed's trace, or the exception its run raised."""
+    try:
+        return _run_single_seed(config, seed)
+    except Exception as exc:
+        return exc
+
+
+def _seed_outcomes(config: ExperimentConfig):
+    """(seed, its trace or the exception its run raised), as each seed finishes."""
+    if config.parallel == 1:
+        yield from ((seed, _outcome(config, seed)) for seed in config.seeds)
+        return
+    with ProcessPoolExecutor(max_workers=config.parallel) as pool:
+        futures = {pool.submit(_run_single_seed, config, seed): seed for seed in config.seeds}
+        yield from ((futures[f], f.exception() or f.result()) for f in as_completed(futures))
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Execute all seeds, write one trace CSV per seed plus one summary CSV."""
+    """Execute all seeds, write one trace CSV per seed as it finishes, then
+    one summary CSV; if a seed fails, a ``RuntimeError`` names the failed
+    seeds instead of the summary."""
     config.validate()
-    try:  # the initial kernel spec and run settings, checked before any output
-        _build_run_components(config, _build_objective(config).space)
-    except InvalidInputError as exc:
+    try:  # the objective, kernel spec and run state, checked before any output
+        objective = _build_objective(config)
+        spec, *run_configs = _build_run_components(config, objective.space)
+        bo.new_run(objective.space, spec, config.seeds[0], *run_configs)
+    except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(str(exc)) from None
     out_dir = Path(config.output_dir)
     try:
@@ -313,24 +339,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
     except OSError as exc:
         raise ConfigError(f"output path not writable: {exc}")
 
-    traces: dict = {}
-    if config.parallel > 1:
-        with ProcessPoolExecutor(max_workers=config.parallel) as pool:
-            futures = {
-                seed: pool.submit(_run_single_seed, config, seed)
-                for seed in config.seeds
-            }
-            for seed, future in futures.items():
-                traces[seed] = future.result()
-    else:
-        for seed in config.seeds:
-            traces[seed] = _run_single_seed(config, seed)
-
-    trace_paths = {}
-    for seed, trace in traces.items():
-        path = out_dir / f"trace_{config.benchmark}_seed{seed}.csv"
-        _write_csv(path, TRACE_COLUMNS, _trace_rows(config, seed, trace))
-        trace_paths[seed] = path
+    traces, trace_paths, failed = {}, {}, {}
+    for seed, outcome in _seed_outcomes(config):
+        if isinstance(outcome, BaseException):
+            failed[seed] = f"seed {seed}: {outcome}"
+            continue
+        trace_paths[seed] = out_dir / f"trace_{config.benchmark}_seed{seed}.csv"
+        _write_csv(trace_paths[seed], TRACE_COLUMNS, _trace_rows(config, seed, outcome))
+        traces[seed] = outcome
+    if failed:
+        reasons = "; ".join(failed[s] for s in sorted(failed))
+        raise RuntimeError(f"seed(s) {sorted(failed)} failed, no summary written ({reasons})")
+    # seed order, so the summary sums in one order whatever finished first
+    traces = {seed: traces[seed] for seed in config.seeds}
+    trace_paths = {seed: trace_paths[seed] for seed in config.seeds}
     summary_path = out_dir / f"summary_{config.benchmark}.csv"
     _write_csv(summary_path, SUMMARY_COLUMNS, summarize(traces))
     return {"traces": trace_paths, "summary": summary_path, "records": traces}

@@ -4,7 +4,7 @@ from math import log, pi
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotri
@@ -392,6 +392,138 @@ class TestFit:
         assert np.isfinite(gp.mll(state))
 
 
+def reference_fit(space, train, spec, config, warm_start=None, warm_noise=None):
+    """The route before one terms object: one ``fit_terms`` per start, each
+    start unpacked through its own spec, then ``make_state``."""
+    y = train.standardized()
+    starts = [(spec, config.initial_noise)]
+    if warm_start is not None:
+        starts.append((warm_start, warm_noise if warm_noise else config.initial_noise))
+    best = None
+    for start_spec, start_noise in starts:
+        terms = kernels.fit_terms(space, start_spec, train.points)
+
+        def objective(theta, need_grad=True, terms=terms, start_spec=start_spec):
+            cur = kernels.unpack_spec(space, start_spec, theta[:-1])
+            if need_grad:
+                return gp._mll_and_grad(terms, cur, theta[-1], y, config.jitter_ladder)
+            return gp._mll_parts(terms, cur, theta[-1], y, config.jitter_ladder)[0], None
+
+        theta0 = np.concatenate([kernels.pack_spec(space, start_spec), [log(start_noise)]])
+        theta, value = gp._adam_ascent(objective, theta0, config)
+        if best is None or value > best[2]:
+            best = (start_spec, theta, value)
+    start_spec, theta, _ = best
+    fitted = kernels.unpack_spec(space, start_spec, theta[:-1])
+    return gp.make_state(space, train, fitted, float(np.exp(theta[-1])), config.jitter_ladder)
+
+
+def assert_same_spec(a, b):
+    """Same family, flag and parameters, numbers compared bit for bit."""
+    assert (a.family, a.ard, list(a.params)) == (b.family, b.ard, list(b.params))
+    for key, value in a.params.items():
+        if isinstance(value, kernels.KernelSpec):
+            assert_same_spec(value, b.params[key])
+        elif np.asarray(value).dtype.kind in "biuf":
+            np.testing.assert_array_equal(bits(value), bits(b.params[key]))
+        else:
+            assert value == b.params[key]
+
+
+class TestOneTermsObject:
+    """``fit`` encodes the training set once; both starts and the returned
+    state share that encoding and give the bits of the per-start route."""
+
+    @given(exact_problems(kernels.FAMILY_NAMES), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_fit_bitwise_equal_to_per_start_route(self, problem, warm):
+        sp, spec, train, log_noise, rng = problem
+        config = gp.OptimizerConfig(steps=3)
+        base = kernels.default_spec(sp, spec.family, ard=spec.ard)
+        kwargs = {}
+        if warm:  # a previous fit of the same template, as suggest passes it
+            theta = kernels.pack_spec(sp, spec)
+            theta = theta + rng.normal(scale=0.3, size=theta.size)
+            warm_spec = kernels.unpack_spec(sp, spec, theta)
+            kwargs = dict(warm_start=warm_spec, warm_noise=float(np.exp(log_noise)))
+        try:
+            expected = reference_fit(sp, train, base, config, **kwargs)
+        except gp.NumericFailure:
+            with pytest.raises(gp.NumericFailure):
+                gp.fit(sp, train, base, config, **kwargs)
+            return
+        got = gp.fit(sp, train, base, config, **kwargs)
+        assert_same_spec(got.spec, expected.spec)
+        assert bits(got.noise_variance) == bits(expected.noise_variance)
+        assert bits(got.mll_value) == bits(expected.mll_value)
+        np.testing.assert_array_equal(bits(got.chol_lower), bits(expected.chol_lower))
+        np.testing.assert_array_equal(bits(got.weights), bits(expected.weights))
+
+    def test_one_encoding_per_fit_and_none_per_prediction(self, monkeypatch):
+        sp = SearchSpace((3, 4, 2))
+        train = make_train(sp, np.random.default_rng(18), m=8)
+        spec = kernels.default_spec(sp, "heat")
+        config = gp.OptimizerConfig(steps=3)
+        calls = []
+        build = kernels.fit_terms
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(kernels, "fit_terms", counting)
+        cold = gp.fit(sp, train, spec, config)
+        state = gp.fit(
+            sp, train, spec, config, warm_start=cold.spec, warm_noise=cold.noise_variance
+        )
+        assert len(calls) == 2
+        gp.predict_batch(state, train.points)
+        gp.predict(state, train.points[0])
+        state.prior_variance()
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("mismatch", ["family", "ard", "length"])
+    def test_mismatched_warm_start_rejected(self, mismatch):
+        sp = SearchSpace((3, 4, 2))
+        train = make_train(sp, np.random.default_rng(19), m=8)
+        spec = kernels.default_spec(sp, "heat")
+        warm = {
+            "family": kernels.default_spec(sp, "casmopolitan"),
+            "ard": kernels.default_spec(sp, "heat", ard=False),
+            "length": spec.replace_params(betas=np.full(2, 0.5)),
+        }[mismatch]
+        with pytest.raises(InvalidInputError):
+            gp.fit(sp, train, spec, gp.OptimizerConfig(steps=1), warm_start=warm)
+
+
+class TestTrainingResidual:
+    """At the training points the posterior mean leaves a standardized
+    residual y - mean = noise (K + noise I)^-1 y, of 2-norm at most
+    noise / (noise + max(lambda_min(K), 0)) ||y||."""
+
+    @pytest.mark.parametrize("family", kernels.FAMILY_NAMES)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_residual_shrinks_by_noise_share(self, family, data):
+        sp, spec, train, log_noise, _ = data.draw(exact_problems((family,)))
+        noise = float(np.exp(log_noise))
+        K = kernels.gram(sp, spec, train.points)
+        _, jitter = gp._chol_with_jitter(K, gp.JITTER_LADDER, noise)
+        assume(jitter == 0.0)  # a jitter would add to the noise in the bound
+        state = gp.make_state(sp, train, spec, noise)
+        y = train.standardized()
+        residual = y - state.terms.cross_gram(spec, train.points) @ state.weights
+        lam_min = max(float(np.linalg.eigvalsh(K)[0]), 0.0)
+        # rounding: a Cholesky solve's backward error, at most m eps ||K + noise I||
+        # relative, times ||weights||, plus the final subtraction
+        eps = np.finfo(float).eps
+        m = train.count
+        tol = 4 * m * eps * (np.linalg.norm(K, 2) + noise) * np.linalg.norm(state.weights)
+        tol += 4 * eps * np.linalg.norm(y)
+        bound = noise / (noise + lam_min) * np.linalg.norm(y)
+        assert np.linalg.norm(residual) <= bound + tol
+
+
 class TestPredict:
     def test_interpolates_training_points_with_tiny_noise(self):
         sp = SearchSpace((4, 4, 4))
@@ -472,8 +604,9 @@ class TestPredict:
 
 
 class TestPredictionCache:
-    """``make_state`` builds the training side of the cross-kernel once; each
-    ``predict_batch`` call must still see ``kernels.cross_gram`` bit for bit."""
+    """The state keeps the training set's terms, whose cross-kernel encodes
+    only the query rows; each ``predict_batch`` call must still see
+    ``kernels.cross_gram`` bit for bit."""
 
     @given(exact_problems(kernels.FAMILY_NAMES), st.integers(1, 12))
     @settings(max_examples=150, deadline=None)
@@ -482,7 +615,7 @@ class TestPredictionCache:
         state = gp.make_state(sp, train, spec, float(np.exp(log_noise)))
         queries = sp.sample_points(count, rng)
         k_star = kernels.cross_gram(sp, spec, queries, train.points)
-        np.testing.assert_array_equal(state.cross.cross_gram(queries), k_star)
+        np.testing.assert_array_equal(state.terms.cross_gram(spec, queries), k_star)
         # predict_batch's arithmetic, taken through cross_gram
         v = solve_triangular(state.chol_lower, k_star.T, lower=True)
         prior = kernels.diag_values(sp, spec, queries)

@@ -31,6 +31,17 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+_run_single_seed = runner._run_single_seed
+
+
+def _fail_seed_one(config, seed):
+    """``runner._run_single_seed`` with seed 1 failing; module level, so that
+    a process pool can pickle it."""
+    if seed == 1:
+        raise RuntimeError("seed 1 broke")
+    return _run_single_seed(config, seed)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -232,7 +243,8 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "kernel_lines", ["beta = nan", "beta = -1", "sigma2 = inf", "sigma2 = nan"]
+        "kernel_lines",
+        ["beta = nan", "beta = -1", "sigma2 = inf", "sigma2 = nan", "sigma2 = abc"],
     )
     def test_invalid_kernel_value_exits_one_before_writing(
         self, tmp_path, capsys, kernel_lines
@@ -242,6 +254,39 @@ class TestCli:
         assert runner.main(["run", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("n = 10", "n = abc"),
+            ("n = 10", "n = 10\nbogus = 3"),
+            ("population_size = 12", "population_size = 2.5"),
+            ("generations = 4", "generations = true"),
+            ("[optimizer]", "[trust_region]\nl_init = 0\n\n[optimizer]"),
+        ],
+    )
+    def test_invalid_option_value_exits_one_before_writing(
+        self, tmp_path, capsys, old, new
+    ):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new))
+        assert runner.main(["run", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_failed_seed_keeps_finished_traces(self, tmp_path, capsys, monkeypatch, parallel):
+        monkeypatch.setattr(runner, "_run_single_seed", _fail_seed_one)
+        path = write_config(tmp_path, seeds="0,1,2", parallel=parallel)
+        assert runner.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "seed(s) [1] failed" in err and "seed 1 broke" in err
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "trace_labs_seed0.csv", "trace_labs_seed2.csv"
+        ]
+        for seed in (0, 2):
+            assert len(read_csv(out / f"trace_labs_seed{seed}.csv")) == 6
 
     def test_run_command(self, tmp_path, capsys):
         path = write_config(tmp_path, seeds="0")
