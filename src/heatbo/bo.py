@@ -255,14 +255,16 @@ def ga_optimize(
     best_unobserved = None  # (value, point)
 
     def digest(pop, values):
-        """Keep the first acquisition-best unobserved row; a later one must beat it."""
+        """Keep the first acquisition-best unobserved row; a later one must beat
+        it.  Only rows that beat the kept one are looked up, best first."""
         nonlocal best_unobserved
-        fresh = np.array([p not in exclude for p in map(tuple, pop.tolist())])
-        if not fresh.any():
-            return
-        j = int(np.flatnonzero(fresh)[np.argmax(values[fresh])])
-        if best_unobserved is None or values[j] > best_unobserved[0]:
-            best_unobserved = (values[j], pop[j].copy())
+        rows = np.arange(len(values))
+        if best_unobserved is not None:
+            rows = rows[values > best_unobserved[0]]
+        for j in rows[np.argsort(-values[rows], kind="stable")].tolist():
+            if tuple(pop[j].tolist()) not in exclude:
+                best_unobserved = (values[j], pop[j].copy())
+                return
 
     values = np.asarray(acq(population), dtype=float)
     digest(population, values)

@@ -11,8 +11,11 @@ Every family takes one route.  ``fit`` encodes the training set once
 and the returned state share those terms, and K comes from ``terms.gram``,
 bit for bit ``kernels.gram``.  Each gradient step factors K + noise I once,
 takes K^-1 from the Cholesky factor (LAPACK potri), forms W = alpha
-alpha^T - K^-1 and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>; the noise
-term is 1/2 tr(W) noise.
+alpha^T - K^-1 and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>, a list of
+floats, to which it appends the noise term 1/2 tr(W) noise.  Adam keeps its
+moments and iterates as Python floats, with the operations of the
+elementwise numpy form in the same order; the numpy-array Adam, frozen in
+``tests/test_gp.py``, pins the fitted bits.
 
 The linear algebra calls LAPACK directly through this module's own
 ``cholesky``, ``cho_solve`` and ``solve_triangular``, without scipy.linalg's
@@ -29,7 +32,7 @@ its k(X, X_train) is bit for bit ``kernels.cross_gram``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, pi
+from math import isfinite, log, pi, sqrt
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
@@ -102,6 +105,11 @@ class OptimizerConfig:
     jitter_ladder: tuple = JITTER_LADDER
     initial_noise: float = 1e-3
 
+    def __post_init__(self):
+        # Adam divides by 1 - beta**t and by sqrt(m2) + epsilon
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.epsilon > 0):
+            raise InvalidInputError("Adam needs 0 <= beta1, beta2 < 1 and epsilon > 0")
+
 
 @dataclass(frozen=True)
 class GpState:
@@ -160,7 +168,7 @@ def _chol_with_jitter(K: np.ndarray, ladder, noise: float = 0.0) -> tuple[np.nda
     place; adding 0.0 off the diagonal keeps the bits of adding a scaled
     identity.  Level 0 needs no mean.
     """
-    if not (np.isfinite(K).all() and np.isfinite(noise)):
+    if not (np.isfinite(K).all() and isfinite(noise)):
         raise NumericFailure("covariance has non-finite entries")
     mean_diag = None
     for level in ladder:
@@ -188,14 +196,14 @@ def _mll_parts(terms, spec, log_noise, y, ladder):
     alpha = cho_solve(L, y)
     value = (
         -0.5 * float(y @ alpha)
-        - float(np.sum(np.log(np.diag(L))))
+        - float(np.log(L.diagonal()).sum())
         - 0.5 * m * log(2.0 * pi)
     )
     return value, K, L, alpha, noise
 
 
 def _mll_and_grad(terms, spec, log_noise, y, ladder):
-    """Marginal log-likelihood and its gradient in the unconstrained space."""
+    """Marginal log-likelihood and its gradient (a list) in the unconstrained space."""
     value, K, L, alpha, noise = _mll_parts(terms, spec, log_noise, y, ladder)
     # potri overwrites L with the lower triangle of K^-1 and keeps its zero
     # upper triangle: adding the transpose mirrors it, doubling the diagonal
@@ -204,29 +212,38 @@ def _mll_and_grad(terms, spec, log_noise, y, ladder):
     _diagonal(S)[:] = _diagonal(K_inv)
     W = np.outer(alpha, alpha)
     W -= S
-    noise_grad = 0.5 * float(np.trace(W)) * noise  # dK/d log noise = noise * I
-    return value, np.append(terms.grad(spec, K, W), noise_grad)
+    grad = terms.grad(spec, K, W)
+    grad.append(0.5 * float(W.trace()) * noise)  # dK/d log noise = noise * I
+    return value, grad
 
 
-def _adam_ascent(objective, theta0: np.ndarray, config: OptimizerConfig):
-    """First-order adaptive ascent; returns the best iterate seen."""
-    theta = theta0.copy()
-    m1 = np.zeros_like(theta)
-    m2 = np.zeros_like(theta)
-    best_value, _ = objective(theta, need_grad=False)
-    best_theta = theta.copy()
+def _adam_ascent(terms, spec, y, theta: list, config: OptimizerConfig):
+    """Adam on the MLL from ``theta``, the packed spec and log noise as floats;
+    returns the best iterate seen and its value.  Each update is the numpy
+    form's elementwise IEEE operations, in order: ``g * g`` as numpy squares,
+    not ``g ** 2`` (libm pow)."""
+    space, ladder = terms.space, config.jitter_ladder
+    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
+
+    def value_at(theta):  # the start and the last iterate need no gradient
+        x = np.array(theta)
+        return _mll_parts(terms, kernels.unpack_spec(space, spec, x[:-1]), x[-1], y, ladder)[0]
+
+    best_theta, best_value = theta, value_at(theta)
+    m1 = m2 = [0.0] * len(theta)
     for t in range(1, config.steps + 1):
-        value, grad = objective(theta, need_grad=True)
+        x = np.array(theta)
+        cur = kernels.unpack_spec(space, spec, x[:-1])
+        value, grad = _mll_and_grad(terms, cur, x[-1], y, ladder)
         if value > best_value:
-            best_value, best_theta = value, theta.copy()
-        m1 = config.beta1 * m1 + (1 - config.beta1) * grad
-        m2 = config.beta2 * m2 + (1 - config.beta2) * grad**2
-        m1_hat = m1 / (1 - config.beta1**t)
-        m2_hat = m2 / (1 - config.beta2**t)
-        theta = theta + config.learning_rate * m1_hat / (np.sqrt(m2_hat) + config.epsilon)
-    value, _ = objective(theta, need_grad=False)
+            best_value, best_theta = value, theta
+        m1 = [b1 * a + (1 - b1) * g for a, g in zip(m1, grad)]
+        m2 = [b2 * a + (1 - b2) * (g * g) for a, g in zip(m2, grad)]
+        c1, c2 = 1 - b1**t, 1 - b2**t
+        theta = [p + lr * (a / c1) / (sqrt(b / c2) + eps) for p, a, b in zip(theta, m1, m2)]
+    value = value_at(theta)
     if value > best_value:
-        best_value, best_theta = value, theta.copy()
+        best_value, best_theta = value, theta
     return best_theta, best_value
 
 
@@ -281,16 +298,8 @@ def fit(
         starts.append((warm, warm_noise if warm_noise else config.initial_noise))
     y = train.standardized()
     terms = kernels.fit_terms(space, spec, train.points)
-
-    def objective(theta, need_grad=True):
-        cur = kernels.unpack_spec(space, spec, theta[:-1])
-        if need_grad:
-            return _mll_and_grad(terms, cur, theta[-1], y, config.jitter_ladder)
-        value, *_ = _mll_parts(terms, cur, theta[-1], y, config.jitter_ladder)
-        return value, None
-
     results = [
-        _adam_ascent(objective, np.concatenate([packed, [log(noise)]]), config)
+        _adam_ascent(terms, spec, y, [*packed.tolist(), log(noise)], config)
         for packed, noise in starts
     ]
     theta_opt, _ = max(results, key=lambda result: result[1])  # the first on a tie

@@ -593,9 +593,9 @@ class _LogAffineFamily(_Family):
 
     def unpack(self, space, spec, theta):
         k = theta.size - 1
-        return spec.replace_params(
-            **{self.param: np.exp(theta[:k])}, sigma2=float(np.exp(theta[-1]))
-        )
+        params = {**spec.params, self.param: np.exp(theta[:k])}
+        params["sigma2"] = float(np.exp(theta[-1]))
+        return KernelSpec(spec.family, params, spec.ard)
 
     def encode(self, space, spec, X1, X2):
         groups = np.arange(space.n) if spec.ard else self.tied_groups(space)
@@ -637,7 +637,8 @@ class _LogAffineFamily(_Family):
             enc.counts = D.reshape(len(D), -1)
         A = W * K  # dK/dtheta_g = dw_g * K o D_g: one product with the counts
         per_group = 0.5 * dw * (enc.counts @ A.ravel())
-        return np.append(per_group if enc.ard else per_group.sum(), 0.5 * A.sum())
+        kernel_part = per_group.tolist() if enc.ard else [float(per_group.sum())]
+        return kernel_part + [float(0.5 * A.sum())]
 
 
 class _HeatFamily(_LogAffineFamily):
@@ -657,8 +658,9 @@ class _HeatFamily(_LogAffineFamily):
         One scalar exp(-beta_i g_i) per dimension serves both: rho_i as in
         ``heat_rho`` and d rho_i / d beta_i = g_i^2 e / (1 + (g_i - 1) e)^2.
         """
-        rhos, dw = [], []
-        for b, i in zip(_spread(space, spec.params["betas"])[dims].tolist(), dims.tolist()):
+        rhos, dw, betas = [], [], np.asarray(spec.params["betas"]).ravel().tolist()
+        for i in dims.tolist():
+            b = betas[i] if spec.ard else betas[0]
             if b < 0:
                 raise InvalidInputError(f"beta must be >= 0, got {b}")
             g = space.cardinalities[i]
@@ -694,7 +696,8 @@ class _CasmoFamily(_LogAffineFamily):
 
     def log_weights(self, space, spec, dims):
         """-l_i / n, which is also its derivative in log l_i, for ``dims``."""
-        w = -_spread(space, spec.params["lengthscales"])[dims] / space.n
+        # dims: every dimension with ARD, else [0] for the one value
+        w = -np.asarray(spec.params["lengthscales"]).ravel()[dims] / space.n
         return w, w
 
     def tied_groups(self, space):
@@ -743,7 +746,7 @@ class _RhoFamily(_Family):
             leave_one_out = np.where(mask, prefix * after, 0.0)
             out.append(0.5 * c * spec.sigma2 * float(np.sum(W * leave_one_out)))
             prefix = prefix * f
-        return np.array(out + [0.5 * float(np.sum(W * K))])
+        return np.array(out + [0.5 * float(np.sum(W * K))]).tolist()
 
     def pack(self, space, spec):
         rhos = np.asarray(spec.params["rhos"], dtype=float)
@@ -789,10 +792,9 @@ class _ProfileFamily(_Family):
 
     def grad(self, spec, h, K, W):
         dprofile = _profile_grads(self.profile_name, spec.params, h)
-        return np.array(
-            [0.5 * spec.sigma2 * float(np.sum(W * G)) for G in dprofile]
-            + [0.5 * float(np.sum(W * K))]
-        )
+        return [0.5 * spec.sigma2 * float(np.sum(W * G)) for G in dprofile] + [
+            0.5 * float(np.sum(W * K))
+        ]
 
     def pack(self, space, spec):
         logs = [np.log(float(spec.params[key])) for key in self.shape_params]
@@ -1128,7 +1130,7 @@ class _FitTerms:
                 for k, c in _FD_STENCIL
             )
             out.append(0.5 * float(np.sum(W * dK)) / h)
-        return np.array(out)
+        return np.array(out).tolist()
 
 
 def fit_terms(space: SearchSpace, spec: KernelSpec, points) -> _FitTerms:

@@ -111,11 +111,14 @@ class ExperimentConfig:
                     f"unknown key(s) {unknown} in [{section}]; known: {sorted(known)}"
                 )
             # the dataclass sections take numbers only; [kernel] may name a mode
-            text = sorted(k for k, v in options.items() if isinstance(v, str))
+            text = sorted(k for k, v in options.items() if isinstance(v, (str, bool)))
             if text and section != "kernel":
                 raise ConfigError(f"non-numeric value for {text} in [{section}]")
+            tuples = sorted(k for k in options if known[k] in (tuple, "tuple"))
+            if tuples:  # the jitter ladder: a config value is one number, not a tuple
+                raise ConfigError(f"{tuples} in [{section}] cannot be set in a config file")
             fractional = [k for k in sorted(options) if known[k] in (int, "int")
-                          and type(options[k]) is not int]  # neither 2.5 nor true
+                          and type(options[k]) is not int]  # not 2.5
             if fractional:
                 raise ConfigError(f"non-integer value for {fractional} in [{section}]")
 

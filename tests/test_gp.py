@@ -392,9 +392,43 @@ class TestFit:
         assert np.isfinite(gp.mll(state))
 
 
+def reference_adam(objective, theta0, config):
+    """The numpy-array Adam that the float one replaced, frozen here."""
+    theta = theta0.copy()
+    m1 = np.zeros_like(theta)
+    m2 = np.zeros_like(theta)
+    best_value, _ = objective(theta, need_grad=False)
+    best_theta = theta.copy()
+    for t in range(1, config.steps + 1):
+        value, grad = objective(theta, need_grad=True)
+        if value > best_value:
+            best_value, best_theta = value, theta.copy()
+        m1 = config.beta1 * m1 + (1 - config.beta1) * grad
+        m2 = config.beta2 * m2 + (1 - config.beta2) * grad**2
+        m1_hat = m1 / (1 - config.beta1**t)
+        m2_hat = m2 / (1 - config.beta2**t)
+        theta = theta + config.learning_rate * m1_hat / (np.sqrt(m2_hat) + config.epsilon)
+    value, _ = objective(theta, need_grad=False)
+    if value > best_value:
+        best_value, best_theta = value, theta.copy()
+    return best_theta, best_value
+
+
+def reference_unpack(space, spec, theta):
+    """``kernels.unpack_spec``, the log-affine families through ``replace_params``."""
+    family = kernels._FAMILIES[spec.family]
+    if not isinstance(family, kernels._LogAffineFamily):
+        return kernels.unpack_spec(space, spec, theta)
+    k = theta.size - 1
+    return spec.replace_params(
+        **{family.param: np.exp(theta[:k])}, sigma2=float(np.exp(theta[-1]))
+    )
+
+
 def reference_fit(space, train, spec, config, warm_start=None, warm_noise=None):
-    """The route before one terms object: one ``fit_terms`` per start, each
-    start unpacked through its own spec, then ``make_state``."""
+    """The route before one terms object and the float Adam: one ``fit_terms``
+    per start, each start unpacked through its own spec, the frozen numpy
+    Adam on ``reference_step``, then ``make_state``."""
     y = train.standardized()
     starts = [(spec, config.initial_noise)]
     if warm_start is not None:
@@ -404,17 +438,16 @@ def reference_fit(space, train, spec, config, warm_start=None, warm_noise=None):
         terms = kernels.fit_terms(space, start_spec, train.points)
 
         def objective(theta, need_grad=True, terms=terms, start_spec=start_spec):
-            cur = kernels.unpack_spec(space, start_spec, theta[:-1])
-            if need_grad:
-                return gp._mll_and_grad(terms, cur, theta[-1], y, config.jitter_ladder)
-            return gp._mll_parts(terms, cur, theta[-1], y, config.jitter_ladder)[0], None
+            cur = reference_unpack(space, start_spec, theta[:-1])
+            value, grad, *_ = reference_step(terms, cur, theta[-1], y, config.jitter_ladder)
+            return value, grad if need_grad else None
 
         theta0 = np.concatenate([kernels.pack_spec(space, start_spec), [log(start_noise)]])
-        theta, value = gp._adam_ascent(objective, theta0, config)
+        theta, value = reference_adam(objective, theta0, config)
         if best is None or value > best[2]:
             best = (start_spec, theta, value)
     start_spec, theta, _ = best
-    fitted = kernels.unpack_spec(space, start_spec, theta[:-1])
+    fitted = reference_unpack(space, start_spec, theta[:-1])
     return gp.make_state(space, train, fitted, float(np.exp(theta[-1])), config.jitter_ladder)
 
 
@@ -428,6 +461,14 @@ def assert_same_spec(a, b):
             np.testing.assert_array_equal(bits(value), bits(b.params[key]))
         else:
             assert value == b.params[key]
+
+
+def assert_same_state(got, expected):
+    assert_same_spec(got.spec, expected.spec)
+    assert bits(got.noise_variance) == bits(expected.noise_variance)
+    assert bits(got.mll_value) == bits(expected.mll_value)
+    np.testing.assert_array_equal(bits(got.chol_lower), bits(expected.chol_lower))
+    np.testing.assert_array_equal(bits(got.weights), bits(expected.weights))
 
 
 class TestOneTermsObject:
@@ -452,12 +493,24 @@ class TestOneTermsObject:
             with pytest.raises(gp.NumericFailure):
                 gp.fit(sp, train, base, config, **kwargs)
             return
-        got = gp.fit(sp, train, base, config, **kwargs)
-        assert_same_spec(got.spec, expected.spec)
-        assert bits(got.noise_variance) == bits(expected.noise_variance)
-        assert bits(got.mll_value) == bits(expected.mll_value)
-        np.testing.assert_array_equal(bits(got.chol_lower), bits(expected.chol_lower))
-        np.testing.assert_array_equal(bits(got.weights), bits(expected.weights))
+        assert_same_state(gp.fit(sp, train, base, config, **kwargs), expected)
+
+    @pytest.mark.parametrize(
+        "family, ard", [("heat", True), ("heat", False), ("casmopolitan", True), ("rho", True)]
+    )
+    def test_default_fit_bitwise_equal_to_frozen_reference(self, family, ard):
+        # 100 steps from each start: float moments and list gradients, over
+        # many updates, against the numpy-array Adam; rho's gradient is an
+        # array made a list
+        sp = SearchSpace((2, 3, 4, 2, 5, 3))
+        train = make_train(sp, np.random.default_rng(23), m=20)
+        base = kernels.default_spec(sp, family, ard=ard)
+        config = gp.OptimizerConfig()
+        head = gp.TrainingSet.from_observations(sp, train.points[:12], train.raw_targets[:12])
+        previous = gp.fit(sp, head, base, config)
+        for kwargs in ({}, dict(warm_start=previous.spec, warm_noise=previous.noise_variance)):
+            expected = reference_fit(sp, train, base, config, **kwargs)
+            assert_same_state(gp.fit(sp, train, base, config, **kwargs), expected)
 
     def test_one_encoding_per_fit_and_none_per_prediction(self, monkeypatch):
         sp = SearchSpace((3, 4, 2))

@@ -263,6 +263,9 @@ class TestCli:
             ("population_size = 12", "population_size = 2.5"),
             ("generations = 4", "generations = true"),
             ("[optimizer]", "[trust_region]\nl_init = 0\n\n[optimizer]"),
+            ("steps = 10", "steps = 10\nlearning_rate = true"),
+            ("steps = 10", "steps = 10\njitter_ladder = 1e-6"),
+            ("steps = 10", "steps = 10\nepsilon = 0"),
         ],
     )
     def test_invalid_option_value_exits_one_before_writing(
