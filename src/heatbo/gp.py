@@ -32,7 +32,7 @@ its k(X, X_train) is bit for bit ``kernels.cross_gram``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log, pi, sqrt
+from math import inf, isfinite, log, pi, sqrt
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
@@ -224,12 +224,7 @@ def _adam_ascent(terms, spec, y, theta: list, config: OptimizerConfig):
     not ``g ** 2`` (libm pow)."""
     space, ladder = terms.space, config.jitter_ladder
     b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
-
-    def value_at(theta):  # the start and the last iterate need no gradient
-        x = np.array(theta)
-        return _mll_parts(terms, kernels.unpack_spec(space, spec, x[:-1]), x[-1], y, ladder)[0]
-
-    best_theta, best_value = theta, value_at(theta)
+    best_theta, best_value = theta, -inf  # step 1 evaluates the start
     m1 = m2 = [0.0] * len(theta)
     for t in range(1, config.steps + 1):
         x = np.array(theta)
@@ -241,7 +236,8 @@ def _adam_ascent(terms, spec, y, theta: list, config: OptimizerConfig):
         m2 = [b2 * a + (1 - b2) * (g * g) for a, g in zip(m2, grad)]
         c1, c2 = 1 - b1**t, 1 - b2**t
         theta = [p + lr * (a / c1) / (sqrt(b / c2) + eps) for p, a, b in zip(theta, m1, m2)]
-    value = value_at(theta)
+    x = np.array(theta)  # the last iterate needs no gradient
+    value = _mll_parts(terms, kernels.unpack_spec(space, spec, x[:-1]), x[-1], y, ladder)[0]
     if value > best_value:
         best_value, best_theta = value, theta
     return best_theta, best_value

@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class ExperimentConfig:
     kernel_options: dict = field(default_factory=dict)
     budget: int = 200
     init_count: int = 20
-    seeds: tuple = (0,)
+    seeds: tuple[int, ...] = (0,)
     output_dir: str = "results"
     measure_time: bool = True
     parallel: int = 1
@@ -99,36 +100,14 @@ class ExperimentConfig:
                 f"unknown benchmark {self.benchmark!r}; "
                 f"known: {benchmarks.list_benchmarks()}"
             )
-        for section, options, known in (
-            ("kernel", self.kernel_options, dict.fromkeys(_kernel_keys(self.kernel_family))),
-            ("trust_region", self.tr_options, _field_types(bo.TrustRegionConfig)),
-            ("ga", self.ga_options, _field_types(bo.GaConfig)),
-            ("optimizer", self.optimizer_options, _field_types(gp.OptimizerConfig)),
-        ):
-            unknown = sorted(set(options) - set(known))
-            if unknown:
-                raise ConfigError(
-                    f"unknown key(s) {unknown} in [{section}]; known: {sorted(known)}"
-                )
-            # the dataclass sections take numbers only; [kernel] may name a mode
-            text = sorted(k for k, v in options.items() if isinstance(v, (str, bool)))
-            if text and section != "kernel":
-                raise ConfigError(f"non-numeric value for {text} in [{section}]")
-            tuples = sorted(k for k in options if known[k] in (tuple, "tuple"))
-            if tuples:  # the jitter ladder: a config value is one number, not a tuple
-                raise ConfigError(f"{tuples} in [{section}] cannot be set in a config file")
-            fractional = [k for k in sorted(options) if known[k] in (int, "int")
-                          and type(options[k]) is not int]  # not 2.5
-            if fractional:
-                raise ConfigError(f"non-integer value for {fractional} in [{section}]")
+        known = _kernel_keys(self.kernel_family)
+        unknown = sorted(set(self.kernel_options) - known)
+        if unknown:
+            raise ConfigError(f"unknown key(s) {unknown} in [kernel]; known: {sorted(known)}")
 
     def run_id(self, seed: int) -> str:
         reloc = "-reloc" if self.relocate else ""
         return f"{self.benchmark}{reloc}:{self.kernel_family}:seed{seed}"
-
-
-def _field_types(cls) -> dict:
-    return {f.name: f.type for f in fields(cls)}
 
 
 _BROADCASTS = {"beta": "betas", "lengthscale": "lengthscales", "rho": "rhos"}
@@ -152,47 +131,76 @@ def _parse_option_value(raw: str):
     return text
 
 
+def _int_list(text: str) -> tuple:
+    """Comma-separated integers: ``seeds`` in a config file, ``--seeds``, ``--sizes``."""
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise ConfigError(f"not a comma-separated list of integers: {text!r}") from None
+
+
+# The getter for each field annotation.  A field of another type (the
+# ExperimentConfig dicts, the jitter ladder tuple) cannot be set in a file.
+_GETTERS = {
+    int: "getint", float: "getfloat", float | None: "getfloat", bool: "getboolean",
+    str: "get", tuple[int, ...]: "getints",
+}
+# section: (the dataclass whose annotations type its keys, or None where
+# _parse_option_value guesses them; the ExperimentConfig field it fills, or
+# None for ExperimentConfig's own fields; {field: its file key, None if unsettable})
+_SECTIONS = {
+    "experiment": (ExperimentConfig, None, {"kernel_family": "kernel", "kernel_ard": "ard"}),
+    "trust_region": (bo.TrustRegionConfig, "tr_options", {}),
+    "ga": (bo.GaConfig, "ga_options", {"seed": None}),  # bo.suggest reseeds the GA
+    "optimizer": (gp.OptimizerConfig, "optimizer_options", {}),
+    "kernel": (None, "kernel_options", {}),  # checked by default_spec
+    "benchmark_options": (None, "benchmark_options", {}),  # checked by make_benchmark
+}
+
+
+def _read(section, key: str, getter: str):
+    try:
+        if not section[key]:
+            raise ValueError("empty value")
+        return getattr(section, getter)(key)
+    except (ValueError, configparser.Error) as exc:
+        raise ConfigError(f"bad value for {key} in [{section.name}]: {exc}") from None
+
+
+def _section_values(section, cls, file_keys: dict) -> dict:
+    """``section``'s values by field name, each read by its annotation in ``cls``;
+    with ``cls`` None, by key, each guessed by ``_parse_option_value``."""
+    if cls is None:
+        return {k: _parse_option_value(_read(section, k, "get")) for k in section}
+    hints = get_type_hints(cls)
+    known = {file_keys.get(f, f): f for f, kind in hints.items() if kind in _GETTERS}
+    known.pop(None, None)
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"key(s) {unknown} cannot be set in [{section.name}]; settable: {sorted(known)}"
+        )
+    return {known[k]: _read(section, k, _GETTERS[hints[known[k]]]) for k in section}
+
+
 def load_config(path) -> ExperimentConfig:
-    """Read a key = value sectioned config file."""
-    parser = configparser.ConfigParser()
+    """Read a key = value sectioned config file; README lists its rules."""
+    parser = configparser.ConfigParser(converters={"ints": _int_list})
+    parser.read_dict(dict.fromkeys(_SECTIONS, {}))
     try:
         read = parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-
-    def section_dict(name):
-        if not parser.has_section(name):
-            return {}
-        return {k: _parse_option_value(v) for k, v in parser[name].items() if v.strip()}
-
-    try:
-        seeds = tuple(
-            int(s) for s in str(exp.get("seeds", "0")).split(",") if s.strip()
-        )
-        config = ExperimentConfig(
-            benchmark=str(exp.get("benchmark", "labs")),
-            benchmark_options=section_dict("benchmark_options"),
-            relocate=str(exp.get("relocate", "false")).lower() == "true",
-            relocation_seed=int(exp.get("relocation_seed", 0)),
-            noise_seed=int(exp.get("noise_seed", 0)),
-            kernel_family=str(exp.get("kernel", "heat")),
-            kernel_ard=str(exp.get("ard", "true")).lower() == "true",
-            kernel_options=section_dict("kernel"),
-            budget=int(exp.get("budget", 200)),
-            init_count=int(exp.get("init_count", 20)),
-            seeds=seeds,
-            output_dir=str(exp.get("output_dir", "results")),
-            measure_time=str(exp.get("measure_time", "true")).lower() == "true",
-            parallel=int(exp.get("parallel", 1)),
-            tr_options=section_dict("trust_region"),
-            ga_options=section_dict("ga"),
-            optimizer_options=section_dict("optimizer"),
-        )
-    except (ValueError, KeyError, configparser.Error) as exc:
-        raise ConfigError(f"bad config value: {exc}")
+    unknown = sorted(set(parser.sections()) - set(_SECTIONS))
+    if unknown:
+        raise ConfigError(f"unknown section(s) {unknown}; known: {list(_SECTIONS)}")
+    values = {
+        dest: _section_values(parser[name], cls, file_keys)
+        for name, (cls, dest, file_keys) in _SECTIONS.items()
+    }
+    config = ExperimentConfig(**values.pop(None), **values)
     config.validate()
     return config
 
@@ -578,6 +586,8 @@ def compare_speed(
     thread (see ``_single_threaded_blas``); ``blas_pinned`` is False when no
     limit could be applied and the timings used whatever threading BLAS has.
     """
+    if num_points < 1:
+        raise InvalidInputError("need at least one point")
     rng = np.random.default_rng(0)
     rows = []
     for g in category_sizes:
@@ -636,15 +646,18 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a configured experiment")
     run_p.add_argument("config", help="path to the experiment config file")
+    # each override's dest is the ExperimentConfig field it sets
     run_p.add_argument("--seeds", help="comma-separated seed list override")
     run_p.add_argument("--budget", type=int, help="iteration budget override")
-    run_p.add_argument("--init", type=int, help="initialization count override")
-    run_p.add_argument("--kernel", help="kernel family override")
-    run_p.add_argument("--relocate", action="store_true", help="relocate the optimum")
-    run_p.add_argument("--out", help="output directory override")
+    run_p.add_argument("--init", dest="init_count", type=int,
+                       help="initialization count override")
+    run_p.add_argument("--kernel", dest="kernel_family", help="kernel family override")
+    run_p.add_argument("--relocate", action="store_const", const=True,
+                       help="relocate the optimum")
+    run_p.add_argument("--out", dest="output_dir", help="output directory override")
     run_p.add_argument("--parallel", type=int, help="seed-level parallelism degree")
     run_p.add_argument(
-        "--no-timing", action="store_true",
+        "--no-timing", dest="measure_time", action="store_const", const=False,
         help="write zero timings for byte-identical reruns",
     )
 
@@ -662,37 +675,18 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if args.seeds:
-        updates["seeds"] = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    if args.budget is not None:
-        updates["budget"] = args.budget
-    if args.init is not None:
-        updates["init_count"] = args.init
-    if args.kernel:
-        updates["kernel_family"] = args.kernel
-    if args.relocate:
-        updates["relocate"] = True
-    if args.out:
-        updates["output_dir"] = args.out
-    if args.parallel is not None:
-        updates["parallel"] = args.parallel
-    if args.no_timing:
-        updates["measure_time"] = False
-    return replace(config, **updates) if updates else config
+    given = {f.name: getattr(args, f.name) for f in fields(config)
+             if getattr(args, f.name, None) is not None}
+    if "seeds" in given:
+        given["seeds"] = _int_list(given["seeds"])
+    return replace(config, **given)
 
 
 def main(argv=None) -> int:
     args = _build_arg_parser().parse_args(argv)
     if args.command == "run":
-        try:
-            config = _apply_overrides(load_config(args.config), args)
-            config.validate()
-        except (ConfigError, InvalidInputError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            result = run_experiment(config)
+        try:  # run_experiment validates before it writes anything
+            result = run_experiment(_apply_overrides(load_config(args.config), args))
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 1
@@ -706,9 +700,11 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return 0 if selftest() else 3
     if args.command == "speed":
-        sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
         try:
-            rows = compare_speed(sizes, args.points, args.dims)
+            rows = compare_speed(_int_list(args.sizes), args.points, args.dims)
+        except (ConfigError, InvalidInputError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
         except RuntimeError as exc:
             print(f"runtime failure: {exc}", file=sys.stderr)
             return 2

@@ -535,6 +535,25 @@ class TestOneTermsObject:
         state.prior_variance()
         assert len(calls) == 2
 
+    def test_one_factorization_per_iterate(self, monkeypatch):
+        # each start factors K once per Adam step (value and gradient) and
+        # once at its last iterate; the returned state factors once more
+        sp = SearchSpace((3, 4, 2))
+        train = make_train(sp, np.random.default_rng(20), m=8)
+        spec = kernels.default_spec(sp, "heat")
+        config = gp.OptimizerConfig(steps=5)
+        cold = gp.fit(sp, train, spec, config)
+        calls = []
+        factor = gp._chol_with_jitter
+
+        def counting(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(gp, "_chol_with_jitter", counting)
+        gp.fit(sp, train, spec, config, warm_start=cold.spec, warm_noise=cold.noise_variance)
+        assert len(calls) == 2 * (config.steps + 1) + 1
+
     @pytest.mark.parametrize("mismatch", ["family", "ard", "length"])
     def test_mismatched_warm_start_rejected(self, mismatch):
         sp = SearchSpace((3, 4, 2))

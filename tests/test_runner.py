@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,38 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+SHIPPED_LABS20 = runner.ExperimentConfig(
+    benchmark="labs", benchmark_options={"n": 20}, relocate=False, relocation_seed=0,
+    noise_seed=0, kernel_family="heat", kernel_ard=True, kernel_options={}, budget=10,
+    init_count=20, seeds=(0, 1), output_dir="results/labs20", measure_time=True,
+    parallel=1, tr_options={"success_tolerance": 3, "failure_tolerance": 10},
+    ga_options={"population_size": 50, "generations": 20, "tournament_size": 3,
+                "crossover_prob": 0.9, "elite_count": 2},
+    optimizer_options={"steps": 100, "learning_rate": 0.03, "initial_noise": 1e-3},
+)
+
+
 class TestConfig:
+    @pytest.mark.parametrize(
+        "path, expected",
+        [
+            ("configs/labs20.ini", SHIPPED_LABS20),
+            ("perfbench/labs20.ini", replace(
+                SHIPPED_LABS20, kernel_ard=False, budget=25, seeds=(0,),
+                output_dir="perfbench/out/labs20",
+            )),
+        ],
+    )
+    def test_shipped_configs_load_to_literal_values(self, path, expected):
+        root = Path(__file__).resolve().parents[1]
+        config = runner.load_config(root / path)
+        assert config == expected
+        assert [type(v) for v in config.optimizer_options.values()] == [int, float, float]
+
+    def test_boolean_words_accepted(self, tmp_path):
+        config = runner.load_config(write_config(tmp_path, relocate="yes", ard="off"))
+        assert config.relocate is True and config.kernel_ard is False
+
     def test_load_round_trip(self, tmp_path):
         config = runner.load_config(write_config(tmp_path))
         assert config.benchmark == "labs"
@@ -130,8 +162,6 @@ class TestRunExperiment:
         config = runner.load_config(write_config(tmp_path))
         serial = runner.run_experiment(config)
         parallel_dir = tmp_path / "out2"
-        from dataclasses import replace
-
         par = replace(config, parallel=2, output_dir=str(parallel_dir))
         parallel = runner.run_experiment(par)
         for seed in config.seeds:
@@ -195,14 +225,14 @@ class TestCompareSpeed:
             assert pinned is bool(libs)
             assert all(get() == 1 for get, _ in libs)
         assert [get() for get, _ in libs] == before
-        rows = runner.compare_speed(category_sizes=(8,), num_points=60, dims=4)
+        rows = runner.compare_speed(category_sizes=(8,), num_points=60, dims=10)
         assert len(rows) == 2
         assert all(row["blas_pinned"] is bool(libs) for row in rows)
         assert [get() for get, _ in libs] == before
 
     def test_threadpoolctl_route_reports_pinned(self):
         pytest.importorskip("threadpoolctl")
-        rows = runner.compare_speed(category_sizes=(8,), num_points=60, dims=4)
+        rows = runner.compare_speed(category_sizes=(8,), num_points=60, dims=10)
         assert all(row["blas_pinned"] is True for row in rows)
 
 
@@ -266,6 +296,11 @@ class TestCli:
             ("steps = 10", "steps = 10\nlearning_rate = true"),
             ("steps = 10", "steps = 10\njitter_ladder = 1e-6"),
             ("steps = 10", "steps = 10\nepsilon = 0"),
+            ("budget = 3", "budgt = 3"),
+            ("kernel = heat", "kernel = heat\nard = maybe"),
+            ("[optimizer]", "[kernal]\nbeta = 0.5\n\n[optimizer]"),
+            ("generations = 4", "generations = 4\nseed = 5"),
+            ("generations = 4", "generations ="),
         ],
     )
     def test_invalid_option_value_exits_one_before_writing(
@@ -295,6 +330,12 @@ class TestCli:
         path = write_config(tmp_path, seeds="0")
         assert runner.main(["run", str(path)]) == 0
         assert "summary" in capsys.readouterr().out
+
+    def test_non_integer_cli_seed_exits_one_before_writing(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert runner.main(["run", str(path), "--seeds", "0,x"]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_cli_overrides(self, tmp_path):
         path = write_config(tmp_path, seeds="0")
@@ -333,15 +374,22 @@ class TestCli:
     def test_speed_command(self, tmp_path, capsys):
         out = tmp_path / "speed.csv"
         code = runner.main(
-            ["speed", "--sizes", "8", "--points", "60", "--dims", "4", "--out", str(out)]
+            ["speed", "--sizes", "8", "--points", "60", "--dims", "10", "--out", str(out)]
         )
         assert code == 0
         rows = read_csv(out)
         assert len(rows) == 2  # one row per (kernel, space) pair
         assert {r["kernel"] for r in rows} == {"heat_closed_form", "spectral_numeric"}
 
+    @pytest.mark.parametrize(
+        "flags", [["--sizes", "8,x"], ["--sizes", "1"], ["--dims", "0"], ["--points", "0"]]
+    )
+    def test_bad_speed_input_exits_one(self, capsys, flags):
+        assert runner.main(["speed", *flags]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_speed_table_reports_pinning(self, capsys):
-        code = runner.main(["speed", "--sizes", "8", "--points", "60", "--dims", "4"])
+        code = runner.main(["speed", "--sizes", "8", "--points", "60", "--dims", "10"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "kernel,categories,dims,points,median_ms,blas_pinned"
