@@ -23,7 +23,6 @@ from .space import (
     InvalidInputError,
     Relocation,
     SearchSpace,
-    apply_relocation,
     sample_relocation,
 )
 
@@ -414,8 +413,6 @@ class BenchmarkObjective:
 
     def evaluate(self, x) -> float:
         x = self.space.validate_point(x)
-        if self.relocation is not None:
-            x = apply_relocation(self.relocation.inverse(), x)
         return float(self.fn(x))
 
     def __call__(self, x) -> float:
@@ -423,11 +420,15 @@ class BenchmarkObjective:
 
 
 def relocate_objective(obj: BenchmarkObjective, seed: int) -> BenchmarkObjective:
-    """Move the optimum: the wrapped objective reads through the inverse map."""
+    """Move the optimum: ``fn`` reads through the inverse map, built once here,
+    and ``relocation`` keeps the forward map."""
     if obj.relocation is not None:
         raise InvalidInputError("objective already carries a relocation")
     reloc = sample_relocation(obj.space, seed)
-    return replace(obj, name=f"{obj.name}[reloc]", relocation=reloc)
+    fn, back = obj.fn, reloc.inverse().apply
+    return replace(
+        obj, name=f"{obj.name}[reloc]", fn=lambda x: fn(back(x)), relocation=reloc
+    )
 
 
 def _binary_space(n):

@@ -84,7 +84,7 @@ def expected_improvement(mean, variance, best_so_far: float):
 class TrustRegionConfig:
     l_init: int
     l_min: int = 1
-    l_max: int = 0  # 0 means "dimension count", resolved at state creation
+    l_max: int = 0  # 0 means "dimension count", resolved by new_run
     success_tolerance: int = 3
     failure_tolerance: int = 10
 
@@ -370,6 +370,8 @@ def new_run(
     optimizer_config: gp.OptimizerConfig | None = None,
 ) -> BoRunState:
     tr_config = tr_config or TrustRegionConfig.for_space(space)
+    if tr_config.l_max == 0:  # "dimension count"
+        tr_config = replace(tr_config, l_max=space.n)
     placeholder = TrustRegionState(
         center=tuple([0] * space.n), radius=tr_config.l_init, config=tr_config
     )

@@ -217,22 +217,19 @@ def _build_objective(config: ExperimentConfig) -> benchmarks.BenchmarkObjective:
 def _initial_kernel_spec(config: ExperimentConfig, space: SearchSpace):
     """Family defaults overridden by initial values from the [kernel] section.
 
-    Scalar keys ``beta``, ``lengthscale``, ``rho`` broadcast to the
-    per-dimension vectors; ``sigma2`` and ``alpha`` apply directly.
+    A scalar key of ``_BROADCASTS`` whose vector the family's default spec
+    holds fills that vector at its length; any other key applies directly.
     """
-    options = dict(config.kernel_options)
+    family, ard = config.kernel_family, config.kernel_ard
+    defaults = kernels.default_spec(space, family, ard=ard).params
     overrides = {}
-    n = space.n if config.kernel_ard else 1
-    if "beta" in options:
-        overrides["betas"] = np.full(n, float(options.pop("beta")))
-    if "lengthscale" in options and config.kernel_family == "casmopolitan":
-        overrides["lengthscales"] = np.full(n, float(options.pop("lengthscale")))
-    if "rho" in options:
-        overrides["rhos"] = np.full(space.n, float(options.pop("rho")))
-    overrides.update(options)  # sigma2, lengthscale, alpha pass through
-    return kernels.default_spec(
-        space, config.kernel_family, ard=config.kernel_ard, **overrides
-    )
+    for key, value in config.kernel_options.items():
+        vector = _BROADCASTS.get(key)
+        if vector in defaults:
+            overrides[vector] = np.full(len(defaults[vector]), float(value))
+        else:
+            overrides[key] = value
+    return kernels.default_spec(space, family, ard=ard, **overrides)
 
 
 def _build_run_components(config: ExperimentConfig, space: SearchSpace):
@@ -637,8 +634,15 @@ def compare_speed(
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a configuration error (exit 1); subparsers inherit this."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="heatbo",
         description="Combinatorial Bayesian optimization experiment harness",
     )
@@ -683,16 +687,19 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_arg_parser().parse_args(argv)
-    if args.command == "run":
-        try:  # run_experiment validates before it writes anything
+    try:  # a usage error is a ConfigError; nothing is written before validation
+        args = _build_arg_parser().parse_args(argv)
+        if args.command == "run":
             result = run_experiment(_apply_overrides(load_config(args.config), args))
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        except Exception as exc:
-            print(f"runtime failure: {exc}", file=sys.stderr)
-            return 2
+        elif args.command == "speed":
+            rows = compare_speed(_int_list(args.sizes), args.points, args.dims)
+    except (ConfigError, InvalidInputError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "run":
         print(f"summary: {result['summary']}")
         for seed, path in result["traces"].items():
             print(f"trace seed {seed}: {path}")
@@ -700,14 +707,6 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return 0 if selftest() else 3
     if args.command == "speed":
-        try:
-            rows = compare_speed(_int_list(args.sizes), args.points, args.dims)
-        except (ConfigError, InvalidInputError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        except RuntimeError as exc:
-            print(f"runtime failure: {exc}", file=sys.stderr)
-            return 2
         header = ("kernel", "categories", "dims", "points", "median_ms", "blas_pinned")
         if args.out:
             _write_csv(Path(args.out), header, rows)

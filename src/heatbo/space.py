@@ -2,9 +2,10 @@
 
 A search space is a product of finite unordered category sets, one per
 dimension.  Points are integer category indices.  The module also provides
-the two randomized transforms used throughout the toolkit: relocations
-(per-dimension category bijections, used to move benchmark optima) and
-automorphisms (relocations combined with a dimension permutation).
+the randomized structure-preserving maps used throughout the toolkit:
+automorphisms (a dimension permutation combined with per-dimension category
+bijections) and relocations, the automorphisms that keep every dimension in
+place, used to move benchmark optima.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "Automorphism",
     "hamming_distance",
     "one_hot",
-    "apply_relocation",
     "sample_relocation",
     "sample_automorphism",
     "parse_space_text",
@@ -166,48 +166,71 @@ def one_hot(space: SearchSpace, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Relocation:
-    """Per-dimension category bijections; preserves all Hamming distances."""
+class Automorphism:
+    """Distance-preserving self-map: permute dimensions, then relabel categories.
+
+    Maps x to y with ``y[i] = perms[i][x[dim_perm[i]]]``.  A non-identity
+    dimension permutation is only valid when the dimensions it mixes have
+    equal cardinality.  ``seed`` records the draw; equality compares maps.
+    """
 
     space: SearchSpace
+    dim_perm: tuple[int, ...]
     perms: tuple[tuple[int, ...], ...]
-    seed: int | None = None
+    seed: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if len(self.perms) != self.space.n:
+        n = self.space.n
+        if sorted(self.dim_perm) != list(range(n)):
+            raise InvalidInputError("dim_perm is not a permutation of the dimensions")
+        if len(self.perms) != n:
             raise InvalidInputError("one permutation per dimension required")
-        for i, (p, g) in enumerate(zip(self.perms, self.space.cardinalities)):
-            if sorted(p) != list(range(g)):
-                raise InvalidInputError(f"perms[{i}] is not a permutation of 0..{g-1}")
+        cards = self.space.cardinalities
+        for i, src in enumerate(self.dim_perm):
+            if cards[src] != cards[i]:
+                raise InvalidInputError(
+                    "dimension permutation mixes dimensions of unequal cardinality"
+                )
+            if sorted(self.perms[i]) != list(range(cards[i])):
+                raise InvalidInputError(f"perms[{i}] is not a category permutation")
 
-    def inverse(self) -> "Relocation":
-        inv_perms = []
-        for p in self.perms:
-            inv = [0] * len(p)
-            for src, dst in enumerate(p):
-                inv[dst] = src
-            inv_perms.append(tuple(inv))
-        return Relocation(self.space, tuple(inv_perms), seed=self.seed)
+    def apply(self, x) -> np.ndarray:
+        x = self.space.validate_point(x)
+        return np.array(
+            [p[x[src]] for p, src in zip(self.perms, self.dim_perm)], dtype=np.int64
+        )
+
+    def apply_many(self, xs) -> np.ndarray:
+        xs = self.space.validate_points(xs)
+        shuffled = xs[:, list(self.dim_perm)]
+        out = np.empty_like(shuffled)
+        for i, p in enumerate(self.perms):
+            out[:, i] = np.asarray(p)[shuffled[:, i]]
+        return out
+
+    def inverse(self) -> "Automorphism":
+        """x[dim_perm[i]] = perms[i]^-1[y[i]]; argsort inverts a permutation."""
+        inv_dim = np.argsort(self.dim_perm).tolist()
+        inv_perms = (tuple(np.argsort(self.perms[i]).tolist()) for i in inv_dim)
+        return Automorphism(self.space, tuple(inv_dim), tuple(inv_perms))
 
     def is_identity(self) -> bool:
-        return all(p == tuple(range(len(p))) for p in self.perms)
+        return all(
+            i == src and p == tuple(range(len(p)))
+            for i, (src, p) in enumerate(zip(self.dim_perm, self.perms))
+        )
+
+
+class Relocation(Automorphism):
+    """Per-dimension category bijections: an automorphism that keeps every
+    dimension in place.  Moves benchmark optima; preserves Hamming distances."""
+
+    def __init__(self, space: SearchSpace, perms, seed: int | None = None):
+        super().__init__(space, tuple(range(space.n)), perms, seed)
 
 
 def identity_relocation(space: SearchSpace) -> Relocation:
     return Relocation(space, tuple(tuple(range(g)) for g in space.cardinalities))
-
-
-def apply_relocation(r: Relocation, x) -> np.ndarray:
-    x = r.space.validate_point(x)
-    return np.array([r.perms[i][xi] for i, xi in enumerate(x)], dtype=np.int64)
-
-
-def apply_relocation_many(r: Relocation, xs) -> np.ndarray:
-    xs = r.space.validate_points(xs)
-    out = np.empty_like(xs)
-    for i, p in enumerate(r.perms):
-        out[:, i] = np.asarray(p)[xs[:, i]]
-    return out
 
 
 def sample_relocation(space: SearchSpace, seed: int) -> Relocation:
@@ -230,64 +253,6 @@ def sample_relocation(space: SearchSpace, seed: int) -> Relocation:
     return Relocation(space, tuple(perms), seed=seed)
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """Distance-preserving self-map: permute dimensions, then relabel categories.
-
-    Maps x to y with ``y[i] = perms[i][x[dim_perm[i]]]``.  A non-identity
-    dimension permutation is only valid when the dimensions it mixes have
-    equal cardinality.
-    """
-
-    space: SearchSpace
-    dim_perm: tuple[int, ...]
-    perms: tuple[tuple[int, ...], ...]
-    seed: int | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        n = self.space.n
-        if sorted(self.dim_perm) != list(range(n)):
-            raise InvalidInputError("dim_perm is not a permutation of the dimensions")
-        cards = self.space.cardinalities
-        for i, src in enumerate(self.dim_perm):
-            if cards[src] != cards[i]:
-                raise InvalidInputError(
-                    "dimension permutation mixes dimensions of unequal cardinality"
-                )
-            if sorted(self.perms[i]) != list(range(cards[i])):
-                raise InvalidInputError(f"perms[{i}] is not a category permutation")
-
-    def apply(self, x) -> np.ndarray:
-        x = self.space.validate_point(x)
-        return np.array(
-            [self.perms[i][x[self.dim_perm[i]]] for i in range(self.space.n)],
-            dtype=np.int64,
-        )
-
-    def apply_many(self, xs) -> np.ndarray:
-        xs = self.space.validate_points(xs)
-        shuffled = xs[:, list(self.dim_perm)]
-        out = np.empty_like(shuffled)
-        for i, p in enumerate(self.perms):
-            out[:, i] = np.asarray(p)[shuffled[:, i]]
-        return out
-
-    def inverse(self) -> "Automorphism":
-        n = self.space.n
-        inv_dim = [0] * n
-        for i, src in enumerate(self.dim_perm):
-            inv_dim[src] = i
-        inv_perms: list[tuple[int, ...]] = [()] * n
-        for j in range(n):
-            i = inv_dim[j]  # position that reads from j in the forward map
-            p = self.perms[i]
-            inv = [0] * len(p)
-            for src, dst in enumerate(p):
-                inv[dst] = src
-            inv_perms[j] = tuple(inv)
-        return Automorphism(self.space, tuple(inv_dim), tuple(inv_perms))
-
-
 def sample_automorphism(space: SearchSpace, seed: int) -> Automorphism:
     """Uniform element of the automorphism group of the space's Hamming graph.
 
@@ -296,15 +261,11 @@ def sample_automorphism(space: SearchSpace, seed: int) -> Automorphism:
     sampled.
     """
     rng = random.Random(seed ^ 0x5EED_A07)
-    n = space.n
+    dim_perm = list(range(space.n))
     if space.equal_sized():
-        dim_perm = list(range(n))
         _pinned_shuffle(dim_perm, rng)
-    else:
-        dim_perm = list(range(n))
     perms = []
-    for i in range(n):
-        g = space.cardinalities[i]
+    for g in space.cardinalities:
         p = list(range(g))
         _pinned_shuffle(p, rng)
         perms.append(tuple(p))

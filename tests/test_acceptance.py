@@ -15,8 +15,6 @@ from heatbo import benchmarks as bm
 from heatbo import bo, gp, kernels, runner, spectral
 from heatbo.space import (
     SearchSpace,
-    apply_relocation,
-    apply_relocation_many,
     sample_automorphism,
     sample_relocation,
 )
@@ -169,7 +167,7 @@ def test_criterion_6_isotropy_relocation_and_pipeline():
             moved = kernels.gram(space, spec, auto.apply_many(pts))
             assert np.max(np.abs(moved - base)) < 1e-12, (name, "automorphism")
             reloc = sample_relocation(space, seed)
-            moved = kernels.gram(space, spec, apply_relocation_many(reloc, pts))
+            moved = kernels.gram(space, spec, reloc.apply_many(pts))
             assert np.max(np.abs(moved - base)) < 1e-12, (name, "relocation")
 
     # pipeline-level equivariance on a 10-D binary objective
@@ -185,7 +183,7 @@ def test_criterion_6_isotropy_relocation_and_pipeline():
 
     reloc = sample_relocation(space, 1234)
     inv = reloc.inverse()
-    moved_objective = lambda x: objective(apply_relocation(inv, x))
+    moved_objective = lambda x: objective(inv.apply(x))
     spec = kernels.default_spec(space, "heat")
     for seed in range(3):
         init = space.sample_points(8, np.random.default_rng([seed, 77]))
@@ -193,11 +191,11 @@ def test_criterion_6_isotropy_relocation_and_pipeline():
                            initial_points=init, measure_time=False)
         t_moved = bo.run_bo(
             moved_objective, space, spec, 8, 8, seed=seed,
-            initial_points=apply_relocation_many(reloc, init), measure_time=False,
+            initial_points=reloc.apply_many(init), measure_time=False,
         )
         for a, b in zip(t_orig, t_moved):
             assert abs(a.raw_value - b.raw_value) < 1e-10
-            assert tuple(apply_relocation(reloc, np.array(a.point))) == b.point
+            assert tuple(reloc.apply(np.array(a.point))) == b.point
     report(6, "isotropy, relocation and pipeline equivariance")
 
 

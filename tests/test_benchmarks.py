@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heatbo import benchmarks as bm
-from heatbo.space import InvalidInputError, apply_relocation
+from heatbo.space import InvalidInputError
 
 
 class TestLabs:
@@ -197,7 +197,7 @@ class TestPestControl:
         rng = np.random.default_rng(8)
         for _ in range(5):
             x = obj.space.sample_points(1, rng)[0]
-            assert robj.evaluate(apply_relocation(robj.relocation, x)) == obj.evaluate(x)
+            assert robj.evaluate(robj.relocation.apply(x)) == obj.evaluate(x)
 
     def test_wrong_space_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -268,7 +268,7 @@ class TestRelocationWrapper:
         pts = obj.space.enumerate_points()
         vals = np.array([obj.evaluate(p) for p in pts])
         x_star = pts[int(np.argmin(vals))]
-        assert robj.evaluate(apply_relocation(robj.relocation, x_star)) == vals.min()
+        assert robj.evaluate(robj.relocation.apply(x_star)) == vals.min()
 
     def test_double_relocation_rejected(self):
         obj = bm.relocate_objective(bm.make_benchmark("labs", n=6), 0)

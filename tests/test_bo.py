@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatbo import bo, kernels
 from heatbo.space import (
     InvalidInputError,
     SearchSpace,
-    apply_relocation,
-    apply_relocation_many,
     hamming_distance,
     sample_relocation,
 )
@@ -100,6 +98,15 @@ class TestTrustRegionUpdate:
             tr, _ = bo.tr_update(tr, True)
             tr, _ = bo.tr_update(tr, False)
         assert tr.radius == 4
+
+    def test_zero_l_max_means_dimension_count(self):
+        sp = SearchSpace((2,) * 6)
+        spec = kernels.default_spec(sp, "heat")
+        cfg = bo.TrustRegionConfig(l_init=2)  # l_max left at its 0 default
+        assert bo.new_run(sp, spec, 0, cfg).tr.config.l_max == 6
+        f = quadratic_objective(np.zeros(6, dtype=int))
+        trace = bo.run_bo(f, sp, spec, 3, 3, 0, tr_config=cfg, measure_time=False)
+        assert len(trace) == 6 and all(1 <= r.tr_radius <= 6 for r in trace)
 
     def test_radius_stays_within_bounds(self):
         rng = np.random.default_rng(1)
@@ -361,6 +368,22 @@ class TestGaBookkeeping:
             assert tuple(got.tolist()) not in exclude
 
 
+@st.composite
+def weighted_binary_problems(draw):
+    """A hidden point of 4-10 bits and positive integer weights per bit."""
+    n = draw(st.integers(4, 10))
+    hidden = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(1, 15), min_size=n, max_size=n))
+    return tuple(hidden), tuple(weights)
+
+
+# ten bits, the first five weighing 1.3 times the rest
+TEN_BIT_CASE = dict(
+    problem=((1, 0, 1, 1, 0, 0, 1, 0, 1, 1), (13,) * 5 + (10,) * 5),
+    ard=True, reloc_seed=99,
+)
+
+
 def quadratic_objective(hidden):
     def f(x):
         return float(np.count_nonzero(np.asarray(x) != hidden))
@@ -478,34 +501,32 @@ class TestRunBo:
         bo.run_bo(spy, sp, spec, 6, 4, seed=4)
         assert len(seen) == 10
 
-    def test_relocation_equivariance_binary_pipeline(self):
-        sp = SearchSpace((2,) * 10)
-        hidden = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 1])
-
-        def f(x):
-            x = np.asarray(x)
-            return float(
-                np.count_nonzero(x != hidden)
-                + 0.3 * np.count_nonzero(x[:5] != hidden[:5])
-            )
-
-        reloc = sample_relocation(sp, 99)
+    @given(
+        problem=weighted_binary_problems(),
+        ard=st.booleans(),
+        reloc_seed=st.integers(0, 2**31 - 1),
+        seed=st.integers(0, 2**16),
+    )
+    @example(**TEN_BIT_CASE, seed=0)
+    @example(**TEN_BIT_CASE, seed=1)
+    @example(**TEN_BIT_CASE, seed=2)
+    @settings(max_examples=4, deadline=None)
+    def test_relocation_equivariance_binary_pipeline(self, problem, ard, reloc_seed, seed):
+        hidden, weights = (np.array(v) for v in problem)
+        sp = SearchSpace((2,) * len(hidden))
+        f = lambda x: float(weights @ (np.asarray(x) != hidden))
+        reloc = sample_relocation(sp, reloc_seed)
         inv = reloc.inverse()
-        f_moved = lambda x: f(apply_relocation(inv, x))
-        spec = kernels.default_spec(sp, "heat")
-        for seed in range(3):
-            rng = np.random.default_rng([seed, 0])
-            init = sp.sample_points(8, rng)
-            t1 = bo.run_bo(f, sp, spec, 8, 8, seed=seed,
-                           initial_points=init, measure_time=False)
-            t2 = bo.run_bo(
-                f_moved, sp, spec, 8, 8, seed=seed,
-                initial_points=apply_relocation_many(reloc, init),
-                measure_time=False,
-            )
-            for a, b in zip(t1, t2):
-                assert abs(a.raw_value - b.raw_value) < 1e-10
-                assert tuple(apply_relocation(reloc, np.array(a.point))) == b.point
+        f_moved = lambda x: f(inv.apply(x))
+        spec = kernels.default_spec(sp, "heat", ard=ard)
+        init = sp.sample_points(8, np.random.default_rng([seed, 0]))
+        t1 = bo.run_bo(f, sp, spec, 8, 8, seed=seed, initial_points=init, measure_time=False)
+        t2 = bo.run_bo(
+            f_moved, sp, spec, 8, 8, seed=seed,
+            initial_points=reloc.apply_many(init), measure_time=False,
+        )
+        assert [a.raw_value for a in t1] == [b.raw_value for b in t2]
+        assert [tuple(reloc.apply(a.point)) for a in t1] == [b.point for b in t2]
 
     def test_beats_random_search_on_structured_objective(self):
         sp = SearchSpace((2,) * 12)

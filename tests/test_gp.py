@@ -13,7 +13,6 @@ from heatbo import gp, kernels
 from heatbo.space import (
     InvalidInputError,
     SearchSpace,
-    apply_relocation_many,
     sample_relocation,
 )
 
@@ -245,14 +244,12 @@ class TestFusedRoute:
         scale = np.max(np.abs(want_grad))
         assert np.max(np.abs(grad - want_grad)) <= 1e-9 * scale
 
-    @given(log_affine_problems())
-    @settings(max_examples=60, deadline=None)
+    @given(exact_problems())
+    @settings(max_examples=200, deadline=None)
     def test_relocation_leaves_value_and_gradient_bitwise_equal(self, problem):
         sp, spec, train, log_noise, rng = problem
         y = train.standardized()
-        moved = apply_relocation_many(
-            sample_relocation(sp, int(rng.integers(2**31))), train.points
-        )
+        moved = sample_relocation(sp, int(rng.integers(2**31))).apply_many(train.points)
         results = [
             gp._mll_and_grad(
                 kernels.fit_terms(sp, spec, pts), spec, log_noise, y, gp.JITTER_LADDER
@@ -286,9 +283,9 @@ class TestFusedRoute:
         reloc = sample_relocation(sp, int(rng.integers(2**31)))
         queries = sp.sample_points(7, rng)
         moved = gp.TrainingSet.from_observations(
-            sp, apply_relocation_many(reloc, train.points), train.raw_targets
+            sp, reloc.apply_many(train.points), train.raw_targets
         )
-        moved_queries = apply_relocation_many(reloc, queries)
+        moved_queries = reloc.apply_many(queries)
         np.testing.assert_array_equal(
             kernels.cross_gram(sp, spec, queries, train.points),
             kernels.cross_gram(sp, spec, moved_queries, moved.points),
@@ -665,11 +662,11 @@ class TestPredict:
         for seed in range(5):
             reloc = sample_relocation(sp, seed)
             moved_train = gp.TrainingSet.from_observations(
-                sp, apply_relocation_many(reloc, train.points), train.raw_targets
+                sp, reloc.apply_many(train.points), train.raw_targets
             )
             moved_state = gp.make_state(sp, moved_train, spec, 1e-4)
             mean, var = gp.predict_batch(
-                moved_state, apply_relocation_many(reloc, queries)
+                moved_state, reloc.apply_many(queries)
             )
             np.testing.assert_allclose(mean, base_mean, atol=1e-10)
             np.testing.assert_allclose(var, base_var, atol=1e-10)

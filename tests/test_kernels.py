@@ -13,7 +13,6 @@ from heatbo import kernels as kn
 from heatbo.space import (
     InvalidInputError,
     SearchSpace,
-    apply_relocation_many,
     sample_automorphism,
     sample_relocation,
 )
@@ -603,7 +602,7 @@ class TestEquivalenceAndInvariance:
             base = kn.gram(sp, spec, pts)
             for seed in range(5):
                 reloc = sample_relocation(sp, seed)
-                moved = kn.gram(sp, spec, apply_relocation_many(reloc, pts))
+                moved = kn.gram(sp, spec, reloc.apply_many(pts))
                 assert np.max(np.abs(moved - base)) < 1e-12
 
     def test_isotropy_under_automorphisms(self):

@@ -106,14 +106,27 @@ class TestConfig:
         with pytest.raises(runner.ConfigError):
             runner.load_config(path)
 
-    def test_kernel_section_sets_initial_values(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kernel, ard, key, param, shape",
+        [
+            ("heat", "true", "beta", "betas", (6,)),
+            ("casmopolitan", "true", "lengthscale", "lengthscales", (6,)),
+            ("casmopolitan", "false", "lengthscale", "lengthscales", (1,)),
+            ("hamming_rbf", "false", "lengthscale", "lengthscale", ()),
+            ("rho", "true", "rho", "rhos", (6,)),
+        ],
+    )
+    def test_kernel_section_sets_initial_values(
+        self, tmp_path, kernel, ard, key, param, shape
+    ):
         from heatbo.space import SearchSpace
 
-        path = write_config(tmp_path)
-        path.write_text(path.read_text() + "\n[kernel]\nbeta = 0.25\nsigma2 = 2.0\n")
+        path = write_config(tmp_path, kernel=kernel, ard=ard)
+        path.write_text(path.read_text() + f"\n[kernel]\n{key} = 0.25\nsigma2 = 2.0\n")
         config = runner.load_config(path)
         spec = runner._initial_kernel_spec(config, SearchSpace((2,) * 6))
-        np.testing.assert_allclose(spec.params["betas"], 0.25)
+        assert np.shape(spec.params[param]) == shape
+        np.testing.assert_allclose(spec.params[param], 0.25)
         assert spec.sigma2 == 2.0
 
 
@@ -336,6 +349,29 @@ class TestCli:
         assert runner.main(["run", str(path), "--seeds", "0,x"]) == 1
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--budget", "x"], ["--budgt", "3"], ["--parallel", "1.5"]]
+    )
+    def test_usage_error_exits_one_before_writing(self, tmp_path, capsys, flags):
+        path = write_config(tmp_path)
+        assert runner.main(["run", str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_speed_usage_error_exits_one_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "speed.csv"
+        assert runner.main(["speed", "--points", "x", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["run", "--help"]):
+            with pytest.raises(SystemExit) as info:
+                runner.main(argv)
+            assert info.value.code == 0
+        assert "usage: heatbo" in capsys.readouterr().out
 
     def test_cli_overrides(self, tmp_path):
         path = write_config(tmp_path, seeds="0")

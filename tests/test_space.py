@@ -10,8 +10,6 @@ from heatbo.space import (
     InvalidInputError,
     Relocation,
     SearchSpace,
-    apply_relocation,
-    apply_relocation_many,
     hamming_distance,
     hamming_matrix,
     identity_relocation,
@@ -130,20 +128,20 @@ class TestRelocation:
         sp = SearchSpace((3, 4))
         r = identity_relocation(sp)
         x = np.array([2, 3])
-        assert np.array_equal(apply_relocation(r, x), x)
+        assert np.array_equal(r.apply(x), x)
         assert r.is_identity()
 
     def test_all_flip_binary(self):
         sp = SearchSpace((2, 2, 2))
         r = Relocation(sp, ((1, 0), (1, 0), (1, 0)))
-        assert apply_relocation(r, [0, 1, 0]).tolist() == [1, 0, 1]
+        assert r.apply([0, 1, 0]).tolist() == [1, 0, 1]
 
     def test_invertible(self):
         sp = SearchSpace((2, 5, 3))
         r = sample_relocation(sp, 7)
         rng = np.random.default_rng(1)
         xs = sp.sample_points(20, rng)
-        back = apply_relocation_many(r.inverse(), apply_relocation_many(r, xs))
+        back = r.inverse().apply_many(r.apply_many(xs))
         assert np.array_equal(back, xs)
 
     def test_preserves_hamming_distance(self):
@@ -153,20 +151,36 @@ class TestRelocation:
             r = sample_relocation(sp, trial)
             x, y = sp.sample_points(2, rng)
             assert hamming_distance(x, y) == hamming_distance(
-                apply_relocation(r, x), apply_relocation(r, y)
+                r.apply(x), r.apply(y)
             )
 
     def test_bijection_on_small_space(self):
         sp = SearchSpace((3, 2, 4))
         r = sample_relocation(sp, 11)
         pts = sp.enumerate_points()
-        imgs = {tuple(p) for p in apply_relocation_many(r, pts)}
+        imgs = {tuple(p) for p in r.apply_many(pts)}
         assert len(imgs) == sp.size
 
     def test_seed_determinism(self):
         sp = SearchSpace((2, 5, 3, 7))
         assert sample_relocation(sp, 42) == sample_relocation(sp, 42)
         assert sample_relocation(sp, 42) != sample_relocation(sp, 43)
+
+    def test_seeded_draws_are_pinned(self):
+        # seeded relocations and automorphisms stay bit-identical across versions
+        assert sample_relocation(SearchSpace((2, 5, 3, 7)), 42).perms == (
+            (0, 1), (2, 3, 4, 1, 0), (0, 1, 2), (5, 3, 1, 4, 6, 2, 0)
+        )
+        a = sample_automorphism(SearchSpace((3,) * 4), 7)
+        assert a.dim_perm == (1, 2, 0, 3)
+        assert a.perms == ((2, 1, 0), (2, 0, 1), (0, 2, 1), (0, 1, 2))
+
+    def test_is_an_automorphism_keeping_dimensions_in_place(self):
+        sp = SearchSpace((2, 5, 3))
+        r = sample_relocation(sp, 7)
+        assert isinstance(r, Automorphism) and r.dim_perm == (0, 1, 2)
+        assert r == Relocation(sp, r.perms, seed=8)  # equality compares maps
+        assert r.inverse() == Automorphism(sp, (0, 1, 2), r.inverse().perms)
 
     def test_flip_frequency_near_half(self):
         sp = SearchSpace((2,))
