@@ -421,11 +421,12 @@ class BenchmarkObjective:
 
 def relocate_objective(obj: BenchmarkObjective, seed: int) -> BenchmarkObjective:
     """Move the optimum: ``fn`` reads through the inverse map, built once here,
-    and ``relocation`` keeps the forward map."""
+    and ``relocation`` keeps the forward map.  ``evaluate`` validates the
+    point, so ``fn`` maps it unchecked."""
     if obj.relocation is not None:
         raise InvalidInputError("objective already carries a relocation")
     reloc = sample_relocation(obj.space, seed)
-    fn, back = obj.fn, reloc.inverse().apply
+    fn, back = obj.fn, reloc.inverse().apply_unchecked
     return replace(
         obj, name=f"{obj.name}[reloc]", fn=lambda x: fn(back(x)), relocation=reloc
     )

@@ -7,9 +7,10 @@ over points within the current trust-region radius of the incumbent, and the
 radius doubles after repeated successes and halves after repeated failures,
 restarting from a random unobserved center once it collapses.
 
-Category-changing random draws are expressed as offsets from the current
-value ((value + u) mod g).  On binary dimensions this makes every stochastic
-operator commute with relocations, so entire runs are equivariant:
+Category-changing random draws are modular offsets from the current value
+((value + u) mod g), and which coordinates change or revert depends only on
+where a point differs from the center.  On binary dimensions every stochastic
+operator thus commutes with relocations, so entire runs are equivariant:
 relocating the objective and the initial design relocates the whole trace.
 """
 
@@ -197,31 +198,33 @@ class GaConfig:
             raise InvalidInputError("elite count must be below the population size")
 
 
-def _offset_value(current: int, g: int, rng) -> int:
-    """Uniform draw over the other categories, expressed as a modular offset."""
-    return int((current + 1 + rng.integers(0, g - 1)) % g)
+def _shift(points, mask, cards, rng):
+    """Move every masked entry to another category: a modular offset in 1..g-1."""
+    rows, cols = np.nonzero(mask)
+    g = cards[cols]
+    points[rows, cols] = (points[rows, cols] + rng.integers(1, g)) % g
+    return points
 
 
-def _random_in_ball(space: SearchSpace, center: np.ndarray, radius: int, rng):
-    point = center.copy()
-    if radius == 0:
-        return point
-    k = int(rng.integers(1, radius + 1))
-    dims = rng.choice(space.n, size=k, replace=False)
-    for i in dims:
-        point[i] = _offset_value(point[i], space.cardinalities[i], rng)
-    return point
+def _draw_in_ball(center, radius, count, cards, rng):
+    """``count`` points inside the ball: each changes a uniform 1..radius of its
+    dimensions, those whose uniform keys rank lowest."""
+    changes = rng.integers(1, radius + 1, size=(count, 1))
+    ranks = rng.random((count, len(center))).argsort(1, kind="stable").argsort(1)
+    return _shift(np.repeat(center[None], count, axis=0), ranks < changes, cards, rng)
 
 
-def _repair_into_ball(space, point, center, radius, rng):
-    """Revert random mismatched coordinates until the point is inside the ball."""
-    mismatched = np.flatnonzero(point != center)
-    excess = len(mismatched) - radius
-    if excess <= 0:
-        return point
-    revert = rng.choice(mismatched, size=excess, replace=False)
-    point[revert] = center[revert]
-    return point
+def _repair_into_ball(points, center, radius, rng):
+    """Revert the mismatched coordinates with the lowest uniform keys of every row
+    outside the ball, down to ``radius`` mismatches; rows inside take no draws."""
+    mismatched = points != center
+    excess = np.count_nonzero(mismatched, axis=1) - radius
+    over = np.flatnonzero(excess > 0)
+    if over.size:
+        keys = np.where(mismatched[over], rng.random((over.size, len(center))), np.inf)
+        revert = keys.argsort(1, kind="stable").argsort(1) < excess[over, None]
+        points[over] = np.where(revert, center, points[over])
+    return points
 
 
 def ga_optimize(
@@ -245,11 +248,10 @@ def ga_optimize(
         return center.copy()
     rng = np.random.default_rng(config.seed)
     pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / space.n
+    cards = np.asarray(space.cardinalities)
 
-    population = np.stack(
-        [center.copy()]
-        + [_random_in_ball(space, center, radius, rng)
-           for _ in range(config.population_size - 1)]
+    population = np.vstack(
+        [center, _draw_in_ball(center, radius, config.population_size - 1, cards, rng)]
     )
 
     best_unobserved = None  # (value, point)
@@ -269,7 +271,6 @@ def ga_optimize(
     values = np.asarray(acq(population), dtype=float)
     digest(population, values)
 
-    cards = np.asarray(space.cardinalities)
     n_children = config.population_size - config.elite_count
     for _ in range(config.generations):
         order = np.argsort(values)[::-1]
@@ -286,18 +287,9 @@ def ga_optimize(
         do_cross = rng.random(n_children) < config.crossover_prob
         mask = rng.random((n_children, space.n)) < 0.5
         children = np.where(do_cross[:, None] & mask, p2, p1)
-        # per-dimension mutation via modular offsets
-        mut_mask = rng.random((n_children, space.n)) < pm
-        offsets = rng.integers(0, cards - 1, size=(n_children, space.n))
-        children = np.where(mut_mask, (children + 1 + offsets) % cards, children)
-        # clamp every offspring back into the ball
-        over = np.flatnonzero(
-            np.count_nonzero(children != center, axis=1) > radius
-        )
-        for row in over:
-            children[row] = _repair_into_ball(
-                space, children[row], center, radius, rng
-            )
+        # per-dimension mutation, then every offspring back into the ball
+        children = _shift(children, rng.random((n_children, space.n)) < pm, cards, rng)
+        children = _repair_into_ball(children, center, radius, rng)
         population = np.vstack([elites, children])
         values = np.asarray(acq(population), dtype=float)
         digest(population, values)
@@ -316,10 +308,11 @@ def ga_optimize(
         candidates = ball[fresh]
         vals = np.asarray(acq(candidates), dtype=float)
         return candidates[int(np.argmax(vals))]
-    for _ in range(10000):
-        p = _random_in_ball(space, center, radius, rng)
-        if tuple(p.tolist()) not in exclude:
-            return p
+    for start in range(0, 10000, config.population_size):
+        count = min(config.population_size, 10000 - start)
+        for p in map(tuple, _draw_in_ball(center, radius, count, cards, rng).tolist()):
+            if p not in exclude:
+                return np.array(p)
     raise TrustRegionExhausted("could not sample an unobserved point")
 
 

@@ -669,6 +669,8 @@ class _HeatFamily(_LogAffineFamily):
             r = (1.0 - e) / d
             rhos.append(r)
             dw.append(b * ((g * g * e) / d**2) / r if r > 0 else 0.0)
+        if 0.0 not in rhos:  # a positive rho is at least 2**-53 / g: no floor needed
+            return np.log(rhos), np.array(dw)
         with np.errstate(divide="ignore"):  # rho = 0 (beta = 0): exp(-1e300) = 0
             return np.maximum(np.log(rhos), -1e300), np.array(dw)
 

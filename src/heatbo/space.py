@@ -193,20 +193,20 @@ class Automorphism:
                 )
             if sorted(self.perms[i]) != list(range(cards[i])):
                 raise InvalidInputError(f"perms[{i}] is not a category permutation")
+        # y[i] = table[starts[i] + x[dim_perm[i]]]: perms[i] is the block at starts[i]
+        object.__setattr__(self, "_source", np.array(self.dim_perm, dtype=np.intp))
+        object.__setattr__(self, "_starts", np.cumsum((0,) + cards[:-1]))
+        object.__setattr__(self, "_table", np.concatenate(self.perms).astype(np.int64))
 
     def apply(self, x) -> np.ndarray:
-        x = self.space.validate_point(x)
-        return np.array(
-            [p[x[src]] for p, src in zip(self.perms, self.dim_perm)], dtype=np.int64
-        )
+        return self.apply_unchecked(self.space.validate_point(x))
 
     def apply_many(self, xs) -> np.ndarray:
-        xs = self.space.validate_points(xs)
-        shuffled = xs[:, list(self.dim_perm)]
-        out = np.empty_like(shuffled)
-        for i, p in enumerate(self.perms):
-            out[:, i] = np.asarray(p)[shuffled[:, i]]
-        return out
+        return self.apply_unchecked(self.space.validate_points(xs))
+
+    def apply_unchecked(self, xs: np.ndarray) -> np.ndarray:
+        """The map on an already validated int array of one point or many rows."""
+        return self._table[self._starts + xs[..., self._source]]
 
     def inverse(self) -> "Automorphism":
         """x[dim_perm[i]] = perms[i]^-1[y[i]]; argsort inverts a permutation."""

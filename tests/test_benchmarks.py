@@ -270,6 +270,21 @@ class TestRelocationWrapper:
         x_star = pts[int(np.argmin(vals))]
         assert robj.evaluate(robj.relocation.apply(x_star)) == vals.min()
 
+    @pytest.mark.parametrize("name, options", [
+        ("labs", dict(n=50)),
+        ("sfu_ackley", dict(dims=10, grid=11)),
+        ("pest_control", {}),
+    ])
+    def test_values_bitwise_those_of_the_validated_inverse_map(self, name, options):
+        obj = bm.make_benchmark(name, **options)
+        robj = bm.relocate_objective(obj, 4)
+        back = robj.relocation.inverse()
+        for x in obj.space.sample_points(20, np.random.default_rng(11)):
+            assert robj.evaluate(x) == obj.fn(back.apply(x))
+        for bad in (np.full(obj.space.n, 11), np.zeros(obj.space.n + 1, dtype=int)):
+            with pytest.raises(InvalidInputError):
+                robj.evaluate(bad)
+
     def test_double_relocation_rejected(self):
         obj = bm.relocate_objective(bm.make_benchmark("labs", n=6), 0)
         with pytest.raises(InvalidInputError):

@@ -211,21 +211,121 @@ class TestGaOptimize:
             )
 
 
+@st.composite
+def ball_problems(draw, max_card=5):
+    """A space of 2..max_card categories per dimension, a center, a radius in
+    1..n, a row count and a generator seed."""
+    cards = tuple(draw(st.lists(st.integers(2, max_card), min_size=1, max_size=8)))
+    sp = SearchSpace(cards)
+    center = np.array(draw(st.tuples(*(st.integers(0, g - 1) for g in cards))))
+    radius = draw(st.integers(1, sp.n))
+    return sp, center, radius, draw(st.integers(1, 30)), draw(st.integers(0, 2**32 - 1))
+
+
+def draw_rows(sp, count, seed):
+    """Rows anywhere in the space, mostly far from any center."""
+    return sp.sample_points(count, np.random.default_rng([seed, 1]))
+
+
+class TestArrayDraws:
+    @given(ball_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_rows_lie_in_the_ball(self, problem):
+        sp, center, radius, count, seed = problem
+        cards = np.asarray(sp.cardinalities)
+        rows = bo._draw_in_ball(center, radius, count, cards, np.random.default_rng(seed))
+        assert rows.shape == (count, sp.n)
+        assert np.all((rows >= 0) & (rows < cards))
+        changed = np.count_nonzero(rows != center, axis=1)
+        assert np.all((changed >= 1) & (changed <= radius))
+
+    @given(ball_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_repair_reverts_only_mismatches_of_rows_outside(self, problem):
+        sp, center, radius, count, seed = problem
+        cards = np.asarray(sp.cardinalities)
+        inside = bo._draw_in_ball(center, radius, count, cards, np.random.default_rng(seed))
+        rows = np.vstack([inside, draw_rows(sp, count, seed)])
+        repaired = bo._repair_into_ball(rows.copy(), center, radius, np.random.default_rng(seed))
+        before = np.count_nonzero(rows != center, axis=1)
+        after = np.count_nonzero(repaired != center, axis=1)
+        outside = before > radius
+        np.testing.assert_array_equal(repaired[~outside], rows[~outside])
+        assert np.all(after[outside] == radius)
+        kept = repaired == rows
+        assert np.all(kept | ((repaired == center) & (rows != center)))
+
+    @given(ball_problems(max_card=2), st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_binary_draws_commute_with_relocation(self, problem, reloc_seed):
+        sp, center, radius, count, seed = problem
+        cards = np.asarray(sp.cardinalities)
+        reloc = sample_relocation(sp, reloc_seed)
+        moved = reloc.apply(center)
+        rng = lambda: np.random.default_rng(seed)
+        drawn = bo._draw_in_ball(center, radius, count, cards, rng())
+        np.testing.assert_array_equal(
+            reloc.apply_many(drawn), bo._draw_in_ball(moved, radius, count, cards, rng())
+        )
+        rows = draw_rows(sp, count, seed)
+        repaired = bo._repair_into_ball(rows.copy(), center, radius, rng())
+        np.testing.assert_array_equal(
+            reloc.apply_many(repaired),
+            bo._repair_into_ball(reloc.apply_many(rows), moved, radius, rng()),
+        )
+
+    def test_changed_dimension_count_is_uniform(self):
+        # 6,000 draws at radius 6: each count 1..6 expects 1,000 with a standard
+        # deviation of about 29; allow 10% (about 3.5 deviations) either way
+        sp = SearchSpace((2, 3, 4, 5) * 3)
+        cards = np.asarray(sp.cardinalities)
+        center = np.array([1, 0, 3, 2] * 3)
+        rows = bo._draw_in_ball(center, 6, 6000, cards, np.random.default_rng(2024))
+        counts = np.bincount(np.count_nonzero(rows != center, axis=1), minlength=7)
+        assert counts[0] == 0
+        assert np.all(np.abs(counts[1:] - 1000) <= 100), counts
+
+
+def reference_shift(points, entries, cards, rng):
+    """Offset the listed (row, column) entries, in that order, by one
+    ``rng.integers(1, g)`` call: the draw ``bo._shift`` makes."""
+    highs = np.array([cards[c] for _, c in entries], dtype=np.int64)
+    for (r, c), u in zip(entries, rng.integers(1, highs).tolist()):
+        points[r][c] = (points[r][c] + u) % cards[c]
+
+
+def reference_lowest(keys, candidates, count):
+    """The ``count`` columns among ``candidates`` with the smallest keys."""
+    return set(sorted(candidates, key=lambda c: keys[c])[:count])
+
+
 def reference_ga_optimize(acq, space, tr, config, exclude=frozenset()):
-    """``bo.ga_optimize`` with per-row bookkeeping: one tuple and one strict
-    comparison per evaluated row.  It makes the same RNG draws, so it
-    evaluates the same rows; only the choice among them is under test."""
+    """``bo.ga_optimize`` row by row: each random draw is the same call on the
+    generator, in the same order, and each row's changes, mutations and
+    reverts are chosen one row at a time from those draws.  The bookkeeping
+    is one tuple and one strict comparison per evaluated row."""
     center = np.asarray(tr.center)
     radius = int(tr.radius)
     if radius == 0:
         return center.copy()
     rng = np.random.default_rng(config.seed)
     pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / space.n
-    population = np.stack(
-        [center.copy()]
-        + [bo._random_in_ball(space, center, radius, rng)
-           for _ in range(config.population_size - 1)]
-    )
+    cards = space.cardinalities
+    n = space.n
+
+    def in_ball(count):
+        changes = rng.integers(1, radius + 1, size=count)
+        keys = rng.random((count, n))
+        rows = [center.tolist() for _ in range(count)]
+        entries = [
+            (r, c)
+            for r in range(count)
+            for c in sorted(reference_lowest(keys[r], range(n), changes[r]))
+        ]
+        reference_shift(rows, entries, cards, rng)
+        return np.array(rows, dtype=np.int64).reshape(count, n)
+
+    population = np.vstack([center, in_ball(config.population_size - 1)])
     best_unobserved = None
 
     def digest(pop, values):
@@ -237,7 +337,6 @@ def reference_ga_optimize(acq, space, tr, config, exclude=frozenset()):
 
     values = np.asarray(acq(population), dtype=float)
     digest(population, values)
-    cards = np.asarray(space.cardinalities)
     n_children = config.population_size - config.elite_count
     for _ in range(config.generations):
         order = np.argsort(values)[::-1]
@@ -248,14 +347,21 @@ def reference_ga_optimize(acq, space, tr, config, exclude=frozenset()):
         p1 = population[winners[:, 0]]
         p2 = population[winners[:, 1]]
         do_cross = rng.random(n_children) < config.crossover_prob
-        mask = rng.random((n_children, space.n)) < 0.5
-        children = np.where(do_cross[:, None] & mask, p2, p1)
-        mut_mask = rng.random((n_children, space.n)) < pm
-        offsets = rng.integers(0, cards - 1, size=(n_children, space.n))
-        children = np.where(mut_mask, (children + 1 + offsets) % cards, children)
-        over = np.flatnonzero(np.count_nonzero(children != center, axis=1) > radius)
-        for row in over:
-            children[row] = bo._repair_into_ball(space, children[row], center, radius, rng)
+        mask = rng.random((n_children, n)) < 0.5
+        children = np.where(do_cross[:, None] & mask, p2, p1).tolist()
+        mutate = rng.random((n_children, n)) < pm
+        entries = [(r, c) for r in range(n_children) for c in range(n) if mutate[r, c]]
+        reference_shift(children, entries, cards, rng)
+        over = []
+        for row in children:
+            mismatched = [c for c in range(n) if row[c] != center[c]]
+            if len(mismatched) > radius:
+                over.append((row, mismatched))
+        keys = rng.random((len(over), n))
+        for (row, mismatched), row_keys in zip(over, keys):
+            for c in reference_lowest(row_keys, mismatched, len(mismatched) - radius):
+                row[c] = int(center[c])
+        children = np.array(children, dtype=np.int64).reshape(n_children, n)
         population = np.vstack([elites, children])
         values = np.asarray(acq(population), dtype=float)
         digest(population, values)
@@ -272,10 +378,13 @@ def reference_ga_optimize(acq, space, tr, config, exclude=frozenset()):
         candidates = ball[fresh]
         vals = np.asarray(acq(candidates), dtype=float)
         return candidates[int(np.argmax(vals))]
-    for _ in range(10000):
-        p = bo._random_in_ball(space, center, radius, rng)
-        if tuple(int(c) for c in p) not in exclude:
-            return p
+    drawn = 0
+    while drawn < 10000:
+        count = min(config.population_size, 10000 - drawn)
+        for p in in_ball(count):
+            if tuple(int(c) for c in p) not in exclude:
+                return p
+        drawn += count
     raise bo.TrustRegionExhausted("could not sample an unobserved point")
 
 
