@@ -14,7 +14,10 @@ multiset of objective values.
 from __future__ import annotations
 
 import importlib.resources
+import inspect
 import json
+import numbers
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,7 +66,7 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _to_signs(space_or_n, x) -> np.ndarray:
+def _to_signs(x) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 1:
         raise InvalidInputError("sequence must be one-dimensional")
@@ -78,7 +81,7 @@ def labs_energy(x) -> float:
     E = sum over shifts k of (sum_i s_i s_{i+k})**2; lower is better,
     integer-valued and at least 1 for sequences of length >= 2.
     """
-    s = _to_signs(None, x)
+    s = _to_signs(x)
     n = s.size
     energy = 0.0
     for k in range(1, n):
@@ -432,68 +435,73 @@ def relocate_objective(obj: BenchmarkObjective, seed: int) -> BenchmarkObjective
     )
 
 
-def _binary_space(n):
-    return SearchSpace((2,) * n)
+def _labs(noise_seed, *, n: int = 50):
+    return SearchSpace((2,) * n), labs_energy
 
 
-_INSTANCE = {"path", "num_variables", "num_clauses", "seed"}
-_OPTIONS = {  # per benchmark, "sfu_" for every sfu_* name
-    "labs": {"n"}, "maxsat": _INSTANCE, "cluster_expansion": _INSTANCE,
-    "contamination": set(), "pest_control": set(), "sfu_": {"dims", "grid"},
+def _wcnf(default_vars: int):
+    def build(noise_seed, *, path: str | os.PathLike | None = None,
+              num_variables: int = default_vars, num_clauses: int = 4 * default_vars,
+              seed: int = 0):
+        """The instance at ``path``, else a seeded synthetic one."""
+        if path is None:
+            instance = generate_synthetic_wcnf(num_variables, num_clauses, seed)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                instance = parse_wcnf(fh.read())
+        return SearchSpace((2,) * instance.num_variables), lambda x: maxsat_eval(instance, x)
+
+    return build
+
+
+def _contamination(noise_seed):
+    return SearchSpace((2,) * 25), lambda x: contamination_eval(x, noise_seed)
+
+
+def _pest_control(noise_seed):
+    return SearchSpace((5,) * 25), lambda x: pest_control_eval(x, noise_seed)
+
+
+def _sfu(fn_name: str):
+    def build(noise_seed, *, dims: int = 20, grid: int = 11):
+        return SearchSpace((grid,) * dims), lambda x: sfu_eval(fn_name, x, grid)
+
+    return build
+
+
+# name -> builder (noise_seed, **options) -> (space, fn); a builder's keyword
+# parameters are the benchmark's options and their annotations the options' types
+_BENCHMARKS = {
+    "labs": _labs, "maxsat": _wcnf(60), "cluster_expansion": _wcnf(125),
+    "contamination": _contamination, "pest_control": _pest_control,
+    **{f"sfu_{fn}": _sfu(fn) for fn in sorted(SFU_FUNCTIONS)},
 }
 
 
 def make_benchmark(name: str, noise_seed: int = 0, **options) -> BenchmarkObjective:
     """Construct a benchmark objective by name.
 
-    Options: ``n`` (labs), ``path``/``num_variables``/``num_clauses``/``seed``
-    (maxsat, cluster_expansion), ``dims``/``grid`` (sfu_*); any other option
-    is an ``InvalidInputError``.
+    The options are the keyword parameters of the benchmark's builder in
+    ``_BENCHMARKS``.  An unknown option, or a value not of the option's
+    annotated type, is an ``InvalidInputError``; an ``int`` option takes an
+    integer that is not a bool.
     """
-    known = _OPTIONS.get("sfu_" if name.startswith("sfu_") else name, set(options))
-    unknown = set(options) - known
-    if unknown:
-        raise InvalidInputError(f"benchmark {name!r} takes no option(s) {sorted(unknown)}")
-    if name == "labs":
-        n = int(options.get("n", 50))
-        return BenchmarkObjective("labs", _binary_space(n), labs_energy, noise_seed)
-    if name in ("maxsat", "cluster_expansion"):
-        path = options.get("path")
-        if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                instance = parse_wcnf(fh.read())
-        else:
-            default_vars = 60 if name == "maxsat" else 125
-            instance = generate_synthetic_wcnf(
-                int(options.get("num_variables", default_vars)),
-                int(options.get("num_clauses", 4 * default_vars)),
-                int(options.get("seed", 0)),
-            )
-        fn = lambda x, inst=instance: maxsat_eval(inst, x)
-        return BenchmarkObjective(
-            name, _binary_space(instance.num_variables), fn, noise_seed
-        )
-    if name == "contamination":
-        fn = lambda x, s=noise_seed: contamination_eval(x, s)
-        return BenchmarkObjective(name, _binary_space(25), fn, noise_seed)
-    if name == "pest_control":
-        fn = lambda x, s=noise_seed: pest_control_eval(x, s)
-        return BenchmarkObjective(name, SearchSpace((5,) * 25), fn, noise_seed)
-    if name.startswith("sfu_"):
-        fn_name = name[len("sfu_") :]
-        dims = int(options.get("dims", 20))
-        grid = int(options.get("grid", 11))
-        sfu_grid(fn_name, grid)  # validates the name
-        fn = lambda x, f=fn_name, g=grid: sfu_eval(f, x, g)
-        return BenchmarkObjective(name, SearchSpace((grid,) * dims), fn, noise_seed)
-    raise InvalidInputError(f"unknown benchmark {name!r}; see list_benchmarks()")
+    if name not in _BENCHMARKS:
+        raise InvalidInputError(f"unknown benchmark {name!r}; see list_benchmarks()")
+    params = inspect.signature(_BENCHMARKS[name], eval_str=True).parameters
+    kinds = {k: p.annotation for k, p in params.items() if p.kind is p.KEYWORD_ONLY}
+    for key, value in options.items():
+        if key not in kinds:
+            raise InvalidInputError(f"benchmark {name!r} takes no option {key!r}; "
+                                    f"options: {sorted(kinds)}")
+        kind = kinds[key]
+        integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        if not (integer if kind is int else isinstance(value, kind)):
+            raise InvalidInputError(f"benchmark {name!r} option {key} must be "
+                                    f"{inspect.formatannotation(kind)}, got {value!r}")
+    space, fn = _BENCHMARKS[name](noise_seed, **options)
+    return BenchmarkObjective(name, space, fn, noise_seed)
 
 
 def list_benchmarks() -> list[str]:
-    return [
-        "labs",
-        "maxsat",
-        "cluster_expansion",
-        "contamination",
-        "pest_control",
-    ] + [f"sfu_{fn}" for fn in sorted(SFU_FUNCTIONS)]
+    return list(_BENCHMARKS)

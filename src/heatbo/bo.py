@@ -89,6 +89,10 @@ class TrustRegionConfig:
     success_tolerance: int = 3
     failure_tolerance: int = 10
 
+    def __post_init__(self):
+        if min(self.l_min, self.success_tolerance, self.failure_tolerance) < 1:
+            raise InvalidInputError("need l_min and both tolerances >= 1")
+
     @classmethod
     def for_space(cls, space: SearchSpace, **overrides) -> "TrustRegionConfig":
         values = dict(l_init=max(ceil(space.n / 4), 1), l_max=space.n)
@@ -100,17 +104,15 @@ class TrustRegionConfig:
 class TrustRegionState:
     center: tuple
     radius: int
+    config: TrustRegionConfig
     success_streak: int = 0
     failure_streak: int = 0
-    config: TrustRegionConfig = None
 
     def __post_init__(self):
-        if self.config is not None:
-            if not (self.config.l_min <= self.radius <= self.config.l_max):
-                raise InvalidInputError(
-                    f"radius {self.radius} outside "
-                    f"[{self.config.l_min}, {self.config.l_max}]"
-                )
+        if not (self.config.l_min <= self.radius <= self.config.l_max):
+            raise InvalidInputError(
+                f"radius {self.radius} outside [{self.config.l_min}, {self.config.l_max}]"
+            )
 
 
 def tr_update(tr: TrustRegionState, improved: bool) -> tuple[TrustRegionState, bool]:
@@ -189,13 +191,15 @@ class GaConfig:
     crossover_prob: float = 0.9
     mutation_prob: float | None = None  # None resolves to 1/n
     elite_count: int = 2
-    seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise InvalidInputError("population size must be >= 2")
-        if self.elite_count >= self.population_size:
-            raise InvalidInputError("elite count must be below the population size")
+        if not (2 <= self.population_size and 0 <= self.elite_count < self.population_size
+                and self.tournament_size >= 1 and self.generations >= 0):
+            raise InvalidInputError("GA needs population_size >= 2, 0 <= elite_count < "
+                                    "population_size, tournament_size >= 1, generations >= 0")
+        for prob in (self.crossover_prob, self.mutation_prob):
+            if prob is not None and not 0 <= prob <= 1:  # NaN fails too
+                raise InvalidInputError(f"GA probabilities must lie in [0, 1], got {prob}")
 
 
 def _shift(points, mask, cards, rng):
@@ -232,6 +236,7 @@ def ga_optimize(
     space: SearchSpace,
     tr: TrustRegionState,
     config: GaConfig,
+    seed: int,
     exclude: frozenset = frozenset(),
 ):
     """Maximize a batched acquisition over the trust region.
@@ -240,13 +245,12 @@ def ga_optimize(
     kept within the Hamming ball by construction; among all evaluated
     candidates the acquisition-best unobserved point is returned.  Falls
     back to enumeration (and raises ``TrustRegionExhausted``) when the whole
-    ball has been observed.
+    ball has been observed.  Each call draws from a fresh generator seeded
+    with ``seed``, so equal seeds draw alike.
     """
     center = np.asarray(tr.center)
     radius = int(tr.radius)
-    if radius == 0:
-        return center.copy()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / space.n
     cards = np.asarray(space.cardinalities)
 
@@ -404,13 +408,12 @@ def suggest(run: BoRunState) -> np.ndarray:
         means, variances = gp.predict_batch(state, points)
         return expected_improvement(means, variances, best)
 
-    ga_seed_stream = np.random.SeedSequence(_iteration_rng_seed(run, 1))
-    ga_config = replace(run.ga_config, seed=int(ga_seed_stream.generate_state(1)[0]))
+    seed = int(np.random.SeedSequence(_iteration_rng_seed(run, 1)).generate_state(1)[0])
     try:
-        return ga_optimize(acq, run.space, run.tr, ga_config, exclude=run.observed_set())
+        return ga_optimize(acq, run.space, run.tr, run.ga_config, seed, run.observed_set())
     except TrustRegionExhausted:
         _restart_region(run)
-        return ga_optimize(acq, run.space, run.tr, ga_config, exclude=run.observed_set())
+        return ga_optimize(acq, run.space, run.tr, run.ga_config, seed, run.observed_set())
 
 
 def _restart_region(run: BoRunState) -> None:
@@ -503,8 +506,8 @@ def run_bo(
     record per evaluation, init points included; per-iteration wall-clock
     excludes the objective evaluation, which is timed separately.
     """
-    if budget < 0 or init_count < 1:
-        raise InvalidInputError("need budget >= 0 and init_count >= 1")
+    if budget < 0 or init_count < (2 if budget else 1):
+        raise InvalidInputError("need budget >= 0, init_count >= 1, and >= 2 if budget > 0")
     run = new_run(space, spec, seed, tr_config, ga_config, optimizer_config)
     if initial_points is None:
         init_rng = np.random.default_rng([seed, 0])

@@ -109,6 +109,10 @@ class OptimizerConfig:
         # Adam divides by 1 - beta**t and by sqrt(m2) + epsilon
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.epsilon > 0):
             raise InvalidInputError("Adam needs 0 <= beta1, beta2 < 1 and epsilon > 0")
+        if not (0 < self.learning_rate < inf and 0 < self.initial_noise < inf):  # NaN fails
+            raise InvalidInputError("need finite learning_rate > 0 and initial_noise > 0")
+        if self.steps < 0:
+            raise InvalidInputError("need steps >= 0")
 
 
 @dataclass(frozen=True)

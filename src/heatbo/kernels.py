@@ -142,8 +142,6 @@ def casmo_eval(space: SearchSpace, lengthscales, x, y, sigma2: float = 1.0) -> f
 def rho_eval(space: SearchSpace, rhos, x, y, sigma2: float = 1.0) -> float:
     """Compound-symmetry product kernel with explicit per-dimension correlations."""
     rhos = np.asarray(rhos, dtype=float)
-    if rhos.shape != (space.n,):
-        raise InvalidInputError(f"need {space.n} correlations")
     _validate_rhos(space, rhos)
     x = space.validate_point(x)
     y = space.validate_point(y)
@@ -154,7 +152,9 @@ def rho_eval(space: SearchSpace, rhos, x, y, sigma2: float = 1.0) -> float:
     return value
 
 
-def _validate_rhos(space: SearchSpace, rhos) -> None:
+def _validate_rhos(space: SearchSpace, rhos: np.ndarray) -> None:
+    if rhos.shape != (space.n,):
+        raise InvalidInputError(f"need {space.n} correlations")
     for g, r in zip(space.cardinalities, rhos):
         lo = -1.0 / (g - 1.0)
         if not (lo < r < 1.0):
@@ -218,14 +218,23 @@ def hamming_family_eval(
 # ---------------------------------------------------------------------------
 
 
-def _base_values(space: SearchSpace, vs, cs, x, y) -> np.ndarray:
-    vs = np.asarray(vs, dtype=float)
-    cs = np.asarray(cs, dtype=float)
+def _validate_base(space: SearchSpace, vs: np.ndarray, cs: np.ndarray) -> None:
     if vs.shape != (space.n,) or cs.shape != (space.n,):
         raise InvalidInputError(f"need {space.n} base-kernel (v, c) pairs")
     if np.any(vs <= 0):
         raise InvalidInputError("base variances must be > 0")
     _validate_rhos(space, cs / vs)
+
+
+def _validate_degree_weights(space: SearchSpace, weights: np.ndarray) -> None:
+    if weights.shape != (space.n,) or np.any(weights < 0):
+        raise InvalidInputError("need nonnegative degree weights, one per degree")
+
+
+def _base_values(space: SearchSpace, vs, cs, x, y) -> np.ndarray:
+    vs = np.asarray(vs, dtype=float)
+    cs = np.asarray(cs, dtype=float)
+    _validate_base(space, vs, cs)
     x = space.validate_point(x)
     y = space.validate_point(y)
     return np.where(x == y, vs, cs)
@@ -270,10 +279,7 @@ def explainable_additive_eval(
 ) -> float:
     """Weighted sum over interaction degrees of base-kernel products."""
     weights = np.asarray(degree_weights, dtype=float)
-    if weights.shape != (space.n,):
-        raise InvalidInputError(f"need {space.n} degree weights")
-    if np.any(weights < 0):
-        raise InvalidInputError("degree weights must be >= 0")
+    _validate_degree_weights(space, weights)
     base = _base_values(space, vs, cs, x, y)
     es = elementary_symmetric(base)
     return float(np.dot(weights, es[1:]))
@@ -581,8 +587,6 @@ class _LogAffineFamily(_Family):
         if np.any(values < 0) or (self.positive and np.any(values == 0)):
             bound = "> 0" if self.positive else ">= 0"
             raise InvalidInputError(f"{self.param} must be {bound}")
-        if spec.sigma2 <= 0:
-            raise InvalidInputError("sigma2 must be > 0")
         expected = space.n if spec.ard else 1
         if np.atleast_1d(np.asarray(spec.params[self.param])).size != expected:
             raise InvalidInputError(f"{self.param} count does not match the ard flag")
@@ -712,12 +716,7 @@ class _RhoFamily(_Family):
     name = "rho"
 
     def validate(self, space, spec):
-        rhos = np.asarray(spec.params["rhos"], dtype=float)
-        if rhos.shape != (space.n,):
-            raise InvalidInputError(f"need {space.n} correlations")
-        _validate_rhos(space, rhos)
-        if spec.sigma2 <= 0:
-            raise InvalidInputError("sigma2 must be > 0")
+        _validate_rhos(space, np.asarray(spec.params["rhos"], dtype=float))
 
     def default_spec(self, space, ard=True):
         rhos = np.array(
@@ -778,8 +777,6 @@ class _ProfileFamily(_Family):
         for key in self.shape_params:
             if float(spec.params[key]) <= 0:
                 raise InvalidInputError(f"{key} must be > 0")
-        if spec.sigma2 <= 0:
-            raise InvalidInputError("sigma2 must be > 0")
 
     def default_spec(self, space, ard=True):
         params = {key: 1.0 for key in self.shape_params}
@@ -833,12 +830,7 @@ class _AdditiveBase(_Family):
         )
 
     def validate(self, space, spec):
-        vs, cs = self._vs_cs(spec)
-        if vs.shape != (space.n,) or cs.shape != (space.n,):
-            raise InvalidInputError(f"need {space.n} base-kernel (v, c) pairs")
-        if np.any(vs <= 0):
-            raise InvalidInputError("base variances must be > 0")
-        _validate_rhos(space, cs / vs)
+        _validate_base(space, *self._vs_cs(spec))
 
     def pack(self, space, spec):
         vs, cs = self._vs_cs(spec)
@@ -908,9 +900,7 @@ class _ExplainableAdditiveFamily(_AdditiveBase):
 
     def validate(self, space, spec):
         super().validate(space, spec)
-        w = np.asarray(spec.params["degree_weights"], dtype=float)
-        if w.shape != (space.n,) or np.any(w < 0):
-            raise InvalidInputError("need nonnegative degree weights, one per degree")
+        _validate_degree_weights(space, np.asarray(spec.params["degree_weights"], dtype=float))
 
     def default_spec(self, space, ard=True):
         vs, cs = self.default_base(space)
@@ -1051,12 +1041,14 @@ def default_spec(space: SearchSpace, family: str, ard: bool = True, **overrides)
 
 
 def validate_spec(space: SearchSpace, spec: KernelSpec) -> None:
-    """The family's own checks, after one shared by every family: each numeric
-    hyperparameter is finite."""
+    """The family's own checks, after two shared by every family: each numeric
+    hyperparameter is finite, and sigma2, where given, is positive."""
     for key, value in spec.params.items():
         values = np.asarray(value)
         if values.dtype.kind in "biuf" and not np.isfinite(values).all():
             raise InvalidInputError(f"{key} must be finite, got {value!r}")
+    if spec.sigma2 <= 0:
+        raise InvalidInputError("sigma2 must be > 0")
     _FAMILIES[spec.family].validate(space, spec)
 
 

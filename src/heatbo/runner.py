@@ -86,8 +86,8 @@ class ExperimentConfig:
             raise ConfigError("seed list must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        if self.budget < 0 or self.init_count < 1:
-            raise ConfigError("need budget >= 0 and init_count >= 1")
+        if self.budget < 0 or self.init_count < (2 if self.budget else 1):
+            raise ConfigError("need budget >= 0, init_count >= 1, and >= 2 if budget > 0")
         if self.parallel < 1:
             raise ConfigError("parallel degree must be >= 1")
         if self.kernel_family not in kernels.FAMILY_NAMES:
@@ -147,14 +147,14 @@ _GETTERS = {
 }
 # section: (the dataclass whose annotations type its keys, or None where
 # _parse_option_value guesses them; the ExperimentConfig field it fills, or
-# None for ExperimentConfig's own fields; {field: its file key, None if unsettable})
+# None for ExperimentConfig's own fields; {field: its file key where they differ})
 _SECTIONS = {
     "experiment": (ExperimentConfig, None, {"kernel_family": "kernel", "kernel_ard": "ard"}),
     "trust_region": (bo.TrustRegionConfig, "tr_options", {}),
-    "ga": (bo.GaConfig, "ga_options", {"seed": None}),  # bo.suggest reseeds the GA
+    "ga": (bo.GaConfig, "ga_options", {}),
     "optimizer": (gp.OptimizerConfig, "optimizer_options", {}),
     "kernel": (None, "kernel_options", {}),  # checked by default_spec
-    "benchmark_options": (None, "benchmark_options", {}),  # checked by make_benchmark
+    "benchmark_options": (None, "benchmark_options", {}),  # typed by make_benchmark
 }
 
 
@@ -174,7 +174,6 @@ def _section_values(section, cls, file_keys: dict) -> dict:
         return {k: _parse_option_value(_read(section, k, "get")) for k in section}
     hints = get_type_hints(cls)
     known = {file_keys.get(f, f): f for f, kind in hints.items() if kind in _GETTERS}
-    known.pop(None, None)
     unknown = sorted(set(section) - set(known))
     if unknown:
         raise ConfigError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -117,23 +117,11 @@ def product_spectrum(space: SearchSpace) -> ProductSpectrum:
     factors = tuple(factor_spectrum(g) for g in space.cardinalities)
     sums: dict[float, int] = {}
     for subset in itertools.product([0, 1], repeat=space.n):
-        lam = float(
-            sum(g for g, used in zip(space.cardinalities, subset) if used)
-        )
-        mult = 1
-        for g, used in zip(space.cardinalities, subset):
-            if used:
-                mult *= g - 1
-        sums[lam] = sums.get(lam, 0) + mult
-    values = np.array(sorted(sums))
-    mults = np.array([sums[v] for v in values])
-    # merge near-equal sums (distinct integers here, but keep the contract)
-    distinct, _ = _group_values(values)
-    merged = np.zeros(len(distinct), dtype=int)
-    for v, m in zip(values, mults):
-        idx = int(np.argmin(np.abs(distinct - v)))
-        merged[idx] += m
-    return ProductSpectrum(space, factors, distinct, merged)
+        used = [g for g, u in zip(space.cardinalities, subset) if u]
+        lam = float(sum(used))
+        sums[lam] = sums.get(lam, 0) + prod(g - 1 for g in used)
+    values = np.array(sorted(sums))  # exact integer sums: equal ones share a key
+    return ProductSpectrum(space, factors, values, np.array([sums[v] for v in values]))
 
 
 def product_laplacian(space: SearchSpace) -> np.ndarray:

@@ -267,7 +267,7 @@ def test_criterion_8_ga_exhaustive_oracle():
     exact = float(np.max(acq(ball)))
     hits = 0
     for seed in range(100):
-        best = bo.ga_optimize(acq, space, tr, bo.GaConfig(seed=seed))
+        best = bo.ga_optimize(acq, space, tr, bo.GaConfig(), seed)
         if float(acq(best[None])[0]) >= 0.95 * exact:
             hits += 1
     elapsed = time.perf_counter() - t0

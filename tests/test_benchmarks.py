@@ -320,3 +320,44 @@ class TestRegistry:
         path.write_text(bm.serialize_wcnf(bm.generate_synthetic_wcnf(12, 30, seed=2)))
         obj = bm.make_benchmark("maxsat", path=path)
         assert obj.space.n == 12
+        assert bm.make_benchmark("maxsat", path=str(path)).space.n == 12
+
+    @pytest.mark.parametrize("name, options", [
+        ("labs", dict(m=3)),
+        ("contamination", dict(n=25)),
+        ("sfu_ackley", dict(n=5)),
+        ("labs", dict(n=7.9)),
+        ("labs", dict(n=7.0)),
+        ("labs", dict(n=True)),
+        ("labs", dict(n="abc")),
+        ("sfu_levy", dict(grid=np.float64(11))),
+        ("maxsat", dict(seed=False)),
+        ("cluster_expansion", dict(path=3)),
+    ])
+    def test_unknown_or_mistyped_option_rejected(self, name, options):
+        with pytest.raises(InvalidInputError):
+            bm.make_benchmark(name, **options)
+
+    def test_numpy_integer_is_an_integer(self):
+        assert bm.make_benchmark("labs", n=np.int64(7)).space.n == 7
+
+    def test_values_bitwise_those_of_the_evaluators(self):
+        """Each benchmark, listed in this order, evaluates at its defaults and
+        noise seed 3 exactly as the module-level function it names."""
+        direct = {
+            "labs": bm.labs_energy,
+            "maxsat": lambda x: bm.maxsat_eval(bm.generate_synthetic_wcnf(60, 240, 0), x),
+            "cluster_expansion": lambda x: bm.maxsat_eval(
+                bm.generate_synthetic_wcnf(125, 500, 0), x
+            ),
+            "contamination": lambda x: bm.contamination_eval(x, 3),
+            "pest_control": lambda x: bm.pest_control_eval(x, 3),
+            **{f"sfu_{f}": lambda x, f=f: bm.sfu_eval(f, x, 11) for f in sorted(bm.SFU_FUNCTIONS)},
+        }
+        assert bm.list_benchmarks() == list(direct)
+        rng = np.random.default_rng(5)
+        for name in bm.list_benchmarks():
+            obj = bm.make_benchmark(name, noise_seed=3)
+            for x in obj.space.sample_points(3, rng):
+                got, want = np.float64(obj.evaluate(x)), np.float64(direct[name](x))
+                assert got.tobytes() == want.tobytes(), name

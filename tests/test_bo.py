@@ -130,12 +130,12 @@ class TestBallGeometry:
 
 
 class TestGaOptimize:
-    def test_radius_zero_returns_center(self):
-        sp = SearchSpace((3, 3, 3))
-        cfg = bo.TrustRegionConfig.for_space(sp, l_min=0)
-        tr = bo.TrustRegionState(center=(1, 2, 0), radius=0, config=cfg)
-        got = bo.ga_optimize(lambda P: np.zeros(len(P)), sp, tr, bo.GaConfig(seed=0))
-        assert tuple(got) == (1, 2, 0)
+    @pytest.mark.parametrize(
+        "bad", [dict(l_min=0), dict(success_tolerance=0), dict(failure_tolerance=0)]
+    )
+    def test_radius_zero_and_zero_tolerances_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            bo.TrustRegionConfig.for_space(SearchSpace((3, 3, 3)), **bad)
 
     def test_beats_95_percent_of_exhaustive_optimum(self):
         # exhaustive-enumeration oracle over the trust region
@@ -154,7 +154,7 @@ class TestGaOptimize:
         exact = float(np.max(acq(ball)))
         hits = 0
         for seed in range(100):
-            best = bo.ga_optimize(acq, sp, tr, bo.GaConfig(seed=seed))
+            best = bo.ga_optimize(acq, sp, tr, bo.GaConfig(), seed)
             if float(acq(best[None])[0]) >= 0.95 * exact:
                 hits += 1
         assert hits >= 95
@@ -170,7 +170,7 @@ class TestGaOptimize:
             seen.extend(tuple(int(v) for v in p) for p in points)
             return np.zeros(len(points))
 
-        bo.ga_optimize(acq, sp, tr, bo.GaConfig(seed=3))
+        bo.ga_optimize(acq, sp, tr, bo.GaConfig(), 3)
         assert seen
         for p in seen:
             assert hamming_distance(p, center) <= 2
@@ -182,8 +182,8 @@ class TestGaOptimize:
         rng = np.random.default_rng(4)
         w = rng.normal(size=5)
         acq = lambda P: P @ w
-        a = bo.ga_optimize(acq, sp, tr, bo.GaConfig(seed=11))
-        b = bo.ga_optimize(acq, sp, tr, bo.GaConfig(seed=11))
+        a = bo.ga_optimize(acq, sp, tr, bo.GaConfig(), 11)
+        b = bo.ga_optimize(acq, sp, tr, bo.GaConfig(), 11)
         assert np.array_equal(a, b)
 
     def test_avoids_observed_points(self):
@@ -196,7 +196,7 @@ class TestGaOptimize:
             return -np.count_nonzero(points != best, axis=1).astype(float)
 
         observed = frozenset({(0, 0, 0), (0, 0, 1), (0, 1, 0)})
-        got = bo.ga_optimize(acq, sp, tr, bo.GaConfig(seed=5), exclude=observed)
+        got = bo.ga_optimize(acq, sp, tr, bo.GaConfig(), 5, exclude=observed)
         assert tuple(got) not in observed
 
     def test_exhaustion_signal(self):
@@ -206,7 +206,7 @@ class TestGaOptimize:
         everything = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
         with pytest.raises(bo.TrustRegionExhausted):
             bo.ga_optimize(
-                lambda P: np.zeros(len(P)), sp, tr, bo.GaConfig(seed=6),
+                lambda P: np.zeros(len(P)), sp, tr, bo.GaConfig(), 6,
                 exclude=everything,
             )
 
@@ -299,16 +299,14 @@ def reference_lowest(keys, candidates, count):
     return set(sorted(candidates, key=lambda c: keys[c])[:count])
 
 
-def reference_ga_optimize(acq, space, tr, config, exclude=frozenset()):
+def reference_ga_optimize(acq, space, tr, config, seed, exclude=frozenset()):
     """``bo.ga_optimize`` row by row: each random draw is the same call on the
     generator, in the same order, and each row's changes, mutations and
     reverts are chosen one row at a time from those draws.  The bookkeeping
     is one tuple and one strict comparison per evaluated row."""
     center = np.asarray(tr.center)
     radius = int(tr.radius)
-    if radius == 0:
-        return center.copy()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / space.n
     cards = space.cardinalities
     n = space.n
@@ -404,15 +402,15 @@ def ga_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     radius = draw(st.integers(1, sp.n))
     center = tuple(int(v) for v in sp.sample_points(1, rng)[0])
-    cfg = bo.TrustRegionConfig.for_space(sp, l_min=0, l_init=radius)
+    cfg = bo.TrustRegionConfig.for_space(sp, l_init=radius)
     tr = bo.TrustRegionState(center=center, radius=radius, config=cfg)
     population = draw(st.integers(2, 12))
     ga = bo.GaConfig(
         population_size=population,
         generations=draw(st.integers(0, 4)),
         elite_count=draw(st.integers(0, population - 1)),
-        seed=draw(st.integers(0, 2**31)),
     )
+    seed = draw(st.integers(0, 2**31))
     hidden = sp.sample_points(1, rng)[0]
     weights = rng.integers(-2, 3, size=sp.n)
     acq = draw(st.sampled_from([
@@ -431,20 +429,20 @@ def ga_problems(draw):
             seen.extend(map(tuple, P.tolist()))
             return acq(P)
 
-        reference_ga_optimize(recording, sp, tr, ga)
+        reference_ga_optimize(recording, sp, tr, ga, seed)
         exclude = set(seen)
         if kind == "most":
             points = sp.enumerate_points()
             exclude |= set(map(tuple, points[rng.random(len(points)) < 0.9].tolist()))
         elif kind == "ball" and bo.ball_size(sp, radius) <= bo._ENUMERATION_CAP:
             exclude |= set(map(tuple, bo.enumerate_ball(sp, np.array(center), radius).tolist()))
-    return sp, tr, ga, acq, frozenset(exclude)
+    return sp, tr, ga, seed, acq, frozenset(exclude)
 
 
 def run_ga(optimize, problem):
-    sp, tr, ga, acq, exclude = problem
+    sp, tr, ga, seed, acq, exclude = problem
     try:
-        return optimize(acq, sp, tr, ga, exclude=exclude)
+        return optimize(acq, sp, tr, ga, seed, exclude=exclude)
     except bo.TrustRegionExhausted as exc:
         return exc
 
@@ -464,7 +462,7 @@ class TestGaBookkeeping:
     @given(ga_problems())
     @settings(max_examples=300, deadline=None)
     def test_result_in_ball_and_unobserved(self, problem):
-        sp, tr, _, _, exclude = problem
+        sp, tr, _, _, _, exclude = problem
         got = run_ga(bo.ga_optimize, problem)
         if isinstance(got, Exception):
             # raised only once the whole (enumerable) ball is observed
@@ -473,8 +471,7 @@ class TestGaBookkeeping:
             assert set(map(tuple, ball.tolist())) <= exclude
             return
         assert hamming_distance(got, tr.center) <= tr.radius
-        if tr.radius > 0:  # radius 0 returns the center unconditionally
-            assert tuple(got.tolist()) not in exclude
+        assert tuple(got.tolist()) not in exclude
 
 
 @st.composite
@@ -578,6 +575,14 @@ class TestRunBo:
         spec = kernels.default_spec(sp, "heat")
         trace = bo.run_bo(quadratic_objective(np.zeros(5)), sp, spec, 0, 4, seed=1)
         assert len(trace) == 4
+
+    def test_one_initial_point_only_without_budget(self):
+        sp = SearchSpace((2,) * 5)
+        spec = kernels.default_spec(sp, "heat")
+        f = quadratic_objective(np.zeros(5))
+        assert len(bo.run_bo(f, sp, spec, 0, 1, seed=1)) == 1
+        with pytest.raises(InvalidInputError):
+            bo.run_bo(f, sp, spec, 1, 1, seed=1)
 
     def test_incumbent_monotone_non_increasing(self):
         sp = SearchSpace((2,) * 6)

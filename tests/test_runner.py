@@ -314,6 +314,19 @@ class TestCli:
             ("[optimizer]", "[kernal]\nbeta = 0.5\n\n[optimizer]"),
             ("generations = 4", "generations = 4\nseed = 5"),
             ("generations = 4", "generations ="),
+            ("n = 10", "n = 7.9"),
+            ("n = 10", "n = true"),
+            ("[optimizer]", "[trust_region]\nl_min = 0\n\n[optimizer]"),
+            ("[optimizer]", "[trust_region]\nfailure_tolerance = 0\n\n[optimizer]"),
+            ("init_count = 3", "init_count = 1"),
+            ("generations = 4", "generations = -1"),
+            ("generations = 4", "generations = 4\ntournament_size = 0"),
+            ("generations = 4", "generations = 4\nelite_count = -1"),
+            ("generations = 4", "generations = 4\ncrossover_prob = nan"),
+            ("generations = 4", "generations = 4\nmutation_prob = -1"),
+            ("steps = 10", "steps = 10\nlearning_rate = nan"),
+            ("steps = 10", "steps = 10\ninitial_noise = 0"),
+            ("steps = 10", "steps = -1"),
         ],
     )
     def test_invalid_option_value_exits_one_before_writing(
