@@ -43,6 +43,7 @@ __all__ = [
     "sfu_eval",
     "relocate_objective",
     "make_benchmark",
+    "option_types",
     "list_benchmarks",
     "BENCHMARK_CONSTANTS",
     "SFU_FUNCTIONS",
@@ -478,18 +479,23 @@ _BENCHMARKS = {
 }
 
 
-def make_benchmark(name: str, noise_seed: int = 0, **options) -> BenchmarkObjective:
-    """Construct a benchmark objective by name.
-
-    The options are the keyword parameters of the benchmark's builder in
-    ``_BENCHMARKS``.  An unknown option, or a value not of the option's
-    annotated type, is an ``InvalidInputError``; an ``int`` option takes an
-    integer that is not a bool.
-    """
+def option_types(name: str) -> dict:
+    """The options of benchmark ``name``: its builder's keyword parameters in
+    ``_BENCHMARKS``, each mapped to its annotated type."""
     if name not in _BENCHMARKS:
         raise InvalidInputError(f"unknown benchmark {name!r}; see list_benchmarks()")
     params = inspect.signature(_BENCHMARKS[name], eval_str=True).parameters
-    kinds = {k: p.annotation for k, p in params.items() if p.kind is p.KEYWORD_ONLY}
+    return {k: p.annotation for k, p in params.items() if p.kind is p.KEYWORD_ONLY}
+
+
+def make_benchmark(name: str, noise_seed: int = 0, **options) -> BenchmarkObjective:
+    """Construct a benchmark objective by name.
+
+    An option not in ``option_types(name)``, or a value not of the option's
+    type, is an ``InvalidInputError``; an ``int`` option takes an integer
+    that is not a bool.
+    """
+    kinds = option_types(name)
     for key, value in options.items():
         if key not in kinds:
             raise InvalidInputError(f"benchmark {name!r} takes no option {key!r}; "

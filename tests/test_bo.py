@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from heatbo import bo, kernels
 from heatbo.space import (
     InvalidInputError,
+    Relocation,
     SearchSpace,
     hamming_distance,
     sample_relocation,
@@ -475,18 +476,24 @@ class TestGaBookkeeping:
 
 
 @st.composite
-def weighted_binary_problems(draw):
-    """A hidden point of 4-10 bits and positive integer weights per bit."""
-    n = draw(st.integers(4, 10))
-    hidden = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    weights = draw(st.lists(st.integers(1, 15), min_size=n, max_size=n))
-    return tuple(hidden), tuple(weights)
+def relocation_problems(draw):
+    """4-8 dimensions of 2-5 categories, a hidden point, a positive integer
+    weight and a cyclic shift per dimension."""
+    cards = tuple(draw(st.lists(st.integers(2, 5), min_size=4, max_size=8)))
+    hidden = tuple(draw(st.integers(0, g - 1)) for g in cards)
+    weights = tuple(draw(st.integers(1, 15)) for _ in cards)
+    shifts = tuple(draw(st.integers(0, g - 1)) for g in cards)
+    return cards, hidden, weights, shifts
 
 
-# ten bits, the first five weighing 1.3 times the rest
+# ten bits, the first five weighing 1.3 times the rest, flipped as
+# sample_relocation's seed 99 flips them
 TEN_BIT_CASE = dict(
-    problem=((1, 0, 1, 1, 0, 0, 1, 0, 1, 1), (13,) * 5 + (10,) * 5),
-    ard=True, reloc_seed=99,
+    problem=(
+        (2,) * 10, (1, 0, 1, 1, 0, 0, 1, 0, 1, 1), (13,) * 5 + (10,) * 5,
+        tuple(p[0] for p in sample_relocation(SearchSpace((2,) * 10), 99).perms),
+    ),
+    family="heat", ard=True, restart=False,
 )
 
 
@@ -616,27 +623,35 @@ class TestRunBo:
         assert len(seen) == 10
 
     @given(
-        problem=weighted_binary_problems(),
+        problem=relocation_problems(),
+        family=st.sampled_from(["heat", "combo", "casmopolitan"]),
         ard=st.booleans(),
-        reloc_seed=st.integers(0, 2**31 - 1),
+        restart=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @example(**TEN_BIT_CASE, seed=0)
     @example(**TEN_BIT_CASE, seed=1)
     @example(**TEN_BIT_CASE, seed=2)
-    @settings(max_examples=4, deadline=None)
-    def test_relocation_equivariance_binary_pipeline(self, problem, ard, reloc_seed, seed):
-        hidden, weights = (np.array(v) for v in problem)
-        sp = SearchSpace((2,) * len(hidden))
-        f = lambda x: float(weights @ (np.asarray(x) != hidden))
-        reloc = sample_relocation(sp, reloc_seed)
+    @settings(max_examples=6, deadline=None)
+    def test_relocation_equivariance_pipeline(self, problem, family, ard, restart, seed):
+        """Cyclic shifts c -> c + s mod g relocate the whole trace exactly; on
+        binary dimensions they are sample_relocation's bit flips.  With
+        ``restart``, tolerances of 1 force trust-region restarts."""
+        cards, hidden, weights, shifts = problem
+        sp = SearchSpace(cards)
+        f = lambda x: float(np.array(weights) @ (np.asarray(x) != hidden))
+        reloc = Relocation(sp, [tuple((np.arange(g) + s) % g) for g, s in zip(cards, shifts)])
         inv = reloc.inverse()
         f_moved = lambda x: f(inv.apply(x))
-        spec = kernels.default_spec(sp, "heat", ard=ard)
+        spec = kernels.default_spec(sp, family, ard=ard)
+        tr_config = bo.TrustRegionConfig.for_space(
+            sp, success_tolerance=1, failure_tolerance=1
+        ) if restart else None
         init = sp.sample_points(8, np.random.default_rng([seed, 0]))
-        t1 = bo.run_bo(f, sp, spec, 8, 8, seed=seed, initial_points=init, measure_time=False)
+        t1 = bo.run_bo(f, sp, spec, 8, 8, seed=seed, tr_config=tr_config,
+                       initial_points=init, measure_time=False)
         t2 = bo.run_bo(
-            f_moved, sp, spec, 8, 8, seed=seed,
+            f_moved, sp, spec, 8, 8, seed=seed, tr_config=tr_config,
             initial_points=reloc.apply_many(init), measure_time=False,
         )
         assert [a.raw_value for a in t1] == [b.raw_value for b in t2]

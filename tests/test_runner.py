@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import heatbo
-from heatbo import kernels, runner
+from heatbo import benchmarks, kernels, runner, spectral
 
 
 def write_config(tmp_path, **overrides):
@@ -122,12 +123,29 @@ class TestConfig:
         from heatbo.space import SearchSpace
 
         path = write_config(tmp_path, kernel=kernel, ard=ard)
-        path.write_text(path.read_text() + f"\n[kernel]\n{key} = 0.25\nsigma2 = 2.0\n")
+        path.write_text(path.read_text() + f"\n[kernel]\n{key} = 0.25\nsigma2 = 2\n")
         config = runner.load_config(path)
+        assert type(config.kernel_options["sigma2"]) is float
         spec = runner._initial_kernel_spec(config, SearchSpace((2,) * 6))
         assert np.shape(spec.params[param]) == shape
         np.testing.assert_allclose(spec.params[param], 0.25)
         assert spec.sigma2 == 2.0
+
+    @pytest.mark.parametrize("name", ["2024", "true"])
+    def test_benchmark_option_read_by_its_type(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        instance = benchmarks.generate_synthetic_wcnf(7, 20, seed=1)
+        (tmp_path / name).write_text(benchmarks.serialize_wcnf(instance))
+        path = write_config(tmp_path, benchmark="maxsat")
+        path.write_text(path.read_text().replace("n = 10", f"path = {name}"))
+        config = runner.load_config(path)
+        assert config.benchmark_options == {"path": name}
+        assert runner._build_objective(config).space.n == 7
+
+    def test_kernel_section_reads_integers_and_text(self, tmp_path):
+        path = write_config(tmp_path, kernel="invariant")
+        path.write_text(path.read_text() + "\n[kernel]\nmode = proj\nsamples = 50\n")
+        assert runner.load_config(path).kernel_options == {"mode": "proj", "samples": 50}
 
 
 class TestRunExperiment:
@@ -216,17 +234,40 @@ class TestSummarize:
             runner.summarize({0: [r], 1: [r, r]})
 
 
+def _crash(*args):
+    raise RuntimeError("eigensolver gone")
+
+
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
         import time
 
         t0 = time.perf_counter()
-        assert runner.selftest() is True
+        assert runner.main(["selftest"]) == 0
         assert time.perf_counter() - t0 < 120.0
         out = capsys.readouterr().out
         assert out.count("PASS") == len(runner.SELFTEST_CHECKS)
         assert "77 15 9 5 3 1" in out
         assert "padded distance 4 vs sorted 7" in out
+
+    @pytest.mark.parametrize(
+        "module, name, break_, line",
+        [
+            (kernels, "heat_betas_to_casmo_lengthscales", lambda fn: lambda sp, b: 2 * fn(sp, b),
+             r"kernel-equivalence: three kernel routes agree, max deviation \S+ -- FAIL"),
+            (spectral, "counterexample_eigenvalues", lambda fn: _crash,
+             r"unequal-size-counterexample: crashed: eigensolver gone -- FAIL"),
+        ],
+    )
+    def test_failed_or_crashed_check_exits_three(
+        self, capsys, monkeypatch, module, name, break_, line
+    ):
+        monkeypatch.setattr(module, name, break_(getattr(module, name)))
+        assert runner.main(["selftest"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        failed = [text for text in out if text.endswith(" -- FAIL")]
+        assert len(out) == len(runner.SELFTEST_CHECKS) and len(failed) == 1
+        assert re.fullmatch(line, failed[0])
 
 
 class TestCompareSpeed:
@@ -286,13 +327,18 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "kernel_lines",
-        ["beta = nan", "beta = -1", "sigma2 = inf", "sigma2 = nan", "sigma2 = abc"],
+        "kernel, kernel_lines",
+        [
+            ("heat", "beta = nan"), ("heat", "beta = -1"), ("heat", "sigma2 = inf"),
+            ("heat", "sigma2 = nan"), ("heat", "sigma2 = abc"), ("heat", "beta = true"),
+            ("invariant", "samples = 2.5"), ("invariant", "inner = hamming_rbf"),
+            ("random_decomposition", "decomposition = 0"),
+        ],
     )
     def test_invalid_kernel_value_exits_one_before_writing(
-        self, tmp_path, capsys, kernel_lines
+        self, tmp_path, capsys, kernel, kernel_lines
     ):
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, kernel=kernel)
         path.write_text(path.read_text() + f"\n[kernel]\n{kernel_lines}\n")
         assert runner.main(["run", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
@@ -416,9 +462,6 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout.split() == list(kernels.FAMILY_NAMES)
-
-    def test_selftest_command(self):
-        assert runner.main(["selftest"]) == 0
 
     def test_speed_command(self, tmp_path, capsys):
         out = tmp_path / "speed.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heatbo import spectral
 from heatbo.space import (
     InvalidInputError,
     SearchSpace,
@@ -13,6 +14,7 @@ from heatbo.spectral import (
     bodi_not_hamming_check,
     combo_gram_numeric,
     complete_graph_laplacian,
+    conversion_residual,
     counterexample_eigenvalues,
     counterexample_matrix,
     counterexample_space,
@@ -213,21 +215,11 @@ class TestHammingToPhi:
         np.testing.assert_allclose(ratios, ratios[0], rtol=1e-6)
 
     def test_reconstructs_gram(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            n = int(rng.integers(1, 4))
-            g = int(rng.integers(2, 5))
-            sp = SearchSpace((g,) * n)
-            ell = float(rng.uniform(0.5, 3.0))
-            values = np.exp(-np.arange(n + 1) / ell**2)
-            phi = hamming_to_phi(sp, values)
-            assert phi is not None
-            pts = sp.enumerate_points()
-            np.testing.assert_allclose(
-                phi_gram(sp, phi, pts),
-                hamming_profile_gram(sp, values, pts),
-                atol=1e-8,
-            )
+        assert conversion_residual(13) < 1e-8
+
+    def test_residual_infinite_without_spectral_form(self, monkeypatch):
+        monkeypatch.setattr(spectral, "hamming_to_phi", lambda space, values: None)
+        assert conversion_residual(13) == np.inf
 
     def test_counterexample_profile_fails(self):
         assert hamming_to_phi(counterexample_space(), COUNTEREXAMPLE_PROFILE) is None
