@@ -7,15 +7,17 @@ unconstrained parameterization (log for positive parameters, scaled logistic
 for bounded correlations).
 
 Every family takes one route.  ``fit`` encodes the training set once
-(``kernels.fit_terms``); both Adam starts, each unpacked through ``spec``,
+(``kernels.fit_terms``); every Adam start, each unpacked through ``spec``,
 and the returned state share those terms, and K comes from ``terms.gram``,
-bit for bit ``kernels.gram``.  Each gradient step factors K + noise I once,
-takes K^-1 from the Cholesky factor (LAPACK potri), forms W = alpha
-alpha^T - K^-1 and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>, a list of
-floats, to which it appends the noise term 1/2 tr(W) noise.  Adam keeps its
-moments and iterates as Python floats, with the operations of the
-elementwise numpy form in the same order; the numpy-array Adam, frozen in
-``tests/test_gp.py``, pins the fitted bits.
+bit for bit ``kernels.gram``.  An ARD spec runs both starts, cold and warm,
+for the full step count.  A non-ARD spec runs the warm start alone when
+there is one, and a start stops once its MLL stalls.  Each gradient step
+factors K + noise I once, takes K^-1 from the Cholesky factor (LAPACK
+potri), forms W = alpha alpha^T - K^-1 and asks ``terms.grad`` for
+1/2 <W, dK/dtheta_j>, a list of floats, to which it appends the noise term
+1/2 tr(W) noise.  Adam keeps its moments and iterates as Python floats,
+with the operations of the elementwise numpy form in the same order; the
+numpy-array Adam, frozen in ``tests/test_gp.py``, pins the fitted bits.
 
 The linear algebra calls LAPACK directly through this module's own
 ``cholesky``, ``cho_solve`` and ``solve_triangular``, without scipy.linalg's
@@ -53,6 +55,10 @@ __all__ = [
 ]
 
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
+# A non-ARD start ends once STALL_STEPS consecutive Adam steps have raised its
+# best MLL by no more than STALL_NATS_PER_POINT nats per training point in all.
+STALL_STEPS = 20
+STALL_NATS_PER_POINT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -221,27 +227,44 @@ def _mll_and_grad(terms, spec, log_noise, y, ladder):
     return value, grad
 
 
-def _adam_ascent(terms, spec, y, theta: list, config: OptimizerConfig):
+def _adam_ascent(terms, spec, y, theta: list, config: OptimizerConfig, stall_nats=None):
     """Adam on the MLL from ``theta``, the packed spec and log noise as floats;
     returns the best iterate seen and its value.  Each update is the numpy
     form's elementwise IEEE operations, in order: ``g * g`` as numpy squares,
-    not ``g ** 2`` (libm pow)."""
+    not ``g ** 2`` (libm pow).
+
+    With ``stall_nats``, the start ends once ``STALL_STEPS`` consecutive
+    steps have raised its best value by no more than that in total;
+    ``config.steps`` stays the cap.  A ``NumericFailure`` ends the start
+    with its best iterate so far; it propagates only when the start itself
+    cannot be evaluated.
+    """
     space, ladder = terms.space, config.jitter_ladder
     b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
     best_theta, best_value = theta, -inf  # step 1 evaluates the start
+    bests = []  # best_value after each evaluation
     m1 = m2 = [0.0] * len(theta)
-    for t in range(1, config.steps + 1):
-        x = np.array(theta)
-        cur = kernels.unpack_spec(space, spec, x[:-1])
-        value, grad = _mll_and_grad(terms, cur, x[-1], y, ladder)
-        if value > best_value:
-            best_value, best_theta = value, theta
-        m1 = [b1 * a + (1 - b1) * g for a, g in zip(m1, grad)]
-        m2 = [b2 * a + (1 - b2) * (g * g) for a, g in zip(m2, grad)]
-        c1, c2 = 1 - b1**t, 1 - b2**t
-        theta = [p + lr * (a / c1) / (sqrt(b / c2) + eps) for p, a, b in zip(theta, m1, m2)]
-    x = np.array(theta)  # the last iterate needs no gradient
-    value = _mll_parts(terms, kernels.unpack_spec(space, spec, x[:-1]), x[-1], y, ladder)[0]
+    try:
+        for t in range(1, config.steps + 1):
+            x = np.array(theta)
+            cur = kernels.unpack_spec(space, spec, x[:-1])
+            value, grad = _mll_and_grad(terms, cur, x[-1], y, ladder)
+            if value > best_value:
+                best_value, best_theta = value, theta
+            bests.append(best_value)
+            if stall_nats is not None and t > STALL_STEPS:
+                if best_value - bests[-1 - STALL_STEPS] <= stall_nats:
+                    return best_theta, best_value
+            m1 = [b1 * a + (1 - b1) * g for a, g in zip(m1, grad)]
+            m2 = [b2 * a + (1 - b2) * (g * g) for a, g in zip(m2, grad)]
+            c1, c2 = 1 - b1**t, 1 - b2**t
+            theta = [p + lr * (a / c1) / (sqrt(b / c2) + eps) for p, a, b in zip(theta, m1, m2)]
+        x = np.array(theta)  # the last iterate needs no gradient
+        value = _mll_parts(terms, kernels.unpack_spec(space, spec, x[:-1]), x[-1], y, ladder)[0]
+    except NumericFailure:
+        if not bests:
+            raise
+        return best_theta, best_value
     if value > best_value:
         best_value, best_theta = value, theta
     return best_theta, best_value
@@ -281,27 +304,42 @@ def fit(
 ) -> GpState:
     """Maximize the marginal log-likelihood; best of the available starts wins.
 
-    Starts from ``spec`` (typically family defaults) and, when given, from
-    the previous fit's hyperparameters, which must share ``spec``'s family,
-    ard flag and parameter count.  Deterministic: full-batch gradients, no
-    stochasticity anywhere.
+    Starts from ``spec`` (typically family defaults) and from the previous
+    fit's hyperparameters when given, which must share ``spec``'s family,
+    ard flag and parameter count.  An ARD spec runs Adam from both starts
+    for ``config.steps`` steps each.  A non-ARD spec, a handful of
+    parameters that the previous fit already places near their optimum,
+    runs from the warm start alone when there is one, and each start stops
+    early once its MLL stalls (``STALL_STEPS``, ``STALL_NATS_PER_POINT``).
+    A start that hits a ``NumericFailure`` keeps its best iterate so far;
+    the fit raises only when no start could be evaluated at all.
+    Deterministic: full-batch gradients, no stochasticity anywhere.
     """
     if train.count < 2:
         raise InvalidInputError("need at least 2 training points to fit")
     kernels.validate_spec(space, spec)
-    starts = [(kernels.pack_spec(space, spec), config.initial_noise)]
+    packed = kernels.pack_spec(space, spec)
+    starts = []
+    if warm_start is None or spec.ard:
+        starts.append((packed, config.initial_noise))
     if warm_start is not None:
         warm = kernels.pack_spec(space, warm_start)
         shape = (warm_start.family, warm_start.ard, warm.size)
-        if shape != (spec.family, spec.ard, starts[0][0].size):
+        if shape != (spec.family, spec.ard, packed.size):
             raise InvalidInputError("warm start differs from spec in family, ard or length")
         starts.append((warm, warm_noise if warm_noise else config.initial_noise))
+    stall_nats = None if spec.ard else STALL_NATS_PER_POINT * train.count
     y = train.standardized()
     terms = kernels.fit_terms(space, spec, train.points)
-    results = [
-        _adam_ascent(terms, spec, y, [*packed.tolist(), log(noise)], config)
-        for packed, noise in starts
-    ]
+    results = []
+    for start, noise in starts:
+        theta = [*start.tolist(), log(noise)]
+        try:
+            results.append(_adam_ascent(terms, spec, y, theta, config, stall_nats))
+        except NumericFailure:  # the start itself cannot be factored
+            continue
+    if not results:
+        raise NumericFailure("no start could be evaluated")
     theta_opt, _ = max(results, key=lambda result: result[1])  # the first on a tie
     fitted_spec = kernels.unpack_spec(space, spec, theta_opt[:-1])
     fitted_noise = float(np.exp(theta_opt[-1]))

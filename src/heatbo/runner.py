@@ -112,16 +112,17 @@ class ExperimentConfig:
         return f"{self.benchmark}{reloc}:{self.kernel_family}:seed{seed}"
 
 
-_BROADCASTS = {"beta": "betas", "lengthscale": "lengthscales", "rho": "rhos"}
+# A singular name for a vector parameter, where the family has that vector
+_ALIASES = {"beta": "betas", "lengthscale": "lengthscales", "rho": "rhos"}
 
 
 def _kernel_kinds(family: str) -> dict:
     """[kernel] keys and their types: the family's default parameters (a
-    vector takes a float), and a float for each scalar broadcast to a vector."""
+    vector takes a float), and a float for each alias of a vector."""
     params = kernels.default_spec(SearchSpace((2,)), family).params
     kinds = {k: float if isinstance(v, (float, np.ndarray)) else type(v)
              for k, v in params.items()}
-    kinds.update((k, float) for k, vector in _BROADCASTS.items() if vector in params)
+    kinds.update((k, float) for k, vector in _ALIASES.items() if vector in params)
     return kinds
 
 
@@ -210,18 +211,19 @@ def _build_objective(config: ExperimentConfig) -> benchmarks.BenchmarkObjective:
 def _initial_kernel_spec(config: ExperimentConfig, space: SearchSpace):
     """Family defaults overridden by initial values from the [kernel] section.
 
-    A scalar key of ``_BROADCASTS`` whose vector the family's default spec
-    holds fills that vector at its length; any other key applies directly.
+    A number given for a vector parameter of the family's default spec, by
+    its name or its ``_ALIASES`` name, fills that vector at its length; any
+    other key applies directly.
     """
     family, ard = config.kernel_family, config.kernel_ard
     defaults = kernels.default_spec(space, family, ard=ard).params
     overrides = {}
     for key, value in config.kernel_options.items():
-        vector = _BROADCASTS.get(key)
-        if vector in defaults:
-            overrides[vector] = np.full(len(defaults[vector]), float(value))
-        else:
-            overrides[key] = value
+        if _ALIASES.get(key) in defaults:
+            key = _ALIASES[key]
+        if isinstance(defaults.get(key), np.ndarray):
+            value = np.full(defaults[key].shape, float(value))
+        overrides[key] = value
     return kernels.default_spec(space, family, ard=ard, **overrides)
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotri
 
-from heatbo import gp, kernels
+from heatbo import benchmarks, bo, gp, kernels
 from heatbo.space import (
     InvalidInputError,
     SearchSpace,
@@ -389,23 +389,35 @@ class TestFit:
         assert np.isfinite(gp.mll(state))
 
 
-def reference_adam(objective, theta0, config):
-    """The numpy-array Adam that the float one replaced, frozen here."""
+def reference_adam(objective, theta0, config, stall_nats=None):
+    """The numpy-array Adam that the float one replaced, frozen here.  With
+    ``stall_nats`` it ends once ``gp.STALL_STEPS`` steps in a row have raised
+    its best value by no more than that.  A ``NumericFailure`` after the
+    first evaluation ends it with its best iterate so far."""
     theta = theta0.copy()
     m1 = np.zeros_like(theta)
     m2 = np.zeros_like(theta)
     best_value, _ = objective(theta, need_grad=False)
     best_theta = theta.copy()
-    for t in range(1, config.steps + 1):
-        value, grad = objective(theta, need_grad=True)
-        if value > best_value:
-            best_value, best_theta = value, theta.copy()
-        m1 = config.beta1 * m1 + (1 - config.beta1) * grad
-        m2 = config.beta2 * m2 + (1 - config.beta2) * grad**2
-        m1_hat = m1 / (1 - config.beta1**t)
-        m2_hat = m2 / (1 - config.beta2**t)
-        theta = theta + config.learning_rate * m1_hat / (np.sqrt(m2_hat) + config.epsilon)
-    value, _ = objective(theta, need_grad=False)
+    history = []  # the best value after each step's evaluation
+    try:
+        for t in range(1, config.steps + 1):
+            value, grad = objective(theta, need_grad=True)
+            if value > best_value:
+                best_value, best_theta = value, theta.copy()
+            history.append(best_value)
+            window = history[-1 - gp.STALL_STEPS:]
+            if stall_nats is not None and len(window) > gp.STALL_STEPS:
+                if window[-1] - window[0] <= stall_nats:
+                    return best_theta, best_value
+            m1 = config.beta1 * m1 + (1 - config.beta1) * grad
+            m2 = config.beta2 * m2 + (1 - config.beta2) * grad**2
+            m1_hat = m1 / (1 - config.beta1**t)
+            m2_hat = m2 / (1 - config.beta2**t)
+            theta = theta + config.learning_rate * m1_hat / (np.sqrt(m2_hat) + config.epsilon)
+        value, _ = objective(theta, need_grad=False)
+    except gp.NumericFailure:
+        return best_theta, best_value
     if value > best_value:
         best_value, best_theta = value, theta.copy()
     return best_theta, best_value
@@ -422,14 +434,25 @@ def reference_unpack(space, spec, theta):
     )
 
 
-def reference_fit(space, train, spec, config, warm_start=None, warm_noise=None):
+def reference_fit(space, train, spec, config, warm_start=None, warm_noise=None,
+                  follow_fit=False):
     """The route before one terms object and the float Adam: one ``fit_terms``
     per start, each start unpacked through its own spec, the frozen numpy
-    Adam on ``reference_step``, then ``make_state``."""
+    Adam on ``reference_step``, then ``make_state``.
+
+    Its schedule is the one before the stall stop: the cold start and, when
+    given, the warm start, ``config.steps`` steps each.  With ``follow_fit``
+    a non-ARD spec takes ``gp.fit``'s schedule instead: the warm start alone
+    when given, and the stall stop.  A start that cannot be evaluated is
+    skipped; with none left, ``NumericFailure``."""
     y = train.standardized()
-    starts = [(spec, config.initial_noise)]
+    short = follow_fit and not spec.ard
+    starts = []
+    if warm_start is None or not short:
+        starts.append((spec, config.initial_noise))
     if warm_start is not None:
         starts.append((warm_start, warm_noise if warm_noise else config.initial_noise))
+    stall_nats = gp.STALL_NATS_PER_POINT * train.count if short else None
     best = None
     for start_spec, start_noise in starts:
         terms = kernels.fit_terms(space, start_spec, train.points)
@@ -440,9 +463,14 @@ def reference_fit(space, train, spec, config, warm_start=None, warm_noise=None):
             return value, grad if need_grad else None
 
         theta0 = np.concatenate([kernels.pack_spec(space, start_spec), [log(start_noise)]])
-        theta, value = reference_adam(objective, theta0, config)
+        try:
+            theta, value = reference_adam(objective, theta0, config, stall_nats)
+        except gp.NumericFailure:
+            continue
         if best is None or value > best[2]:
             best = (start_spec, theta, value)
+    if best is None:
+        raise gp.NumericFailure("no start could be evaluated")
     start_spec, theta, _ = best
     fitted = reference_unpack(space, start_spec, theta[:-1])
     return gp.make_state(space, train, fitted, float(np.exp(theta[-1])), config.jitter_ladder)
@@ -469,8 +497,9 @@ def assert_same_state(got, expected):
 
 
 class TestOneTermsObject:
-    """``fit`` encodes the training set once; both starts and the returned
-    state share that encoding and give the bits of the per-start route."""
+    """``fit`` encodes the training set once; its starts and the returned
+    state share that encoding and give the bits of the per-start route
+    under the same schedule."""
 
     @given(exact_problems(kernels.FAMILY_NAMES), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -485,7 +514,7 @@ class TestOneTermsObject:
             warm_spec = kernels.unpack_spec(sp, spec, theta)
             kwargs = dict(warm_start=warm_spec, warm_noise=float(np.exp(log_noise)))
         try:
-            expected = reference_fit(sp, train, base, config, **kwargs)
+            expected = reference_fit(sp, train, base, config, **kwargs, follow_fit=True)
         except gp.NumericFailure:
             with pytest.raises(gp.NumericFailure):
                 gp.fit(sp, train, base, config, **kwargs)
@@ -496,9 +525,9 @@ class TestOneTermsObject:
         "family, ard", [("heat", True), ("heat", False), ("casmopolitan", True), ("rho", True)]
     )
     def test_default_fit_bitwise_equal_to_frozen_reference(self, family, ard):
-        # 100 steps from each start: float moments and list gradients, over
-        # many updates, against the numpy-array Adam; rho's gradient is an
-        # array made a list
+        # up to 100 steps from each start: float moments and list gradients,
+        # over many updates, against the numpy-array Adam; rho's gradient is
+        # an array made a list
         sp = SearchSpace((2, 3, 4, 2, 5, 3))
         train = make_train(sp, np.random.default_rng(23), m=20)
         base = kernels.default_spec(sp, family, ard=ard)
@@ -506,7 +535,7 @@ class TestOneTermsObject:
         head = gp.TrainingSet.from_observations(sp, train.points[:12], train.raw_targets[:12])
         previous = gp.fit(sp, head, base, config)
         for kwargs in ({}, dict(warm_start=previous.spec, warm_noise=previous.noise_variance)):
-            expected = reference_fit(sp, train, base, config, **kwargs)
+            expected = reference_fit(sp, train, base, config, **kwargs, follow_fit=True)
             assert_same_state(gp.fit(sp, train, base, config, **kwargs), expected)
 
     def test_one_encoding_per_fit_and_none_per_prediction(self, monkeypatch):
@@ -532,12 +561,14 @@ class TestOneTermsObject:
         state.prior_variance()
         assert len(calls) == 2
 
-    def test_one_factorization_per_iterate(self, monkeypatch):
+    @pytest.mark.parametrize("ard", [True, False])
+    def test_one_factorization_per_iterate(self, monkeypatch, ard):
         # each start factors K once per Adam step (value and gradient) and
-        # once at its last iterate; the returned state factors once more
+        # once at its last iterate; the returned state factors once more.
+        # A warm ARD fit runs two starts, a warm non-ARD fit the warm one.
         sp = SearchSpace((3, 4, 2))
         train = make_train(sp, np.random.default_rng(20), m=8)
-        spec = kernels.default_spec(sp, "heat")
+        spec = kernels.default_spec(sp, "heat", ard=ard)
         config = gp.OptimizerConfig(steps=5)
         cold = gp.fit(sp, train, spec, config)
         calls = []
@@ -549,7 +580,31 @@ class TestOneTermsObject:
 
         monkeypatch.setattr(gp, "_chol_with_jitter", counting)
         gp.fit(sp, train, spec, config, warm_start=cold.spec, warm_noise=cold.noise_variance)
-        assert len(calls) == 2 * (config.steps + 1) + 1
+        assert len(calls) == (2 * (config.steps + 1) + 1 if ard else config.steps + 2)
+
+    @pytest.mark.parametrize(
+        "ard, rise, evaluations",
+        [(False, 0.0, gp.STALL_STEPS + 1), (False, 0.9, gp.STALL_STEPS + 1),
+         (False, 1.1, 50), (True, 0.0, 50)],
+    )
+    def test_stalled_mll_stops_a_non_ard_start(self, monkeypatch, ard, rise, evaluations):
+        # the MLL rises by ``rise`` times the stall tolerance over each
+        # STALL_STEPS steps: a non-ARD start stops STALL_STEPS steps after
+        # its first evaluation when that is at most the tolerance
+        sp = SearchSpace((3, 4, 2))
+        train = make_train(sp, np.random.default_rng(20), m=8)
+        spec = kernels.default_spec(sp, "heat", ard=ard)
+        per_step = rise * gp.STALL_NATS_PER_POINT * train.count / gp.STALL_STEPS
+        size = kernels.pack_spec(sp, spec).size + 1
+        calls = []
+
+        def rising(terms, spec, log_noise, y, ladder):
+            calls.append(log_noise)
+            return len(calls) * per_step, [0.0] * size
+
+        monkeypatch.setattr(gp, "_mll_and_grad", rising)
+        gp.fit(sp, train, spec, gp.OptimizerConfig(steps=50))
+        assert len(calls) == evaluations
 
     @pytest.mark.parametrize("mismatch", ["family", "ard", "length"])
     def test_mismatched_warm_start_rejected(self, mismatch):
@@ -563,6 +618,131 @@ class TestOneTermsObject:
         }[mismatch]
         with pytest.raises(InvalidInputError):
             gp.fit(sp, train, spec, gp.OptimizerConfig(steps=1), warm_start=warm)
+
+
+def failing_factorizations(monkeypatch, fail_on):
+    """``gp._chol_with_jitter`` raising ``NumericFailure`` on the calls
+    numbered in ``fail_on`` (from 1), and the MLL value of every successful
+    evaluation, in order.  Returns (calls, values)."""
+    calls, values = [], []
+    factor, parts = gp._chol_with_jitter, gp._mll_parts
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) in fail_on:
+            raise gp.NumericFailure("injected")
+        return factor(*args)
+
+    def recording(*args):
+        result = parts(*args)
+        values.append(result[0])
+        return result
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", failing)
+    monkeypatch.setattr(gp, "_mll_parts", recording)
+    return calls, values
+
+
+class TestNumericFailureContainment:
+    """A failed factorization ends one Adam start, which keeps its best
+    iterate; the fit fails only when no start evaluated anything."""
+
+    def problem(self, ard):
+        sp = SearchSpace((3, 4, 2))
+        train = make_train(sp, np.random.default_rng(21), m=8)
+        spec = kernels.default_spec(sp, "heat", ard=ard)
+        config = gp.OptimizerConfig(steps=6)
+        cold = gp.fit(sp, train, spec, config)
+        warm = dict(warm_start=cold.spec, warm_noise=cold.noise_variance)
+        return sp, train, spec, config, warm
+
+    @pytest.mark.parametrize(
+        "ard, warm, fail_on, evaluated",
+        [
+            (False, False, {4}, 3),  # a gradient step
+            (False, True, {7}, 6),  # the last iterate, after 6 steps
+            (True, True, {1}, 7),  # the cold start's first evaluation
+            (True, True, {3, 9}, 2 + 5),  # a step of each start
+        ],
+    )
+    def test_failed_step_keeps_the_best_iterate(
+        self, monkeypatch, ard, warm, fail_on, evaluated
+    ):
+        sp, train, spec, config, warm_kwargs = self.problem(ard)
+        calls, values = failing_factorizations(monkeypatch, fail_on)
+        state = gp.fit(sp, train, spec, config, **(warm_kwargs if warm else {}))
+        assert len(values) == evaluated + 1  # and once for the returned state
+        assert len(calls) == evaluated + len(fail_on) + 1
+        assert bits(state.mll_value) == bits(max(values[:-1]))
+
+    @pytest.mark.parametrize(
+        "ard, warm, fail_on",
+        [(False, False, {1}), (False, True, {1}), (True, True, {1, 2}), (True, False, {1})],
+    )
+    def test_no_start_evaluated_is_numeric_failure(self, monkeypatch, ard, warm, fail_on):
+        sp, train, spec, config, warm_kwargs = self.problem(ard)
+        calls, values = failing_factorizations(monkeypatch, fail_on)
+        with pytest.raises(gp.NumericFailure):
+            gp.fit(sp, train, spec, config, **(warm_kwargs if warm else {}))
+        assert len(calls) == len(fail_on) and not values
+
+    def test_zero_steps_fails_with_its_only_evaluation(self, monkeypatch):
+        sp, train, spec, _, _ = self.problem(False)
+        failing_factorizations(monkeypatch, {1})
+        with pytest.raises(gp.NumericFailure):
+            gp.fit(sp, train, spec, gp.OptimizerConfig(steps=0))
+
+
+def run_bo_corpus(name, options, ard, seed, suggests):
+    """The training sets of a seeded ``run_bo`` history with heat: the 20
+    initial points, then each longer history that a suggest fitted."""
+    objective = benchmarks.make_benchmark(name, **options)
+    sp = objective.space
+    spec = kernels.default_spec(sp, "heat", ard=ard)
+    trace = bo.run_bo(
+        objective, sp, spec, budget=suggests, init_count=20, seed=seed, measure_time=False
+    )
+    X = np.array([r.point for r in trace])
+    y = np.array([r.raw_value for r in trace])
+    sets = [gp.TrainingSet.from_observations(sp, X[:m], y[:m]) for m in range(20, len(y) + 1)]
+    return sp, spec, sets
+
+
+class TestFitCorpus:
+    """``gp.fit`` against the schedule before the stall stop
+    (``reference_fit``: cold and warm start, every step) on training sets
+    from seeded ``run_bo`` histories.  Each fit is warm-started from the
+    reference's fit of the set before, as ``suggest`` does."""
+
+    @pytest.mark.parametrize(
+        "name, options, ard, seed, suggests",
+        [
+            ("labs", {"n": 20}, False, 0, 15),
+            ("labs", {"n": 20}, False, 1, 15),
+            ("pest_control", {}, True, 0, 6),
+        ],
+    )
+    def test_fit_keeps_the_mll_of_the_full_schedule(
+        self, monkeypatch, name, options, ard, seed, suggests
+    ):
+        sp, spec, sets = run_bo_corpus(name, options, ard, seed, suggests)
+        config = gp.OptimizerConfig()
+        calls, factor = [], gp._chol_with_jitter
+        monkeypatch.setattr(gp, "_chol_with_jitter", lambda *a: calls.append(a) or factor(*a))
+        previous = None
+        for train in sets:
+            kwargs = {}
+            if previous is not None:
+                kwargs = dict(warm_start=previous.spec, warm_noise=previous.noise_variance)
+            expected = reference_fit(sp, train, spec, config, **kwargs)
+            calls.clear()
+            got = gp.fit(sp, train, spec, config, **kwargs)
+            if ard:  # the schedule is unchanged
+                assert_same_state(got, expected)
+            else:  # fewer factorizations than the full schedule's
+                assert gp.mll(got) >= gp.mll(expected) - 0.01
+                assert len(calls) < (2 if kwargs else 1) * (config.steps + 1) + 1
+            previous = expected
 
 
 class TestTrainingResidual:

@@ -131,6 +131,19 @@ class TestConfig:
         np.testing.assert_allclose(spec.params[param], 0.25)
         assert spec.sigma2 == 2.0
 
+    @pytest.mark.parametrize(
+        "kernel, line", [("heat", "betas = 0.3"), ("additive_sum", "vs = 0.5")]
+    )
+    def test_number_for_a_vector_parameter_fills_it(self, tmp_path, kernel, line):
+        path = write_config(tmp_path, kernel=kernel, ard="true", seeds="0")
+        path.write_text(path.read_text() + f"\n[kernel]\n{line}\n")
+        assert runner.main(["run", str(path)]) == 0
+        config = runner.load_config(path)
+        [(key, value)] = config.kernel_options.items()
+        spec = runner._initial_kernel_spec(config, runner._build_objective(config).space)
+        assert spec.ard and np.shape(spec.params[key]) == (10,)  # labs n = 10
+        np.testing.assert_array_equal(spec.params[key], value)
+
     @pytest.mark.parametrize("name", ["2024", "true"])
     def test_benchmark_option_read_by_its_type(self, tmp_path, monkeypatch, name):
         monkeypatch.chdir(tmp_path)
