@@ -374,6 +374,29 @@ class TestFit:
         warm = gp.fit(sp, train, spec, warm_start=cold.spec, warm_noise=cold.noise_variance)
         assert gp.mll(warm) >= gp.mll(cold) - 1e-9
 
+    @given(exact_problems(kernels.FAMILY_NAMES))
+    @settings(max_examples=40, deadline=None)
+    def test_fit_never_ends_below_its_warm_start(self, problem):
+        # L-BFGS (non-ARD) accepts only rising trials inside its box; Adam
+        # (ARD) keeps its best iterate, the warm start among them
+        sp, spec, train, log_noise, _ = problem
+        noise = float(np.exp(log_noise))
+        try:
+            start = gp.make_state(sp, train, spec, noise)
+        except gp.NumericFailure:
+            assume(False)
+        # a first step long enough to overshoot, so that the line search acts
+        config = gp.OptimizerConfig(steps=15, learning_rate=2.0)
+        fitted = gp.fit(sp, train, spec, config, warm_start=spec, warm_noise=noise)
+        assert gp.mll(fitted) >= gp.mll(start) - 1e-9 * max(1.0, abs(gp.mll(start)))
+        if not spec.ard:
+            theta = np.array(packed_point(sp, fitted.spec, log(fitted.noise_variance)))
+            theta0 = np.array(packed_point(sp, spec, log_noise))
+            k = theta.size - 1
+            lower = np.minimum(theta0, [gp.KERNEL_BOX[0]] * k + [gp.NOISE_BOX[0]])
+            upper = np.maximum(theta0, [gp.KERNEL_BOX[1]] * k + [gp.NOISE_BOX[1]])
+            assert np.all(theta >= lower - 1e-9) and np.all(theta <= upper + 1e-9)
+
     def test_fit_requires_two_points(self):
         sp = SearchSpace((3, 3))
         train = gp.TrainingSet.from_observations(sp, [[0, 0]], [1.0])
