@@ -407,10 +407,11 @@ def fit(
     for ``config.steps`` steps each.  A non-ARD spec, a handful of
     parameters that the previous fit already places near their optimum,
     runs L-BFGS (``_lbfgs_ascent``) from the warm start alone when there is
-    one, else from ``spec``.  A start that hits a ``NumericFailure`` keeps
-    its best iterate so far.  When no start could be evaluated at all, the
-    state is built on the warm start's hyperparameters, and the fit raises
-    only when there is none or that fails too.
+    one, else from ``spec``.  A ``NumericFailure`` ends an Adam start with
+    its best iterate so far and halves an L-BFGS step.  When no start could
+    be evaluated at all, the state is built on the warm start's
+    hyperparameters, and the fit raises only when there is none or that
+    fails too.
     Deterministic: full-batch gradients, no stochasticity anywhere.
     """
     if train.count < 2:
