@@ -11,19 +11,18 @@ Every family takes one route.  ``fit`` encodes the training set once
 the returned state share those terms, and K comes from ``terms.gram``, bit
 for bit ``kernels.gram``.  Each evaluation factors K + noise I once and,
 for the gradient, takes K^-1 from the Cholesky factor (LAPACK potri), forms
-W = alpha alpha^T - K^-1 and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>,
-a list of floats, to which it appends the noise term 1/2 tr(W) noise.
+W = alpha alpha^T - K^-1 and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>;
+with the noise term 1/2 tr(W) noise appended, that is one float array.
 
-The optimizer follows ``spec.ard``.  An ARD spec runs Adam from both
-starts, cold and warm, for the full step count.  Adam keeps its moments and
-iterates as Python floats, with the operations of the elementwise numpy
-form in the same order; the numpy-array Adam, frozen in
-``tests/test_gp.py``, pins the fitted bits.  A non-ARD spec, a handful of
-parameters, runs L-BFGS from the warm start alone when there is one: the
-two-loop recursion, Armijo backtracking by halving and a box on the packed
-coordinates, stopped once its MLL stalls.  It takes the gradient only at
-the trials it accepts; a rejected trial costs one factorization and no
-potri.  This is the optimizer BoTorch's
+The optimizer follows ``spec.ard``, and both take the same evaluation: the
+MLL, and a function that returns its gradient.  An ARD spec runs Adam, with
+the fixed constants ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``,
+from both starts, cold and warm, for the full step count.  A non-ARD spec,
+a handful of parameters, runs L-BFGS from the warm start alone when there
+is one: the two-loop recursion, Armijo backtracking by halving and a box on
+the packed coordinates, stopped once its MLL stalls.  It takes the gradient
+only at the trials it accepts; a rejected trial costs one factorization and
+no potri, as does Adam's last iterate.  This is the optimizer BoTorch's
 ``fit_gpytorch_mll`` uses for the GP marginal likelihood (Balandat et al.,
 NeurIPS 2020, through scipy's L-BFGS-B); it is written here in numpy,
 because importing ``scipy.optimize`` would add about 17 MB of resident
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import inf, isfinite, log, pi, sqrt
+from math import inf, isfinite, log, pi
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
@@ -67,6 +66,11 @@ __all__ = [
 ]
 
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
+# Adam, which fits ARD specs: its moment decay rates and the epsilon of its
+# update's denominator (Kingma and Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 # L-BFGS, which fits non-ARD specs: the curvature pairs it keeps, the Armijo
 # constant of its backtracking, and the box on the packed coordinates (every
 # kernel coordinate, then log noise), widened where a start lies outside it.
@@ -120,20 +124,21 @@ class TrainingSet:
         return self.std**2 * np.asarray(values)
 
 
+def validate_jitter_ladder(ladder) -> None:
+    """A ladder needs a level, and each level must be finite and >= 0."""
+    if len(ladder) == 0 or not all(0 <= level < inf for level in ladder):  # NaN fails
+        raise InvalidInputError(f"need jitter levels, each finite and >= 0, got {ladder!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     steps: int = 100
     learning_rate: float = 0.03
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     jitter_ladder: tuple = JITTER_LADDER
     initial_noise: float = 1e-3
 
     def __post_init__(self):
-        # Adam divides by 1 - beta**t and by sqrt(m2) + epsilon
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1 and self.epsilon > 0):
-            raise InvalidInputError("Adam needs 0 <= beta1, beta2 < 1 and epsilon > 0")
+        validate_jitter_ladder(self.jitter_ladder)
         if not (0 < self.learning_rate < inf and 0 < self.initial_noise < inf):  # NaN fails
             raise InvalidInputError("need finite learning_rate > 0 and initial_noise > 0")
         if self.steps < 0:
@@ -231,14 +236,8 @@ def _mll_parts(terms, spec, log_noise, y, ladder):
     return value, K, L, alpha, noise
 
 
-def _mll_and_grad(terms, spec, log_noise, y, ladder):
-    """Marginal log-likelihood and its gradient (a list) in the unconstrained space."""
-    parts = _mll_parts(terms, spec, log_noise, y, ladder)
-    return parts[0], _mll_grad(terms, spec, parts)
-
-
-def _mll_grad(terms, spec, parts):
-    """The gradient (a list) at ``_mll_parts``'s result, whose factor it overwrites."""
+def _mll_grad(terms, spec, parts) -> np.ndarray:
+    """The gradient at ``_mll_parts``'s result, whose factor it overwrites."""
     _, K, L, alpha, noise = parts
     # potri overwrites L with the lower triangle of K^-1 and keeps its zero
     # upper triangle: adding the transpose mirrors it, doubling the diagonal
@@ -247,45 +246,34 @@ def _mll_grad(terms, spec, parts):
     _diagonal(S)[:] = _diagonal(K_inv)
     W = np.outer(alpha, alpha)
     W -= S
-    grad = terms.grad(spec, K, W)
-    grad.append(0.5 * float(W.trace()) * noise)  # dK/d log noise = noise * I
-    return grad
+    # dK/d log noise = noise * I
+    return np.array([*terms.grad(spec, K, W), 0.5 * float(W.trace()) * noise])
 
 
-def _adam_ascent(terms, spec, y, theta: list, config: OptimizerConfig):
-    """Adam on the MLL from ``theta``, the packed spec and log noise as floats,
-    for ``config.steps`` steps; returns the best iterate seen and its value.
-    Each update is the numpy form's elementwise IEEE operations, in order:
-    ``g * g`` as numpy squares, not ``g ** 2`` (libm pow).
+def _adam_ascent(evaluate, theta: np.ndarray, config: OptimizerConfig):
+    """Adam on ``evaluate`` from ``theta``, the packed spec and log noise, for
+    ``config.steps`` steps; returns the best iterate seen and its value.
+    ``evaluate(x)`` returns the MLL and a function that returns its gradient
+    array, which the last iterate does not call.
 
     A ``NumericFailure`` ends the start with its best iterate so far; it
     propagates only when the start itself cannot be evaluated.
     """
-    space, ladder = terms.space, config.jitter_ladder
-    b1, b2, lr, eps = config.beta1, config.beta2, config.learning_rate, config.epsilon
-    best_theta, best_value = theta, -inf  # step 1 evaluates the start
-    evaluated = False
-    m1 = m2 = [0.0] * len(theta)
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, config.learning_rate
+    value, gradient = evaluate(theta)
+    best_theta, best_value = theta, value
+    m1 = m2 = np.zeros_like(theta)
     try:
         for t in range(1, config.steps + 1):
-            x = np.array(theta)
-            cur = kernels.unpack_spec(space, spec, x[:-1])
-            value, grad = _mll_and_grad(terms, cur, x[-1], y, ladder)
-            evaluated = True
+            grad = gradient()
+            m1 = b1 * m1 + (1 - b1) * grad
+            m2 = b2 * m2 + (1 - b2) * (grad * grad)
+            theta = theta + lr * (m1 / (1 - b1**t)) / (np.sqrt(m2 / (1 - b2**t)) + eps)
+            value, gradient = evaluate(theta)
             if value > best_value:
                 best_value, best_theta = value, theta
-            m1 = [b1 * a + (1 - b1) * g for a, g in zip(m1, grad)]
-            m2 = [b2 * a + (1 - b2) * (g * g) for a, g in zip(m2, grad)]
-            c1, c2 = 1 - b1**t, 1 - b2**t
-            theta = [p + lr * (a / c1) / (sqrt(b / c2) + eps) for p, a, b in zip(theta, m1, m2)]
-        x = np.array(theta)  # the last iterate needs no gradient
-        value = _mll_parts(terms, kernels.unpack_spec(space, spec, x[:-1]), x[-1], y, ladder)[0]
-    except NumericFailure:
-        if not evaluated:
-            raise
-        return best_theta, best_value
-    if value > best_value:
-        best_value, best_theta = value, theta
+    except NumericFailure:  # a failed step ends the start
+        pass
     return best_theta, best_value
 
 
@@ -305,9 +293,9 @@ def _two_loop(grad, pairs):
     return q
 
 
-def _lbfgs_ascent(evaluate, theta: list, config: OptimizerConfig, stall_nats: float):
-    """L-BFGS on ``evaluate`` from ``theta``, the packed spec and log noise,
-    inside the box ``KERNEL_BOX`` x ``NOISE_BOX`` widened to hold ``theta``;
+def _lbfgs_ascent(evaluate, x: np.ndarray, config: OptimizerConfig, stall_nats: float):
+    """L-BFGS on ``evaluate`` from ``x``, the packed spec and log noise,
+    inside the box ``KERNEL_BOX`` x ``NOISE_BOX`` widened to hold ``x``;
     returns the last accepted iterate, which is the best, and its value.
     ``evaluate(x)`` returns the MLL and a function that returns its gradient
     array, which is called only at the start and at accepted trials.
@@ -323,7 +311,6 @@ def _lbfgs_ascent(evaluate, theta: list, config: OptimizerConfig, stall_nats: fl
     direction ascends, or when a halved step no longer moves the iterate.
     A ``NumericFailure`` at the start itself propagates.
     """
-    x = np.array(theta)
     k = x.size - 1
     lower = np.minimum(x, [KERNEL_BOX[0]] * k + [NOISE_BOX[0]])
     upper = np.maximum(x, [KERNEL_BOX[1]] * k + [NOISE_BOX[1]])
@@ -373,20 +360,19 @@ def make_state(
     spec: kernels.KernelSpec,
     noise_variance: float,
     jitter_ladder=JITTER_LADDER,
+    *,
+    terms: kernels._FitTerms | None = None,
 ) -> GpState:
-    """Assemble a state from explicit hyperparameters without any fitting."""
-    return _state(space, train, spec, noise_variance, jitter_ladder)
-
-
-def _state(space, train, spec, noise_variance, ladder, terms=None) -> GpState:
-    """``make_state`` on the training set's ``terms``, built here if not given."""
+    """Assemble a state from explicit hyperparameters without any fitting, on
+    the training set's kernel ``terms``, which are built here if not given."""
     if noise_variance <= 0:
         raise InvalidInputError("noise variance must be > 0")
+    validate_jitter_ladder(jitter_ladder)
     kernels.validate_spec(space, spec)
     if terms is None:
         terms = kernels.fit_terms(space, spec, train.points)
     value, _, L, alpha, _ = _mll_parts(
-        terms, spec, log(noise_variance), train.standardized(), ladder
+        terms, spec, log(noise_variance), train.standardized(), jitter_ladder
     )
     return GpState(space, spec, noise_variance, train, L, alpha, value, terms)
 
@@ -434,15 +420,15 @@ def fit(
     def evaluate(x):
         cur = kernels.unpack_spec(space, spec, x[:-1])
         parts = _mll_parts(terms, cur, x[-1], y, ladder)
-        return parts[0], lambda: np.array(_mll_grad(terms, cur, parts))
+        return parts[0], lambda: _mll_grad(terms, cur, parts)
 
     stall_nats = STALL_NATS_PER_POINT * train.count
     results = []
     for start, noise in starts:
-        theta = [*start.tolist(), log(noise)]
+        theta = np.append(start, log(noise))
         try:
             if spec.ard:
-                results.append(_adam_ascent(terms, spec, y, theta, config))
+                results.append(_adam_ascent(evaluate, theta, config))
             else:
                 results.append(_lbfgs_ascent(evaluate, theta, config, stall_nats))
         except NumericFailure:  # the start itself cannot be factored
@@ -450,11 +436,11 @@ def fit(
     if not results:
         if warm_start is None:
             raise NumericFailure("no start could be evaluated")
-        return _state(space, train, warm_start, starts[-1][1], ladder, terms)
+        return make_state(space, train, warm_start, starts[-1][1], ladder, terms=terms)
     theta_opt, _ = max(results, key=lambda result: result[1])  # the first on a tie
     fitted_spec = kernels.unpack_spec(space, spec, theta_opt[:-1])
     fitted_noise = float(np.exp(theta_opt[-1]))
-    return _state(space, train, fitted_spec, fitted_noise, ladder, terms)
+    return make_state(space, train, fitted_spec, fitted_noise, ladder, terms=terms)
 
 
 def mll(state: GpState) -> float:

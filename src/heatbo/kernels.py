@@ -747,7 +747,7 @@ class _RhoFamily(_Family):
             leave_one_out = np.where(mask, prefix * after, 0.0)
             out.append(0.5 * c * spec.sigma2 * float(np.sum(W * leave_one_out)))
             prefix = prefix * f
-        return np.array(out + [0.5 * float(np.sum(W * K))]).tolist()
+        return out + [0.5 * float(np.sum(W * K))]
 
     def pack(self, space, spec):
         rhos = np.asarray(spec.params["rhos"], dtype=float)
@@ -1093,10 +1093,11 @@ class _FitTerms:
     """One training set's encoding, built once, and its family's arithmetic on it.
 
     ``gram(spec)`` is K, bit for bit what ``kernels.gram`` returns, and
-    ``grad(spec, K, W)`` is 1/2 <W, dK/dtheta_j> for every packed theta_j;
-    with W = alpha alpha^T - (K + noise I)^-1 that is the kernel part of the
-    marginal log-likelihood gradient.  For validated rows X1, ``cross_gram``
-    and ``diag`` are ``cross_gram(space, spec, X1, X)`` and ``diag_values``.
+    ``grad(spec, K, W)`` is 1/2 <W, dK/dtheta_j> for every packed theta_j, as
+    a list; with W = alpha alpha^T - (K + noise I)^-1 that is the kernel part
+    of the marginal log-likelihood gradient.  For validated rows X1,
+    ``cross_gram`` and ``diag`` are ``cross_gram(space, spec, X1, X)`` and
+    ``diag_values``.
     """
 
     def __init__(self, space, spec, X):
@@ -1124,7 +1125,7 @@ class _FitTerms:
                 for k, c in _FD_STENCIL
             )
             out.append(0.5 * float(np.sum(W * dK)) / h)
-        return np.array(out).tolist()
+        return out
 
 
 def fit_terms(space: SearchSpace, spec: KernelSpec, points) -> _FitTerms:

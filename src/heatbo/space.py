@@ -38,6 +38,17 @@ class NumericFailure(RuntimeError):
     """A linear-algebra step failed beyond recoverable tolerance."""
 
 
+def _coordinates(x) -> np.ndarray:
+    """``x`` as an array of category indices, before the range check: integer
+    and bool arrays as they are, float arrays only of finite integers."""
+    x = np.asarray(x)
+    if x.dtype.kind in "biu":
+        return x
+    if x.dtype.kind != "f" or not np.isfinite(x).all() or (x != np.round(x)).any():
+        raise InvalidInputError(f"coordinates must be finite integers, got {x.dtype} values")
+    return x
+
+
 def _pinned_shuffle(items: list, rng: random.Random) -> None:
     """In-place Fisher-Yates shuffle driven only by ``rng.random()``.
 
@@ -99,24 +110,24 @@ class SearchSpace:
         return len(set(self.cardinalities)) == 1
 
     def validate_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64)
+        x = _coordinates(x)
         if x.shape != (self.n,):
             raise InvalidInputError(
                 f"point has shape {x.shape}, expected ({self.n},)"
             )
         if np.any(x < 0) or np.any(x >= np.asarray(self.cardinalities)):
             raise InvalidInputError(f"point {x.tolist()} out of category range")
-        return x
+        return x.astype(np.int64, copy=False)
 
     def validate_points(self, xs) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.int64))
+        xs = np.atleast_2d(_coordinates(xs))
         if xs.shape[1] != self.n:
             raise InvalidInputError(
                 f"points have {xs.shape[1]} dimensions, expected {self.n}"
             )
         if np.any(xs < 0) or np.any(xs >= np.asarray(self.cardinalities)):
             raise InvalidInputError("some point is out of category range")
-        return xs
+        return xs.astype(np.int64, copy=False)
 
     def enumerate_points(self) -> np.ndarray:
         """All points as an array of shape (size, n), last dimension fastest."""

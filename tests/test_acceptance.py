@@ -18,6 +18,7 @@ from heatbo.space import (
     sample_automorphism,
     sample_relocation,
 )
+from test_gp import mll_and_grad
 
 
 def report(number: int, name: str, detail: str = ""):
@@ -166,7 +167,7 @@ def test_criterion_7_gp_numerical_correctness():
             theta = kernels.pack_spec(space, base) + rng.normal(scale=0.5, size=size)
             spec = kernels.unpack_spec(space, base, theta)
             log_noise = float(rng.uniform(-6, -2))
-            _, grad = gp._mll_and_grad(terms, spec, log_noise, y, gp.JITTER_LADDER)
+            _, grad = mll_and_grad(terms, spec, log_noise, y, gp.JITTER_LADDER)
             full = np.concatenate([theta, [log_noise]])
             for j in range(full.size):
                 step = 1e-5 * max(1.0, abs(full[j]))

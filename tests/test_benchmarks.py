@@ -52,6 +52,12 @@ class TestLabs:
         with pytest.raises(InvalidInputError):
             bm.labs_energy([0, 1, 2])
 
+    def test_fractional_point_rejected_not_truncated(self):
+        obj = bm.make_benchmark("labs", n=4)
+        with pytest.raises(InvalidInputError):
+            obj([0.9, 0.2, 1.0, 1.0])
+        assert obj([0.0, 0.0, 1.0, 1.0]) == obj([0, 0, 1, 1])
+
 
 class TestWcnfParser:
     def test_two_clause_example(self):

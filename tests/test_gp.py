@@ -34,6 +34,13 @@ def make_train(space, rng, m=10, fn=None):
     return gp.TrainingSet.from_observations(space, pts, values)
 
 
+def mll_and_grad(terms, spec, log_noise, y, ladder):
+    """The MLL and its gradient array at one point: ``gp.fit``'s evaluation,
+    ``_mll_parts`` and then ``_mll_grad`` on its result."""
+    parts = gp._mll_parts(terms, spec, log_noise, y, ladder)
+    return parts[0], gp._mll_grad(terms, spec, parts)
+
+
 def dense_mll(K, noise, y):
     """Independent oracle: dense inverse and slogdet, no Cholesky."""
     m = len(y)
@@ -146,7 +153,7 @@ class TestGradients:
             )
             spec = kernels.unpack_spec(sp, base, theta)
             log_noise = float(rng.uniform(-6, -2))
-            value, grad = gp._mll_and_grad(terms, spec, log_noise, y, gp.JITTER_LADDER)
+            value, grad = mll_and_grad(terms, spec, log_noise, y, gp.JITTER_LADDER)
             full = np.concatenate([theta, [log_noise]])
             for j in range(full.size):
                 step = 1e-3 * max(1.0, abs(full[j]))
@@ -237,7 +244,7 @@ class TestFusedRoute:
         sp, spec, train, log_noise, _ = problem
         y = train.standardized()
         terms = kernels.fit_terms(sp, spec, train.points)
-        value, grad = gp._mll_and_grad(terms, spec, log_noise, y, gp.JITTER_LADDER)
+        value, grad = mll_and_grad(terms, spec, log_noise, y, gp.JITTER_LADDER)
         want_value, want_grad = explicit_mll_and_grad(
             sp, spec, log_noise, train.points, y
         )
@@ -252,7 +259,7 @@ class TestFusedRoute:
         y = train.standardized()
         moved = sample_relocation(sp, int(rng.integers(2**31))).apply_many(train.points)
         results = [
-            gp._mll_and_grad(
+            mll_and_grad(
                 kernels.fit_terms(sp, spec, pts), spec, log_noise, y, gp.JITTER_LADDER
             )
             for pts in (train.points, moved)
@@ -414,9 +421,10 @@ class TestFit:
 
 
 def reference_adam(objective, theta0, config):
-    """The numpy-array Adam that the float one replaced, frozen here.  A
+    """Adam as first written, frozen here: it evaluates the start twice.  A
     ``NumericFailure`` after the first evaluation ends it with its best
     iterate so far."""
+    b1, b2, eps = gp.ADAM_BETA1, gp.ADAM_BETA2, gp.ADAM_EPSILON
     theta = theta0.copy()
     m1 = np.zeros_like(theta)
     m2 = np.zeros_like(theta)
@@ -427,11 +435,11 @@ def reference_adam(objective, theta0, config):
             value, grad = objective(theta, need_grad=True)
             if value > best_value:
                 best_value, best_theta = value, theta.copy()
-            m1 = config.beta1 * m1 + (1 - config.beta1) * grad
-            m2 = config.beta2 * m2 + (1 - config.beta2) * grad**2
-            m1_hat = m1 / (1 - config.beta1**t)
-            m2_hat = m2 / (1 - config.beta2**t)
-            theta = theta + config.learning_rate * m1_hat / (np.sqrt(m2_hat) + config.epsilon)
+            m1 = b1 * m1 + (1 - b1) * grad
+            m2 = b2 * m2 + (1 - b2) * grad**2
+            m1_hat = m1 / (1 - b1**t)
+            m2_hat = m2 / (1 - b2**t)
+            theta = theta + config.learning_rate * m1_hat / (np.sqrt(m2_hat) + eps)
         value, _ = objective(theta, need_grad=False)
     except gp.NumericFailure:
         return best_theta, best_value
@@ -572,9 +580,9 @@ class TestOneTermsObject:
         "family, ard", [("heat", True), ("heat", False), ("casmopolitan", True), ("rho", True)]
     )
     def test_default_fit_bitwise_equal_to_frozen_reference(self, family, ard):
-        # ARD: 100 steps from each start, float moments and list gradients,
-        # over many updates, against the numpy-array Adam; rho's gradient is
-        # an array made a list.  Non-ARD: L-BFGS to its stop on both routes
+        # ARD: 100 Adam steps from each start, against the frozen Adam that
+        # evaluates each start twice.  Non-ARD: L-BFGS to its stop on both
+        # routes
         sp = SearchSpace((2, 3, 4, 2, 5, 3))
         train = make_train(sp, np.random.default_rng(23), m=20)
         base = kernels.default_spec(sp, family, ard=ard)
@@ -607,6 +615,24 @@ class TestOneTermsObject:
         gp.predict(state, train.points[0])
         state.prior_variance()
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("steps", [0, 1, 7])
+    def test_an_adam_start_takes_a_gradient_per_step(self, monkeypatch, steps):
+        # a cold ARD fit is one Adam start: a factorization and a gradient at
+        # each step, one more factorization and no gradient at the last
+        # iterate; the returned state factors once more
+        sp = SearchSpace((3, 4, 2))
+        train = make_train(sp, np.random.default_rng(20), m=8)
+        spec = kernels.default_spec(sp, "heat", ard=True)
+        factorizations, gradients = [], []
+        factor, grad = gp._chol_with_jitter, gp._mll_grad
+        monkeypatch.setattr(
+            gp, "_chol_with_jitter", lambda *a: factorizations.append(a) or factor(*a)
+        )
+        monkeypatch.setattr(gp, "_mll_grad", lambda *a: gradients.append(a) or grad(*a))
+        gp.fit(sp, train, spec, gp.OptimizerConfig(steps=steps))
+        assert len(gradients) == steps
+        assert len(factorizations) == (steps + 1) + 1
 
     @pytest.mark.parametrize("ard", [True, False])
     def test_one_factorization_per_iterate(self, monkeypatch, ard):
@@ -657,7 +683,7 @@ class TestOneTermsObject:
             return slope * log_noise, None, None, None, None
 
         monkeypatch.setattr(gp, "_mll_parts", linear)
-        monkeypatch.setattr(gp, "_mll_grad", lambda *a: [0.0] * size + [slope])
+        monkeypatch.setattr(gp, "_mll_grad", lambda *a: np.append(np.zeros(size), slope))
         gp.fit(sp, train, spec, config)
         assert len(calls) == evaluations + 1  # and once for the returned state
         if not ard and evaluations > 1:
@@ -676,7 +702,7 @@ class TestOneTermsObject:
             return sum(points[-1]), None, None, None, None
 
         monkeypatch.setattr(gp, "_mll_parts", unbounded)
-        monkeypatch.setattr(gp, "_mll_grad", lambda *a: [1.0] * len(points[-1]))
+        monkeypatch.setattr(gp, "_mll_grad", lambda *a: np.ones(len(points[-1])))
         config = gp.OptimizerConfig(steps=50, learning_rate=3.0)
         state = gp.fit(sp, train, spec, config)
         corner = [gp.KERNEL_BOX[1]] * 2 + [gp.NOISE_BOX[1]]
@@ -775,7 +801,7 @@ class TestNumericFailureContainment:
         def failing_grad(terms, cur, result):
             gradients.append(len(points))
             g = grad(terms, cur, result)
-            return [nan] * len(g) if len(points) == 3 else g
+            return np.full_like(g, nan) if len(points) == 3 else g
 
         monkeypatch.setattr(gp, "_mll_parts", failing_parts)
         monkeypatch.setattr(gp, "_mll_grad", failing_grad)
@@ -1125,7 +1151,7 @@ class TestLeanStep:
 
     def assert_same_step(self, terms, spec, log_noise, y, ladder=gp.JITTER_LADDER):
         value, grad, L, jitter = reference_step(terms, spec, log_noise, y, ladder)
-        got_value, got_grad = gp._mll_and_grad(terms, spec, log_noise, y, ladder)
+        got_value, got_grad = mll_and_grad(terms, spec, log_noise, y, ladder)
         got_L, got_jitter = gp._chol_with_jitter(
             terms.gram(spec), ladder, float(np.exp(log_noise))
         )
@@ -1167,7 +1193,7 @@ class TestLeanStep:
         with np.errstate(over="ignore"):
             assert not np.isfinite(terms.gram(spec)).all()  # K + K^T overflows
             with pytest.raises(gp.NumericFailure):
-                gp._mll_and_grad(terms, spec, -3.0, train.standardized(), gp.JITTER_LADDER)
+                mll_and_grad(terms, spec, -3.0, train.standardized(), gp.JITTER_LADDER)
             with pytest.raises(gp.NumericFailure):
                 gp.make_state(sp, train, spec, 1e-3)
 
@@ -1181,6 +1207,18 @@ class TestJitter:
         spec = kernels.default_spec(sp, "heat", betas=np.full(2, 0.5))
         state = gp.make_state(sp, train, spec, noise_variance=1e-300)
         assert np.isfinite(gp.mll(state))
+
+    @pytest.mark.parametrize("ladder", [(), (nan,), (-1.0,), (0.0, np.inf)])
+    def test_invalid_ladder_rejected(self, ladder):
+        # an empty ladder factors nothing, a negative level can break a
+        # factorization that level 0 makes, and NaN gives a NaN MLL
+        sp = SearchSpace((3, 3))
+        train = make_train(sp, np.random.default_rng(4), m=5)
+        spec = kernels.default_spec(sp, "heat")
+        with pytest.raises(InvalidInputError):
+            gp.OptimizerConfig(jitter_ladder=ladder)
+        with pytest.raises(InvalidInputError):
+            gp.make_state(sp, train, spec, 1e-3, ladder)
 
     def test_chol_failure_raises_numeric_failure(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite

@@ -367,7 +367,7 @@ class TestCli:
             ("[optimizer]", "[trust_region]\nl_init = 0\n\n[optimizer]"),
             ("steps = 10", "steps = 10\nlearning_rate = true"),
             ("steps = 10", "steps = 10\njitter_ladder = 1e-6"),
-            ("steps = 10", "steps = 10\nepsilon = 0"),
+            ("steps = 10", "steps = 10\nbeta1 = 0.9"),
             ("budget = 3", "budgt = 3"),
             ("kernel = heat", "kernel = heat\nard = maybe"),
             ("[optimizer]", "[kernal]\nbeta = 0.5\n\n[optimizer]"),

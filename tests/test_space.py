@@ -51,6 +51,27 @@ class TestSearchSpace:
         with pytest.raises(InvalidInputError):
             sp.validate_point([1])
 
+    @pytest.mark.parametrize(
+        "point",
+        [[0.5, 2.9], [0.0, 2.5], [np.nan, 1], [np.inf, 0], ["a", 1], ["1", "2"],
+         [None, 1], [1 + 0j, 0]],
+    )
+    def test_non_integer_coordinates_rejected(self, point):
+        sp = SearchSpace((3, 3))
+        with pytest.raises(InvalidInputError):
+            sp.validate_point(point)
+        with pytest.raises(InvalidInputError):
+            sp.validate_points([point, [0, 0]])
+
+    def test_integral_floats_and_bools_accepted(self):
+        sp = SearchSpace((3, 2))
+        for point in ([1.0, 0.0], np.array([2, 1], dtype=np.uint8), [True, True]):
+            got = sp.validate_point(point)
+            assert got.dtype == np.int64 and got.tolist() == np.asarray(point).tolist()
+            assert sp.validate_points([point]).tolist() == [got.tolist()]
+        points = sp.sample_points(4, np.random.default_rng(0))
+        assert sp.validate_points(points) is points  # no copy on the hot path
+
     def test_enumerate_points(self):
         sp = SearchSpace((2, 3))
         pts = sp.enumerate_points()
