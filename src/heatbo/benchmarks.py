@@ -58,8 +58,7 @@ def _load_constants() -> dict:
 BENCHMARK_CONSTANTS = _load_constants()
 
 
-class ParseError(ValueError):
-    """Malformed instance text; message carries the offending line number."""
+ParseError = InvalidInputError  # malformed instance text; the message names its line
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +204,8 @@ def generate_synthetic_wcnf(
     num_variables: int, num_clauses: int, seed: int, max_clause_len: int = 3
 ) -> WcnfInstance:
     """Seeded random soft instance; stands in when a real instance file is absent."""
+    if num_variables < 1 or num_clauses < 1:
+        raise InvalidInputError("need at least one variable and one clause")
     rng = np.random.default_rng(seed)
     weights = []
     clauses = []

@@ -646,11 +646,14 @@ class _LogAffineFamily(_Family):
 
 
 class _HeatFamily(_LogAffineFamily):
-    """Diffusion kernel; also covers the normalized per-factor spectral product."""
+    """Diffusion kernel.  ``combo``, the normalized per-factor spectral
+    product, is an instance with the same correlations that needs beta > 0;
+    ``heat`` allows beta = 0, which gives rho = 0."""
 
-    name = "heat"
     param = "betas"
-    positive = False  # beta = 0 gives rho = 0
+
+    def __init__(self, name, positive):
+        self.name, self.positive = name, positive
 
     def default_spec(self, space, ard=True):
         betas = np.full(space.n if ard else 1, 1.0 / space.n)
@@ -681,13 +684,6 @@ class _HeatFamily(_LogAffineFamily):
     def tied_groups(self, space):
         """Without ARD, rho still depends on g: one weight per cardinality."""
         return space.cardinalities
-
-
-class _ComboClosedFamily(_HeatFamily):
-    """Alias family: identical correlations, but the spectral product needs beta > 0."""
-
-    name = "combo"
-    positive = True
 
 
 class _CasmoFamily(_LogAffineFamily):
@@ -763,15 +759,15 @@ class _RhoFamily(_Family):
 
 
 class _ProfileFamily(_Family):
-    """Shared machinery for the distance-profile kernels.
+    """A distance-profile kernel: ``profile_name`` picks ``_profile``'s formula.
 
     ``shape_params`` are the profile's positive parameters, packed as logs in
     this order ahead of log sigma2.  The encoding is the exact Hamming
     matrix h, and the gradient is f' on it.
     """
 
-    profile_name: str
-    shape_params = ("lengthscale",)
+    def __init__(self, name, profile_name, shape_params=("lengthscale",)):
+        self.name, self.profile_name, self.shape_params = name, profile_name, shape_params
 
     def validate(self, space, spec):
         for key in self.shape_params:
@@ -802,22 +798,6 @@ class _ProfileFamily(_Family):
     def unpack(self, space, spec, theta):
         shape = {key: float(np.exp(t)) for key, t in zip(self.shape_params, theta)}
         return spec.replace_params(**shape, sigma2=float(np.exp(theta[-1])))
-
-
-class _HammingRbfFamily(_ProfileFamily):
-    name = "hamming_rbf"
-    profile_name = "rbf"
-
-
-class _HammingMatern52Family(_ProfileFamily):
-    name = "hamming_matern52"
-    profile_name = "matern52"
-
-
-class _HammingRqFamily(_ProfileFamily):
-    name = "hamming_rq"
-    profile_name = "rq"
-    shape_params = ("lengthscale", "alpha")
 
 
 class _AdditiveBase(_Family):
@@ -1013,13 +993,13 @@ class _InvariantFamily(_Family):
 _FAMILIES = {
     fam.name: fam
     for fam in [
-        _HeatFamily(),
-        _ComboClosedFamily(),
+        _HeatFamily("heat", positive=False),
+        _HeatFamily("combo", positive=True),
         _CasmoFamily(),
         _RhoFamily(),
-        _HammingRbfFamily(),
-        _HammingMatern52Family(),
-        _HammingRqFamily(),
+        _ProfileFamily("hamming_rbf", "rbf"),
+        _ProfileFamily("hamming_matern52", "matern52"),
+        _ProfileFamily("hamming_rq", "rq", ("lengthscale", "alpha")),
         _AdditiveSumFamily(),
         _RandomDecompositionFamily(),
         _ExplainableAdditiveFamily(),

@@ -59,8 +59,7 @@ SUMMARY_COLUMNS = (
 )
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; reported before any run starts."""
+ConfigError = InvalidInputError  # a rejected configuration is rejected input
 
 
 @dataclass(frozen=True)
@@ -602,7 +601,7 @@ def main(argv=None) -> int:
             result = run_experiment(_apply_overrides(load_config(args.config), args))
         elif args.command == "speed":
             rows = compare_speed(_int_list(args.sizes), args.points, args.dims)
-    except (ConfigError, InvalidInputError) as exc:
+    except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -41,7 +41,10 @@ class NumericFailure(RuntimeError):
 def _coordinates(x) -> np.ndarray:
     """``x`` as an array of category indices, before the range check: integer
     and bool arrays as they are, float arrays only of finite integers."""
-    x = np.asarray(x)
+    try:
+        x = np.asarray(x)
+    except ValueError:  # numpy's "inhomogeneous shape": rows of unequal length
+        raise InvalidInputError("points have unequal lengths") from None
     if x.dtype.kind in "biu":
         return x
     if x.dtype.kind != "f" or not np.isfinite(x).all() or (x != np.round(x)).any():
@@ -115,9 +118,7 @@ class SearchSpace:
             raise InvalidInputError(
                 f"point has shape {x.shape}, expected ({self.n},)"
             )
-        if np.any(x < 0) or np.any(x >= np.asarray(self.cardinalities)):
-            raise InvalidInputError(f"point {x.tolist()} out of category range")
-        return x.astype(np.int64, copy=False)
+        return self.validate_points(x[None])[0]
 
     def validate_points(self, xs) -> np.ndarray:
         xs = np.atleast_2d(_coordinates(xs))
@@ -125,8 +126,10 @@ class SearchSpace:
             raise InvalidInputError(
                 f"points have {xs.shape[1]} dimensions, expected {self.n}"
             )
-        if np.any(xs < 0) or np.any(xs >= np.asarray(self.cardinalities)):
-            raise InvalidInputError("some point is out of category range")
+        cards = np.asarray(self.cardinalities)
+        if np.any(xs < 0) or np.any(xs >= cards):
+            first = xs[((xs < 0) | (xs >= cards)).any(axis=1)][0]
+            raise InvalidInputError(f"point {first.tolist()} out of category range")
         return xs.astype(np.int64, copy=False)
 
     def enumerate_points(self) -> np.ndarray:

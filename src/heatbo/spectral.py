@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -113,20 +113,23 @@ class ProductSpectrum:
     """Eigenvalue classes of a full Hamming graph, built by factor additivity."""
 
     space: SearchSpace
-    factors: tuple[FactorSpectrum, ...]
     eigenvalues: np.ndarray  # distinct product eigenvalues, ascending
-    multiplicities: np.ndarray  # eigenfunction count per class
+    multiplicities: np.ndarray  # eigenfunction count per class, exact ints
 
 
 def product_spectrum(space: SearchSpace) -> ProductSpectrum:
-    factors = tuple(factor_spectrum(g) for g in space.cardinalities)
-    sums: dict[float, int] = {}
-    for subset in itertools.product([0, 1], repeat=space.n):
-        used = [g for g, u in zip(space.cardinalities, subset) if u]
-        lam = float(sum(used))
-        sums[lam] = sums.get(lam, 0) + prod(g - 1 for g in used)
-    values = np.array(sorted(sums))  # exact integer sums: equal ones share a key
-    return ProductSpectrum(space, factors, values, np.array([sums[v] for v in values]))
+    """Multiplicity of eigenvalue lam: the Python-int coefficient of z**lam in
+    prod_i (1 + (g_i - 1) z**g_i), one factor (one dimension) at a time."""
+    counts = {0: 1}
+    for g in space.cardinalities:
+        step = dict(counts)
+        for lam, count in counts.items():
+            step[lam + g] = step.get(lam + g, 0) + count * (g - 1)
+        counts = step
+    values = sorted(counts)
+    return ProductSpectrum(
+        space, np.array(values, dtype=float), np.array([counts[v] for v in values])
+    )
 
 
 def product_laplacian(space: SearchSpace) -> np.ndarray:
@@ -207,12 +210,6 @@ class PhiSpec:
         return float(self.values[idx[0]])
 
 
-def _match_matrices(space: SearchSpace, X: np.ndarray) -> np.ndarray:
-    """Boolean (n, m, m) tensor: entry [i] marks pairs agreeing on dimension i."""
-    cols = X.T
-    return cols[:, :, None] == cols[:, None, :]
-
-
 def phi_gram(space: SearchSpace, phi: PhiSpec, points) -> np.ndarray:
     """Gram matrix of the spectrally-defined kernel with weights ``phi``.
 
@@ -226,7 +223,7 @@ def phi_gram(space: SearchSpace, phi: PhiSpec, points) -> np.ndarray:
     X = space.validate_points(points)
     m = X.shape[0]
     cards = np.asarray(space.cardinalities, dtype=float)
-    match = _match_matrices(space, X)
+    match = X.T[:, :, None] == X.T[:, None, :]  # [i]: the pairs agreeing on dimension i
     # per-dimension non-constant block: delta(x_i, x_i') - 1/g_i
     blocks = match.astype(float) - (1.0 / cards)[:, None, None]
     inv_total = float(np.prod(1.0 / cards))
@@ -245,23 +242,23 @@ def phi_gram(space: SearchSpace, phi: PhiSpec, points) -> np.ndarray:
 def _pattern_coefficients(space: SearchSpace, spectrum: ProductSpectrum) -> np.ndarray:
     """Linear map from Phi values to kernel values at each mismatch pattern.
 
-    Row t (a subset of mismatched dimensions), column k (an eigenvalue
-    class): the kernel value contributed by a unit of Phi on that class.
+    Row t (a subset of mismatched dimensions, the first dimension the most
+    significant bit), column k (an eigenvalue class): the kernel value
+    contributed by a unit of Phi on that class.  A dimension of g categories
+    adds its constant eigenfunction (factor 1, eigenvalue unchanged) or its
+    g - 1 others (factor g - 1 where the pattern matches there, -1 where it
+    differs, eigenvalue + g), so the table grows one dimension at a time.
     """
-    n = space.n
-    cards = np.asarray(space.cardinalities, dtype=float)
-    inv_total = float(np.prod(1.0 / cards))
-    patterns = list(itertools.product([0, 1], repeat=n))
-    coeff = np.zeros((len(patterns), len(spectrum.eigenvalues)))
-    for s_idx, subset in enumerate(itertools.product([0, 1], repeat=n)):
-        lam = float(sum(g for g, used in zip(space.cardinalities, subset) if used))
-        col = int(np.argmin(np.abs(spectrum.eigenvalues - lam)))
-        for t_idx, pattern in enumerate(patterns):
-            term = inv_total
-            for i, used in enumerate(subset):
-                if used:
-                    term *= (-1.0) if pattern[i] else (cards[i] - 1.0)
-            coeff[t_idx, col] += term
+    eig = spectrum.eigenvalues
+    coeff = np.zeros((1, eig.size))
+    coeff[0, 0] = float(np.prod(1.0 / np.asarray(space.cardinalities, dtype=float)))
+    for g in space.cardinalities:
+        src = np.flatnonzero(np.isin(eig + g, eig))
+        dst = np.searchsorted(eig, eig[src] + g)
+        match, differ = coeff.copy(), coeff.copy()
+        match[:, dst] += (g - 1.0) * coeff[:, src]
+        differ[:, dst] -= coeff[:, src]
+        coeff = np.stack([match, differ], axis=1).reshape(-1, eig.size)
     return coeff
 
 

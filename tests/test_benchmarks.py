@@ -328,6 +328,17 @@ class TestRegistry:
         assert obj.space.n == 12
         assert bm.make_benchmark("maxsat", path=str(path)).space.n == 12
 
+    def test_malformed_maxsat_file_is_rejected_input(self, tmp_path):
+        path = tmp_path / "instance.wcnf"
+        path.write_text("p wcnf 2 1\n3 5 0\n")
+        with pytest.raises(InvalidInputError, match="line 2"):
+            bm.make_benchmark("maxsat", path=path)
+
+    @pytest.mark.parametrize("num_variables, num_clauses", [(8, 0), (0, 8), (-1, 3)])
+    def test_empty_synthetic_maxsat_rejected(self, num_variables, num_clauses):
+        with pytest.raises(InvalidInputError, match="at least one variable and one clause"):
+            bm.make_benchmark("maxsat", num_variables=num_variables, num_clauses=num_clauses)
+
     @pytest.mark.parametrize("name, options", [
         ("labs", dict(m=3)),
         ("contamination", dict(n=25)),

@@ -11,6 +11,7 @@ import pytest
 
 import heatbo
 from heatbo import benchmarks, kernels, runner, spectral
+from heatbo.space import InvalidInputError
 
 
 def write_config(tmp_path, **overrides):
@@ -90,6 +91,8 @@ class TestConfig:
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(runner.ConfigError):
+            runner.load_config(tmp_path / "nope.ini")
+        with pytest.raises(InvalidInputError, match="cannot read"):
             runner.load_config(tmp_path / "nope.ini")
 
     def test_duplicate_seeds_rejected(self, tmp_path):
@@ -395,6 +398,14 @@ class TestCli:
         path.write_text(path.read_text().replace(old, new))
         assert runner.main(["run", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", ["num_clauses = 0", "num_variables = 0"])
+    def test_empty_synthetic_maxsat_exits_one_before_writing(self, tmp_path, capsys, option):
+        path = write_config(tmp_path, benchmark="maxsat")
+        path.write_text(path.read_text().replace("n = 10", option))
+        assert runner.main(["run", str(path)]) == 1
+        assert "at least one variable and one clause" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("parallel", [1, 2])

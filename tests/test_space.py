@@ -51,6 +51,19 @@ class TestSearchSpace:
         with pytest.raises(InvalidInputError):
             sp.validate_point([1])
 
+    def test_ragged_point_list_rejected(self):
+        sp = SearchSpace((3, 3))
+        for ragged in ([[0, 1], [2]], [[0, 1], [2, 0, 1]]):
+            with pytest.raises(InvalidInputError, match="unequal lengths"):
+                sp.validate_points(ragged)
+
+    def test_range_error_names_first_offending_point(self):
+        sp = SearchSpace((3, 3))
+        with pytest.raises(InvalidInputError, match=r"point \[0, 3\] out of category range"):
+            sp.validate_points([[0, 1], [0, 3], [-1, 0]])
+        with pytest.raises(InvalidInputError, match=r"point \[-1, 2\] out of category range"):
+            sp.validate_point([-1, 2])
+
     @pytest.mark.parametrize(
         "point",
         [[0.5, 2.9], [0.0, 2.5], [np.nan, 1], [np.inf, 0], ["a", 1], ["1", "2"],

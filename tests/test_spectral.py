@@ -1,3 +1,6 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,24 @@ from heatbo.spectral import (
     product_laplacian,
     product_spectrum,
 )
+
+
+def brute_force_pattern_coefficients(space, eigenvalues):
+    """The conversion table as a loop over every (pattern, subset) pair: the
+    subset's unit of Phi adds prod over its dimensions of g_i - 1 where the
+    pattern matches and -1 where it differs, over the space's size."""
+    cards = space.cardinalities
+    patterns = list(itertools.product([0, 1], repeat=space.n))
+    coeff = np.zeros((len(patterns), len(eigenvalues)))
+    for subset in patterns:
+        col = list(eigenvalues).index(sum(g for g, used in zip(cards, subset) if used))
+        for t, pattern in enumerate(patterns):
+            term = float(np.prod(1.0 / np.asarray(cards, dtype=float)))
+            for g, used, differs in zip(cards, subset, pattern):
+                if used:
+                    term *= -1.0 if differs else g - 1.0
+            coeff[t, col] += term
+    return coeff
 
 
 def closed_form_factor(g, beta, same):
@@ -104,6 +125,14 @@ class TestProductSpectrum:
             sp = SearchSpace(cards)
             spec = product_spectrum(sp)
             assert int(spec.multiplicities.sum()) == sp.size
+
+    def test_multiplicities_exact_beyond_int64(self):
+        sp = SearchSpace((100,) * 12)
+        spec = product_spectrum(sp)
+        np.testing.assert_array_equal(spec.eigenvalues, 100.0 * np.arange(13))
+        assert all(type(m) is int for m in spec.multiplicities)
+        assert list(spec.multiplicities) == [comb(12, d) * 99**d for d in range(13)]
+        assert sum(spec.multiplicities) == sp.size > np.iinfo(np.int64).max
 
     def test_matches_full_laplacian(self):
         sp = SearchSpace((2, 3, 4))
@@ -241,6 +270,30 @@ class TestHammingToPhi:
             phi = hamming_to_phi(sp, np.maximum(values, 0))
             if phi is not None and np.all(direct >= 0):
                 np.testing.assert_allclose(phi.values, direct, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "cards", [(2,), (2, 3), (2, 2, 4), (3, 4, 5), (2, 5, 3, 2), (4, 4, 2, 3, 6)]
+    )
+    def test_pattern_table_matches_pairwise_loop(self, cards):
+        # entries are at most 1 in magnitude; the per-dimension table adds
+        # the same terms in another order, so they agree to a few ulps
+        sp = SearchSpace(cards)
+        spectrum = product_spectrum(sp)
+        np.testing.assert_allclose(
+            spectral._pattern_coefficients(sp, spectrum),
+            brute_force_pattern_coefficients(sp, spectrum.eigenvalues),
+            rtol=0, atol=1e-14,
+        )
+
+    def test_twelve_dimensions_agree_with_binomial_system(self):
+        n, g = 12, 3
+        values = np.exp(-np.arange(n + 1) / 1.5**2)
+        phi = hamming_to_phi(SearchSpace((g,) * n), values)
+        assert phi is not None
+        np.testing.assert_array_equal(phi.eigenvalues, g * np.arange(n + 1))
+        direct = np.linalg.solve(binomial_profile_system(n, g), values)
+        # both solves fix each weight to about 1e-16 of the largest one
+        np.testing.assert_allclose(phi.values, direct, rtol=1e-8, atol=1e-14 * direct.max())
 
 
 class TestCounterexample:
