@@ -13,7 +13,7 @@ experiment harness.
 
 from . import benchmarks, bo, gp, kernels, runner, space, spectral
 from .bo import GaConfig, TrustRegionConfig, expected_improvement, run_bo
-from .gp import OptimizerConfig, TrainingSet, fit, predict
+from .gp import OptimizerConfig, TrainingSet, fit
 from .kernels import KernelSpec, default_spec, gram
 from .space import SearchSpace, Relocation, hamming_distance, sample_relocation
 
@@ -37,7 +37,6 @@ __all__ = [
     "TrainingSet",
     "OptimizerConfig",
     "fit",
-    "predict",
     "GaConfig",
     "TrustRegionConfig",
     "expected_improvement",

@@ -210,7 +210,7 @@ def generate_synthetic_wcnf(
     weights = []
     clauses = []
     for _ in range(num_clauses):
-        length = int(rng.integers(1, max_clause_len + 1))
+        length = min(int(rng.integers(1, max_clause_len + 1)), num_variables)
         variables = rng.choice(num_variables, size=length, replace=False) + 1
         signs = rng.choice([-1, 1], size=length)
         clauses.append(tuple(int(v * s) for v, s in zip(variables, signs)))

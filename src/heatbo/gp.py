@@ -59,8 +59,6 @@ __all__ = [
     "GpState",
     "fit",
     "make_state",
-    "mll",
-    "predict",
     "predict_batch",
     "NumericFailure",
 ]
@@ -443,11 +441,6 @@ def fit(
     return make_state(space, train, fitted_spec, fitted_noise, ladder, terms=terms)
 
 
-def mll(state: GpState) -> float:
-    """Marginal log-likelihood of the standardized targets under the state."""
-    return state.mll_value
-
-
 def predict_batch(state: GpState, points) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance in raw target units for each query point."""
     X = state.space.validate_points(points)
@@ -462,7 +455,3 @@ def predict_batch(state: GpState, points) -> tuple[np.ndarray, np.ndarray]:
         state.train.destandardize_variance(var_std),
     )
 
-
-def predict(state: GpState, point) -> tuple[float, float]:
-    means, variances = predict_batch(state, [point])
-    return float(means[0]), float(variances[0])

@@ -17,7 +17,7 @@ dimensions.
 
 Every family has one kernel arithmetic: ``encode(space, spec, X1, X2)``
 holds what its Gram needs about two point sets and ``kernel(spec, enc)``
-returns the matrix.  ``gram``, ``cross_gram``, ``value``, ``diag_values``
+returns the matrix.  ``gram``, ``cross_gram``, ``diag_values``
 and the GP fitter's ``fit_terms`` all go through that pair, so the fit's K
 is bit for bit ``gram``.  heat, combo and casmopolitan are ``sigma2 * exp``
 of an exact weighted mismatch count (one-hot products, weights on one
@@ -978,7 +978,9 @@ class _InvariantFamily(_Family):
 
     def diag(self, space, spec, X):
         """k(x, x) depends on x here: one value per point."""
-        return np.array([value(space, spec, x, x) for x in X])
+        return np.array(
+            [self.kernel(spec, self.encode(space, spec, x[None], x[None]))[0, 0] for x in X]
+        )
 
     def pack(self, space, spec):
         inner = spec.params["inner"]
@@ -1030,11 +1032,6 @@ def validate_spec(space: SearchSpace, spec: KernelSpec) -> None:
     if spec.sigma2 <= 0:
         raise InvalidInputError("sigma2 must be > 0")
     _FAMILIES[spec.family].validate(space, spec)
-
-
-def value(space: SearchSpace, spec: KernelSpec, x, y) -> float:
-    """Single kernel evaluation; the Gram builders are preferred in bulk."""
-    return float(cross_gram(space, spec, [x], [y])[0, 0])
 
 
 def cross_gram(space: SearchSpace, spec: KernelSpec, points1, points2) -> np.ndarray:

@@ -70,7 +70,7 @@ class ExperimentConfig:
     relocation_seed: int = 0
     noise_seed: int = 0
     kernel_family: str = "heat"
-    kernel_ard: bool = True
+    kernel_ard: bool | None = None  # None: the family's own
     kernel_options: dict = field(default_factory=dict)
     budget: int = 200
     init_count: int = 20
@@ -137,7 +137,8 @@ def _int_list(text: str) -> tuple:
 # ExperimentConfig dicts, the jitter ladder tuple, a kernel's inner spec)
 # cannot be set in a file.
 _GETTERS = {
-    int: "getint", float: "getfloat", float | None: "getfloat", bool: "getboolean",
+    int: "getint", float: "getfloat", float | None: "getfloat",
+    bool: "getboolean", bool | None: "getboolean",
     str: "get", str | os.PathLike | None: "get", tuple[int, ...]: "getints",
 }
 # section: (the ExperimentConfig field it fills, or None for ExperimentConfig's
@@ -212,9 +213,11 @@ def _initial_kernel_spec(config: ExperimentConfig, space: SearchSpace):
 
     A number given for a vector parameter of the family's default spec, by
     its name or its ``_ALIASES`` name, fills that vector at its length; any
-    other key applies directly.
+    other key applies directly.  An ``ard`` that the family cannot take is
+    an error: only heat, combo and casmopolitan have both forms.
     """
-    family, ard = config.kernel_family, config.kernel_ard
+    family = config.kernel_family
+    ard = config.kernel_ard is not False  # unset: ARD where the family has both forms
     defaults = kernels.default_spec(space, family, ard=ard).params
     overrides = {}
     for key, value in config.kernel_options.items():
@@ -223,7 +226,11 @@ def _initial_kernel_spec(config: ExperimentConfig, space: SearchSpace):
         if isinstance(defaults.get(key), np.ndarray):
             value = np.full(defaults[key].shape, float(value))
         overrides[key] = value
-    return kernels.default_spec(space, family, ard=ard, **overrides)
+    spec = kernels.default_spec(space, family, ard=ard, **overrides)
+    if config.kernel_ard not in (None, spec.ard):
+        raise ConfigError(f"kernel {family!r} has ard = {str(spec.ard).lower()}; "
+                          f"[experiment] ard = {str(config.kernel_ard).lower()} contradicts it")
+    return spec
 
 
 def _build_run_components(config: ExperimentConfig, space: SearchSpace):

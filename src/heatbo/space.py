@@ -20,13 +20,8 @@ __all__ = [
     "Relocation",
     "Automorphism",
     "hamming_distance",
-    "one_hot",
     "sample_relocation",
     "sample_automorphism",
-    "parse_space_text",
-    "load_space",
-    "point_to_str",
-    "point_from_str",
 ]
 
 
@@ -70,12 +65,10 @@ def _pinned_shuffle(items: list, rng: random.Random) -> None:
 class SearchSpace:
     """Product of finite category sets; dimension ``i`` has ``cardinalities[i]`` categories.
 
-    Categories are dense indices ``0 .. g_i - 1``.  Optional human-readable
-    names are interned at construction and play no role in any computation.
+    Categories are dense indices ``0 .. g_i - 1``.
     """
 
     cardinalities: tuple[int, ...]
-    category_names: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
         cards = tuple(int(g) for g in self.cardinalities)
@@ -85,13 +78,6 @@ class SearchSpace:
         for i, g in enumerate(cards):
             if g < 2:
                 raise InvalidInputError(f"dimension {i} has {g} categories; need >= 2")
-        if self.category_names is not None:
-            names = tuple(tuple(ns) for ns in self.category_names)
-            if len(names) != len(cards) or any(
-                len(ns) != g for ns, g in zip(names, cards)
-            ):
-                raise InvalidInputError("category name lists do not match cardinalities")
-            object.__setattr__(self, "category_names", names)
 
     @property
     def n(self) -> int:
@@ -141,14 +127,6 @@ class SearchSpace:
         cards = np.asarray(self.cardinalities)
         return rng.integers(0, cards, size=(count, self.n), dtype=np.int64)
 
-    def index_of_category(self, dim: int, name: str) -> int:
-        if self.category_names is None:
-            raise InvalidInputError("space carries no category names")
-        try:
-            return self.category_names[dim].index(name)
-        except ValueError:
-            raise InvalidInputError(f"unknown category {name!r} in dimension {dim}")
-
 
 def hamming_distance(x, y) -> int:
     """Number of coordinates where two points differ."""
@@ -166,17 +144,6 @@ def hamming_matrix(xs, ys=None) -> np.ndarray:
     if xs.shape[1] != ys.shape[1]:
         raise InvalidInputError("dimension mismatch between point sets")
     return np.count_nonzero(xs[:, None, :] != ys[None, :, :], axis=2)
-
-
-def one_hot(space: SearchSpace, x) -> np.ndarray:
-    """Binary encoding with one block per dimension; block i is g_i wide."""
-    x = space.validate_point(x)
-    z = np.zeros(space.one_hot_width, dtype=np.int64)
-    offset = 0
-    for xi, g in zip(x, space.cardinalities):
-        z[offset + xi] = 1
-        offset += g
-    return z
 
 
 @dataclass(frozen=True)
@@ -284,53 +251,3 @@ def sample_automorphism(space: SearchSpace, seed: int) -> Automorphism:
         _pinned_shuffle(p, rng)
         perms.append(tuple(p))
     return Automorphism(space, tuple(dim_perm), tuple(perms), seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text space descriptions and point serialization.
-#
-# Format: first non-comment line is a comma-separated cardinality list;
-# optional following lines "i: name0,name1,..." attach category names.
-# ---------------------------------------------------------------------------
-
-
-def parse_space_text(text: str) -> SearchSpace:
-    cards: list[int] | None = None
-    names: dict[int, tuple[str, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if cards is None:
-            try:
-                cards = [int(tok) for tok in line.split(",")]
-            except ValueError:
-                raise InvalidInputError(f"line {lineno}: bad cardinality list {line!r}")
-        else:
-            dim_str, _, name_str = line.partition(":")
-            try:
-                dim = int(dim_str)
-            except ValueError:
-                raise InvalidInputError(f"line {lineno}: bad dimension index {dim_str!r}")
-            names[dim] = tuple(tok.strip() for tok in name_str.split(","))
-    if cards is None:
-        raise InvalidInputError("no cardinality list found")
-    name_tuple = None
-    if names:
-        name_tuple = tuple(
-            names.get(i, tuple(str(c) for c in range(g))) for i, g in enumerate(cards)
-        )
-    return SearchSpace(tuple(cards), name_tuple)
-
-
-def load_space(path) -> SearchSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_space_text(fh.read())
-
-
-def point_to_str(x) -> str:
-    return ",".join(str(int(v)) for v in np.asarray(x).ravel())
-
-
-def point_from_str(text: str) -> np.ndarray:
-    return np.array([int(tok) for tok in text.split(",")], dtype=np.int64)

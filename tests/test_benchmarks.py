@@ -106,6 +106,19 @@ class TestWcnfParser:
         assert again.clauses == inst.clauses
         assert again.weights == inst.weights
 
+    def test_synthetic_instance_is_frozen(self):
+        # capping clause lengths at the variable count must leave every
+        # instance with 3 or more variables as it was drawn before
+        frozen = (
+            "p wcnf 12 30\n7 -3 -4 -2 0\n7 11 -8 -3 0\n2 -7 0\n10 -8 5 9 0\n"
+            "6 -5 -12 7 0\n5 10 9 -12 0\n10 -9 -8 0\n6 6 0\n8 -8 5 10 0\n9 -11 -6 0\n"
+            "1 -7 -1 0\n6 -10 -7 -4 0\n6 7 0\n4 11 -3 0\n2 8 -9 -10 0\n1 -2 -6 -3 0\n"
+            "7 5 -2 9 0\n1 6 12 0\n10 8 10 0\n1 3 2 0\n5 -10 0\n7 -9 -2 -3 0\n"
+            "3 10 -2 -6 0\n8 -3 0\n1 11 5 0\n7 11 -2 -3 0\n10 4 0\n10 4 -11 0\n"
+            "2 -11 10 0\n7 -6 0\n"
+        )
+        assert bm.serialize_wcnf(bm.generate_synthetic_wcnf(12, 30, seed=2)) == frozen
+
 
 class TestMaxsat:
     def test_unit_positive_clauses_all_true(self):
@@ -338,6 +351,11 @@ class TestRegistry:
     def test_empty_synthetic_maxsat_rejected(self, num_variables, num_clauses):
         with pytest.raises(InvalidInputError, match="at least one variable and one clause"):
             bm.make_benchmark("maxsat", num_variables=num_variables, num_clauses=num_clauses)
+
+    def test_synthetic_maxsat_with_two_variables(self):
+        assert bm.make_benchmark("maxsat", num_variables=2, num_clauses=10).space.n == 2
+        inst = bm.generate_synthetic_wcnf(2, 10, seed=0)
+        assert {abs(lit) for clause in inst.clauses for lit in clause} <= {1, 2}
 
     @pytest.mark.parametrize("name, options", [
         ("labs", dict(m=3)),

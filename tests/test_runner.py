@@ -135,6 +135,18 @@ class TestConfig:
         assert spec.sigma2 == 2.0
 
     @pytest.mark.parametrize(
+        "kernel, ard",
+        [("heat", True), ("combo", True), ("casmopolitan", True), ("rho", True),
+         ("hamming_rbf", False), ("invariant", False)],
+    )
+    def test_unset_ard_takes_the_family_default(self, tmp_path, kernel, ard):
+        from heatbo.space import SearchSpace
+
+        config = runner.load_config(write_config(tmp_path, kernel=kernel))
+        assert config.kernel_ard is None
+        assert runner._initial_kernel_spec(config, SearchSpace((2,) * 6)).ard is ard
+
+    @pytest.mark.parametrize(
         "kernel, line", [("heat", "betas = 0.3"), ("additive_sum", "vs = 0.5")]
     )
     def test_number_for_a_vector_parameter_fills_it(self, tmp_path, kernel, line):
@@ -400,6 +412,13 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kernel, ard", [("hamming_rbf", "true"), ("rho", "false")])
+    def test_contradicting_ard_exits_one_before_writing(self, tmp_path, capsys, kernel, ard):
+        path = write_config(tmp_path, kernel=kernel, ard=ard)
+        assert runner.main(["run", str(path)]) == 1
+        assert "contradicts" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("option", ["num_clauses = 0", "num_variables = 0"])
     def test_empty_synthetic_maxsat_exits_one_before_writing(self, tmp_path, capsys, option):
         path = write_config(tmp_path, benchmark="maxsat")
@@ -511,3 +530,13 @@ class TestCli:
         assert lines[0] == "kernel,categories,dims,points,median_ms,blas_pinned"
         assert len(lines) == 3
         assert all(line.rsplit(",", 1)[1] in ("True", "False") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "module",
+    [heatbo, heatbo.space, heatbo.spectral, heatbo.kernels, heatbo.gp, heatbo.bo,
+     heatbo.benchmarks, heatbo.runner],
+    ids=lambda module: module.__name__,
+)
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatbo.kernels import _one_hot
 from heatbo.space import (
     Automorphism,
     InvalidInputError,
@@ -13,11 +14,6 @@ from heatbo.space import (
     hamming_distance,
     hamming_matrix,
     identity_relocation,
-    load_space,
-    one_hot,
-    parse_space_text,
-    point_from_str,
-    point_to_str,
     sample_automorphism,
     sample_relocation,
 )
@@ -93,12 +89,6 @@ class TestSearchSpace:
         # last dimension varies fastest
         assert pts[0].tolist() == [0, 0] and pts[1].tolist() == [0, 1]
 
-    def test_category_names(self):
-        sp = SearchSpace((2, 2), (("no", "yes"), ("off", "on")))
-        assert sp.index_of_category(1, "on") == 1
-        with pytest.raises(InvalidInputError):
-            sp.index_of_category(0, "maybe")
-
 
 class TestHammingDistance:
     def test_identity_case(self):
@@ -117,7 +107,7 @@ class TestHammingDistance:
         rng = np.random.default_rng(0)
         for _ in range(100):
             x, y = sp.sample_points(2, rng)
-            zx, zy = one_hot(sp, x), one_hot(sp, y)
+            zx, zy = _one_hot(sp, np.array([x, y]))
             assert hamming_distance(x, y) * 2 == int(np.sum((zx - zy) ** 2))
 
     def test_metric_axioms_exhaustive(self):
@@ -139,11 +129,11 @@ class TestHammingDistance:
 class TestOneHot:
     def test_direct_construction(self):
         sp = SearchSpace((2, 3))
-        assert one_hot(sp, [1, 0]).tolist() == [0, 1, 1, 0, 0]
+        assert _one_hot(sp, np.array([[1, 0]])).tolist() == [[0, 1, 1, 0, 0]]
 
     def test_binary_pair(self):
         sp = SearchSpace((2, 2))
-        assert one_hot(sp, [0, 0]).tolist() == [1, 0, 1, 0]
+        assert _one_hot(sp, np.array([[0, 0]])).tolist() == [[1, 0, 1, 0]]
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -153,7 +143,7 @@ class TestOneHot:
         )
         sp = SearchSpace(tuple(cards))
         coords = [data.draw(st.integers(min_value=0, max_value=g - 1)) for g in cards]
-        z = one_hot(sp, coords)
+        z = _one_hot(sp, np.array([coords]))
         assert int(np.sum(z**2)) == sp.n
 
 
@@ -285,27 +275,3 @@ class TestAutomorphism:
         for row, x in zip(batch, xs):
             assert np.array_equal(row, a.apply(x))
 
-
-class TestSerialization:
-    def test_parse_space_text(self):
-        sp = parse_space_text("# comment\n2,3,4\n")
-        assert sp.cardinalities == (2, 3, 4)
-
-    def test_parse_with_names(self):
-        sp = parse_space_text("2,2\n0: no,yes\n1: off,on\n")
-        assert sp.index_of_category(0, "yes") == 1
-
-    def test_parse_errors(self):
-        with pytest.raises(InvalidInputError):
-            parse_space_text("two,three\n")
-        with pytest.raises(InvalidInputError):
-            parse_space_text("")
-
-    def test_load_space(self, tmp_path):
-        p = tmp_path / "space.txt"
-        p.write_text("5,5,5\n")
-        assert load_space(p).cardinalities == (5, 5, 5)
-
-    def test_point_round_trip(self):
-        x = np.array([0, 4, 2])
-        assert np.array_equal(point_from_str(point_to_str(x)), x)
