@@ -281,12 +281,11 @@ def ga_optimize(
         elites = population[order[: config.elite_count]]
         # tournament selection, two parents per child
         idx = rng.integers(
-            0, len(population), size=(n_children, 2, config.tournament_size)
+            0, len(population), size=(2 * n_children, config.tournament_size)
         )
-        winner_slot = np.argmax(values[idx], axis=2)
-        winners = np.take_along_axis(idx, winner_slot[..., None], axis=2)[..., 0]
-        p1 = population[winners[:, 0]]
-        p2 = population[winners[:, 1]]
+        winners = idx[np.arange(2 * n_children), np.argmax(values[idx], axis=1)]
+        p1 = population[winners[0::2]]
+        p2 = population[winners[1::2]]
         # uniform crossover, falling back to the first parent
         do_cross = rng.random(n_children) < config.crossover_prob
         mask = rng.random((n_children, space.n)) < 0.5
@@ -403,10 +402,10 @@ def suggest(run: BoRunState) -> np.ndarray:
     run.fitted_spec = state.spec
     run.fitted_noise = state.noise_variance
     best = run.incumbent_value
+    predict = gp.posterior(state)
 
     def acq(points):
-        means, variances = gp.predict_batch(state, points)
-        return expected_improvement(means, variances, best)
+        return expected_improvement(*predict(run.space.validate_points(points)), best)
 
     seed = int(np.random.SeedSequence(_iteration_rng_seed(run, 1)).generate_state(1)[0])
     try:

@@ -35,10 +35,12 @@ per-call checks and copies.  An evaluation makes one copy of K: the noise
 goes onto its diagonal and dpotrf factors it in place; only a jitter level
 above zero takes another.  The bits are those of K + noise I + jitter I.
 
-Predictions take the same arithmetic.  ``predict_batch`` asks the state's
-terms for ``cross_gram``, which for heat, combo and casmopolitan encodes
-only the query rows' one-hot block against the cached training side, and
-its k(X, X_train) is bit for bit ``kernels.cross_gram``.
+Predictions take the same arithmetic.  ``posterior(state)`` validates the
+spec once and returns ``predict`` for validated rows, which ``predict_batch``
+and every GA batch of ``bo.suggest`` call.  Its k(X, X_train) is bit for bit
+``kernels.cross_gram``; heat, combo and casmopolitan take it as the rows'
+one-hot block times the weighted training side kept for the last spec.  No
+row is deduplicated: gemv can round its mean differently in another batch.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ __all__ = [
     "GpState",
     "fit",
     "make_state",
+    "posterior",
     "predict_batch",
     "NumericFailure",
 ]
@@ -441,17 +444,26 @@ def fit(
     return make_state(space, train, fitted_spec, fitted_noise, ladder, terms=terms)
 
 
+def posterior(state: GpState):
+    """Validate ``state.spec`` once and return ``predict``: validated int64
+    rows to their posterior mean and variance in raw target units."""
+    kernels.validate_spec(state.space, state.spec)
+
+    def predict(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        k_star = state.terms.cross_gram(state.spec, X)
+        mean_std = k_star @ state.weights
+        v = solve_triangular(state.chol_lower, k_star.T)
+        var_std = state.terms.diag(state.spec, X) - np.sum(v**2, axis=0)
+        var_std = np.maximum(var_std, 0.0)
+        return (
+            state.train.destandardize_mean(mean_std),
+            state.train.destandardize_variance(var_std),
+        )
+
+    return predict
+
+
 def predict_batch(state: GpState, points) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance in raw target units for each query point."""
-    X = state.space.validate_points(points)
-    kernels.validate_spec(state.space, state.spec)
-    k_star = state.terms.cross_gram(state.spec, X)
-    mean_std = k_star @ state.weights
-    v = solve_triangular(state.chol_lower, k_star.T)
-    var_std = state.terms.diag(state.spec, X) - np.sum(v**2, axis=0)
-    var_std = np.maximum(var_std, 0.0)
-    return (
-        state.train.destandardize_mean(mean_std),
-        state.train.destandardize_variance(var_std),
-    )
+    return posterior(state)(state.space.validate_points(points))
 

@@ -28,7 +28,8 @@ X)`` encodes a training set once, for the GP's fit and predictions alike:
 its ``grad(spec, K, W)`` gives 1/2 <W, dK/dtheta_j> in closed form where
 the family has one, else by central differences, and its ``cross_gram(spec,
 X1)`` gives ``cross_gram``'s bits, the log-affine families encoding only
-X1's one-hot block.  The scalar ``*_eval`` functions are independent oracles.
+X1's one-hot block against the weighted training side they keep for the
+last spec.  The scalar ``*_eval`` functions are independent oracles.
 """
 
 from __future__ import annotations
@@ -431,6 +432,8 @@ class KernelSpec:
             raise InvalidInputError(
                 f"unknown family {self.family!r}; known: {sorted(_FAMILIES)}"
             )
+        if not isinstance(self.ard, bool):
+            raise InvalidInputError(f"ard must be True or False, got {self.ard!r}")
 
     def replace_params(self, **updates) -> "KernelSpec":
         merged = dict(self.params)
@@ -609,6 +612,7 @@ class _LogAffineFamily(_Family):
         return SimpleNamespace(
             space=space, ard=spec.ard, points=(X1, X2), first=first, inverse=inverse,
             sizes=sizes, pair=_one_hot_pair(space, X1, X2), counts=None, last=(None, None),
+            side=(None, None),
         )
 
     def _weights(self, spec, enc):
@@ -627,12 +631,12 @@ class _LogAffineFamily(_Family):
         return _scaled_exp(exponent, spec.sigma2)
 
     def cross(self, space, spec, X1, X2, enc):
-        """Only X1's one-hot block is new: 1 - Z2 and the weights are ``enc``'s."""
-        w = _dyadic(self._weights(spec, enc)[0], enc.sizes)
-        pair = SimpleNamespace(
-            cards=space.cardinalities, Z1=_one_hot(space, X1), Z2c=enc.pair.Z2c
-        )
-        return _scaled_exp(_weighted_mismatches(pair, w[enc.inverse]), spec.sigma2)
+        """Only X1's one-hot block is new: ``enc`` keeps the last spec's weighted
+        (1 - Z2).T.  Exact sums on the dyadic grid give ``kernel``'s bits."""
+        if enc.side[0] is not spec:
+            w = _dyadic(self._weights(spec, enc)[0], enc.sizes)[enc.inverse]
+            enc.side = (spec, np.repeat(w, enc.pair.cards)[:, None] * enc.pair.Z2c.T)
+        return _scaled_exp(_one_hot(space, X1) @ enc.side[1], spec.sigma2)
 
     def grad(self, spec, enc, K, W):
         _, dw = self._weights(spec, enc)

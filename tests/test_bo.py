@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heatbo import bo, kernels
+from heatbo import benchmarks, bo, gp, kernels
 from heatbo.space import (
     InvalidInputError,
     Relocation,
@@ -565,6 +567,45 @@ class TestAskTell:
         got = bo.suggest(run)
         assert tuple(int(v) for v in got) not in run.observed_set()
 
+    def test_acquisition_validates_the_spec_once_and_every_batch(self, monkeypatch):
+        # the fit validates the spec as it likes; after it, the posterior does
+        # once, and each GA batch validates its own rows and nothing else
+        sp = SearchSpace((3,) * 5)
+        run = self.make_run(sp)
+        f = quadratic_objective(np.zeros(5, dtype=int))
+        for p in sp.sample_points(6, np.random.default_rng(9)):
+            bo.observe(run, p, f(p), update_region=False)
+        specs, rows, events = [], [], []
+        validate_spec, validate_points = kernels.validate_spec, SearchSpace.validate_points
+        fit, optimize = gp.fit, bo.ga_optimize
+        monkeypatch.setattr(
+            kernels, "validate_spec", lambda *a: specs.append(a) or validate_spec(*a)
+        )
+        monkeypatch.setattr(
+            SearchSpace, "validate_points",
+            lambda space, points: rows.append(len(points)) or validate_points(space, points),
+        )
+
+        def counted_fit(*args, **kwargs):
+            state = fit(*args, **kwargs)
+            events.append(len(specs))
+            return state
+
+        def counted_acq(acq):
+            def scored(points):
+                rows.clear()
+                values = acq(points)
+                events.append((len(specs), rows.copy(), len(points)))
+                return values
+            return scored
+
+        monkeypatch.setattr(gp, "fit", counted_fit)
+        monkeypatch.setattr(bo, "ga_optimize", lambda acq, *a: optimize(counted_acq(acq), *a))
+        bo.suggest(run)
+        fitted, *batches = events
+        assert len(batches) == bo.GaConfig().generations + 1
+        assert batches == [(fitted + 1, [count], count) for _, _, count in batches]
+
     def test_suggest_picks_last_unobserved_point_in_tiny_space(self):
         sp = SearchSpace((4,))
         spec = kernels.default_spec(sp, "heat")
@@ -669,3 +710,35 @@ class TestRunBo:
             r = bo.random_search(f, sp, 20, seed=seed + 1000)
             rs_final.append(r[-1].incumbent)
         assert np.median(bo_final) < np.median(rs_final)
+
+
+def trace_digest(*traces) -> str:
+    """The first 16 hex digits of the SHA-256 of each trace's points, in order."""
+    digest = hashlib.sha256()
+    for trace in traces:
+        digest.update(np.array([r.point for r in trace], dtype=np.int64).tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestTracePin:
+    """Two short seeded runs whose point sequences are pinned by hash: one
+    LABS run on non-ARD heat (L-BFGS fits) and one on five categories per
+    dimension with ARD heat (Adam fits).  Any change to the bits of a fit,
+    a prediction or the GA's draws that moves one suggestion moves the
+    hash.  Recorded with numpy 2.4 on OpenBLAS 0.3.31, with one and with two
+    BLAS threads."""
+
+    def test_seeded_point_sequences(self):
+        labs = SearchSpace((2,) * 12)
+        labs_trace = bo.run_bo(
+            benchmarks.labs_energy, labs, kernels.default_spec(labs, "heat", ard=False),
+            budget=10, init_count=8, seed=5, measure_time=False,
+        )
+        five = SearchSpace((5,) * 5)
+        hidden, weights = np.array([1, 4, 0, 2, 3]), np.array([3.0, 1.0, 4.0, 1.0, 5.0])
+        five_trace = bo.run_bo(
+            lambda x: float(weights @ ((np.asarray(x) - hidden) % 5)),
+            five, kernels.default_spec(five, "heat", ard=True),
+            budget=6, init_count=6, seed=3, measure_time=False,
+        )
+        assert trace_digest(labs_trace, five_trace) == "693ea642d4e252e2"

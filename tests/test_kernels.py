@@ -707,6 +707,35 @@ class TestFitTerms:
         terms.grad(spec, K, np.ones_like(K))
         np.testing.assert_array_equal(terms.gram(spec), K)
 
+    @given(st.sampled_from(kn.FAMILY_NAMES), st.booleans(), st.integers(0, 2**31))
+    @settings(max_examples=150, deadline=None)
+    def test_cross_gram_follows_the_spec_not_the_batch(self, family, ard, seed):
+        """The log-affine families keep the weighted training side of the last
+        spec they were asked for.  Specs A, B, A in turn each get the bits of a
+        fresh ``cross_gram``, and a row's bits do not depend on its batch."""
+        rng = np.random.default_rng(seed)
+        sp = random_space(rng, max_n=10, min_n=2)
+        if family == "invariant":  # dimension permutations need one alphabet
+            sp = SearchSpace((sp.cardinalities[0],) * min(sp.n, 5))
+        pts = sp.sample_points(int(rng.integers(2, 40)), rng)
+        A = fit_terms_spec(sp, family, rng, ard)
+        theta = kn.pack_spec(sp, A)
+        B = kn.unpack_spec(sp, A, theta + rng.normal(scale=0.3, size=theta.size))
+        if family == "heat" and rng.random() < 0.3:  # rho = 0: floored log-weights
+            betas = A.params["betas"]
+            A = A.replace_params(betas=np.where(rng.random(betas.size) < 0.5, 0.0, betas))
+        terms = kn.fit_terms(sp, A, pts)
+        queries = sp.sample_points(int(rng.integers(1, 60)), rng)
+        for spec in (A, B, A):
+            K = terms.cross_gram(spec, queries)
+            np.testing.assert_array_equal(K, kn.cross_gram(sp, spec, queries, pts))
+        if family == "additive_sum":
+            # its one-hot product weighs by v - c, off any grid: BLAS may sum a
+            # row in an order that depends on the rest of its batch
+            return
+        rows = rng.permutation(len(queries))[: int(rng.integers(1, len(queries) + 1))]
+        np.testing.assert_array_equal(terms.cross_gram(A, queries[rows]), K[rows])
+
 
 def poisoned(spec, bad):
     """One spec per float hyperparameter, with that parameter's first entry
@@ -724,6 +753,14 @@ def poisoned(spec, bad):
 
 
 class TestHyperparameterValidation:
+    @pytest.mark.parametrize("ard", [None, "no", 0, np.bool_(True)])
+    def test_ard_must_be_a_bool(self, ard):
+        sp = SearchSpace((2,) * 4)
+        with pytest.raises(InvalidInputError, match="ard"):
+            kn.KernelSpec("heat", {"betas": [0.25] * 4, "sigma2": 1.0}, ard)
+        with pytest.raises(InvalidInputError, match="ard"):
+            kn.default_spec(sp, "heat", ard=ard)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("family", kn.FAMILY_NAMES)
     def test_non_finite_hyperparameters_rejected(self, family, bad):
