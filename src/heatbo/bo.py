@@ -12,6 +12,9 @@ Category-changing random draws are modular offsets from the current value
 where a point differs from the center.  On binary dimensions every stochastic
 operator thus commutes with relocations, so entire runs are equivariant:
 relocating the objective and the initial design relocates the whole trace.
+Each GA generation makes the same generator calls (method, shape, order)
+whatever array code consumes them; on GA-sized batches numpy's fixed cost per
+call outweighs the arithmetic, so that code is kept to few calls.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from math import ceil, sqrt
+from math import ceil, isfinite, sqrt
 
 import numpy as np
 from scipy.special import ndtr
@@ -60,19 +63,16 @@ def expected_improvement(mean, variance, best_so_far: float):
     """Expected improvement below ``best_so_far`` under a Gaussian posterior."""
     mean = np.asarray(mean, dtype=float)
     variance = np.asarray(variance, dtype=float)
-    if np.any(variance < 0):
-        raise InvalidInputError("variance must be nonnegative")
+    if not (isfinite(best_so_far) and np.isfinite(mean).all() and (variance >= 0).all()):
+        raise InvalidInputError("need finite mean and best_so_far and variance >= 0, not NaN")
     sigma = np.sqrt(variance)
     improve = best_so_far - mean
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(sigma > 0, improve / np.where(sigma > 0, sigma, 1.0), 0.0)
-        # the normal CDF/PDF saturate long before this; avoids overflow in z**2
-        z = np.clip(z, -38.0, 38.0)
-        ei = np.where(
-            sigma > 0,
-            improve * ndtr(z) + sigma * np.exp(-0.5 * z**2) / sqrt(2.0 * np.pi),
-            np.maximum(improve, 0.0),
-        )
+    positive = sigma > 0  # else z = 0, and EI is the certain improvement
+    # the normal CDF/PDF saturate long before |z| = 38; the clip avoids overflow in z**2
+    z = np.divide(improve, sigma, out=np.zeros(improve.shape), where=positive)
+    z = np.minimum(np.maximum(z, -38.0), 38.0)
+    ei = improve * ndtr(z) + sigma * np.exp(-0.5 * z**2) / sqrt(2.0 * np.pi)
+    ei = np.where(positive, ei, improve)
     return np.maximum(ei, 0.0) if ei.ndim else float(max(ei, 0.0))
 
 
@@ -203,10 +203,10 @@ class GaConfig:
 
 
 def _shift(points, mask, cards, rng):
-    """Move every masked entry to another category: a modular offset in 1..g-1."""
-    rows, cols = np.nonzero(mask)
-    g = cards[cols]
-    points[rows, cols] = (points[rows, cols] + rng.integers(1, g)) % g
+    """Move every masked entry (row-major) to another category: a modular offset in 1..g-1."""
+    flat = mask.ravel().nonzero()[0]
+    g = cards[flat % mask.shape[1]]
+    points.put(flat, (points.take(flat) + rng.integers(1, g)) % g)
     return points
 
 
@@ -222,12 +222,12 @@ def _repair_into_ball(points, center, radius, rng):
     """Revert the mismatched coordinates with the lowest uniform keys of every row
     outside the ball, down to ``radius`` mismatches; rows inside take no draws."""
     mismatched = points != center
-    excess = np.count_nonzero(mismatched, axis=1) - radius
-    over = np.flatnonzero(excess > 0)
+    excess = mismatched.sum(1) - radius
+    over = (excess > 0).nonzero()[0]
     if over.size:
         keys = np.where(mismatched[over], rng.random((over.size, len(center))), np.inf)
-        revert = keys.argsort(1, kind="stable").argsort(1) < excess[over, None]
-        points[over] = np.where(revert, center, points[over])
+        cols = keys.argsort(1, kind="stable")[np.arange(len(center)) < excess[over, None]]
+        points[over.repeat(excess[over]), cols] = center[cols]
     return points
 
 
@@ -252,10 +252,10 @@ def ga_optimize(
     radius = int(tr.radius)
     rng = np.random.default_rng(seed)
     pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / space.n
-    cards = np.asarray(space.cardinalities)
+    cards = space.card_array
 
-    population = np.vstack(
-        [center, _draw_in_ball(center, radius, config.population_size - 1, cards, rng)]
+    population = np.concatenate(
+        (center[None], _draw_in_ball(center, radius, config.population_size - 1, cards, rng))
     )
 
     best_unobserved = None  # (value, point)
@@ -264,10 +264,11 @@ def ga_optimize(
         """Keep the first acquisition-best unobserved row; a later one must beat
         it.  Only rows that beat the kept one are looked up, best first."""
         nonlocal best_unobserved
-        rows = np.arange(len(values))
-        if best_unobserved is not None:
-            rows = rows[values > best_unobserved[0]]
-        for j in rows[np.argsort(-values[rows], kind="stable")].tolist():
+        if best_unobserved is None:
+            rows = np.arange(len(values))
+        elif not (rows := (values > best_unobserved[0]).nonzero()[0]).size:
+            return  # the common case once a row is kept
+        for j in rows[(-values[rows]).argsort(kind="stable")].tolist():
             if tuple(pop[j].tolist()) not in exclude:
                 best_unobserved = (values[j], pop[j].copy())
                 return
@@ -276,24 +277,21 @@ def ga_optimize(
     digest(population, values)
 
     n_children = config.population_size - config.elite_count
+    tournaments = np.arange(2 * n_children)
     for _ in range(config.generations):
-        order = np.argsort(values)[::-1]
-        elites = population[order[: config.elite_count]]
-        # tournament selection, two parents per child
-        idx = rng.integers(
-            0, len(population), size=(2 * n_children, config.tournament_size)
-        )
-        winners = idx[np.arange(2 * n_children), np.argmax(values[idx], axis=1)]
-        p1 = population[winners[0::2]]
-        p2 = population[winners[1::2]]
+        elites = population[values.argsort()[::-1][: config.elite_count]]
+        # tournament selection, two parents per child, gathered at once
+        idx = rng.integers(0, len(population), size=(2 * n_children, config.tournament_size))
+        winners = idx[tournaments, values[idx].argmax(1)]
+        parents = population[winners].reshape(n_children, 2, space.n)
         # uniform crossover, falling back to the first parent
         do_cross = rng.random(n_children) < config.crossover_prob
         mask = rng.random((n_children, space.n)) < 0.5
-        children = np.where(do_cross[:, None] & mask, p2, p1)
+        children = np.where(do_cross[:, None] & mask, parents[:, 1], parents[:, 0])
         # per-dimension mutation, then every offspring back into the ball
         children = _shift(children, rng.random((n_children, space.n)) < pm, cards, rng)
         children = _repair_into_ball(children, center, radius, rng)
-        population = np.vstack([elites, children])
+        population = np.concatenate((elites, children))
         values = np.asarray(acq(population), dtype=float)
         digest(population, values)
 
@@ -420,13 +418,11 @@ def _restart_region(run: BoRunState) -> None:
     rng = np.random.default_rng([run.seed, run.restart_count, 2])
     observed = run.observed_set()
     incumbent = np.asarray(run.incumbent_point)
-    cards = run.space.cardinalities
+    cards = run.space.card_array
     center = None
     for _ in range(10000):
         offsets = rng.integers(0, cards, size=run.space.n)
-        candidate = tuple(
-            int((incumbent[i] + offsets[i]) % cards[i]) for i in range(run.space.n)
-        )
+        candidate = tuple(((incumbent + offsets) % cards).tolist())
         if candidate not in observed:
             center = candidate
             break

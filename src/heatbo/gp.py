@@ -453,8 +453,8 @@ def posterior(state: GpState):
         k_star = state.terms.cross_gram(state.spec, X)
         mean_std = k_star @ state.weights
         v = solve_triangular(state.chol_lower, k_star.T)
-        var_std = state.terms.diag(state.spec, X) - np.sum(v**2, axis=0)
-        var_std = np.maximum(var_std, 0.0)
+        var_std = state.terms.diag(state.spec, X) - (v * v).sum(axis=0)
+        np.maximum(var_std, 0.0, out=var_std)
         return (
             state.train.destandardize_mean(mean_std),
             state.train.destandardize_variance(var_std),

@@ -446,10 +446,10 @@ class KernelSpec:
 
 
 def _one_hot(space: SearchSpace, X) -> np.ndarray:
-    """One one-hot block per dimension, shape (m, sum g_i)."""
-    offsets = np.concatenate([[0], np.cumsum(space.cardinalities)[:-1]])
-    Z = np.zeros((X.shape[0], space.one_hot_width))
-    Z[np.arange(X.shape[0])[:, None], X + offsets] = 1.0
+    """One one-hot block per dimension, shape (m, sum g_i), set through flat indices."""
+    m, width = X.shape[0], space.one_hot_width
+    Z = np.zeros((m, width))
+    Z.ravel()[X + (space.one_hot_offsets + np.arange(0, m * width, width)[:, None])] = 1.0
     return Z
 
 

@@ -65,7 +65,8 @@ def _pinned_shuffle(items: list, rng: random.Random) -> None:
 class SearchSpace:
     """Product of finite category sets; dimension ``i`` has ``cardinalities[i]`` categories.
 
-    Categories are dense indices ``0 .. g_i - 1``.
+    Categories are dense indices ``0 .. g_i - 1``.  ``card_array`` (the cardinalities) and
+    ``one_hot_offsets`` (each dimension's first one-hot column) are read-only int64 arrays.
     """
 
     cardinalities: tuple[int, ...]
@@ -78,6 +79,11 @@ class SearchSpace:
         for i, g in enumerate(cards):
             if g < 2:
                 raise InvalidInputError(f"dimension {i} has {g} categories; need >= 2")
+        offsets = np.cumsum((0,) + cards[:-1], dtype=np.int64)
+        for name, array in (("card_array", np.array(cards, dtype=np.int64)),
+                            ("one_hot_offsets", offsets)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:
@@ -112,9 +118,9 @@ class SearchSpace:
             raise InvalidInputError(
                 f"points have {xs.shape[1]} dimensions, expected {self.n}"
             )
-        cards = np.asarray(self.cardinalities)
-        if np.any(xs < 0) or np.any(xs >= cards):
-            first = xs[((xs < 0) | (xs >= cards)).any(axis=1)][0]
+        outside = (xs < 0) | (xs >= self.card_array)
+        if outside.any():
+            first = xs[outside.any(axis=1)][0]
             raise InvalidInputError(f"point {first.tolist()} out of category range")
         return xs.astype(np.int64, copy=False)
 
@@ -124,8 +130,7 @@ class SearchSpace:
         return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
 
     def sample_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        cards = np.asarray(self.cardinalities)
-        return rng.integers(0, cards, size=(count, self.n), dtype=np.int64)
+        return rng.integers(0, self.card_array, size=(count, self.n), dtype=np.int64)
 
 
 def hamming_distance(x, y) -> int:
@@ -174,9 +179,8 @@ class Automorphism:
                 )
             if sorted(self.perms[i]) != list(range(cards[i])):
                 raise InvalidInputError(f"perms[{i}] is not a category permutation")
-        # y[i] = table[starts[i] + x[dim_perm[i]]]: perms[i] is the block at starts[i]
+        # y[i] = table[o_i + x[dim_perm[i]]]: perms[i] is the block at one_hot_offsets[i]
         object.__setattr__(self, "_source", np.array(self.dim_perm, dtype=np.intp))
-        object.__setattr__(self, "_starts", np.cumsum((0,) + cards[:-1]))
         object.__setattr__(self, "_table", np.concatenate(self.perms).astype(np.int64))
 
     def apply(self, x) -> np.ndarray:
@@ -187,7 +191,7 @@ class Automorphism:
 
     def apply_unchecked(self, xs: np.ndarray) -> np.ndarray:
         """The map on an already validated int array of one point or many rows."""
-        return self._table[self._starts + xs[..., self._source]]
+        return self._table[self.space.one_hot_offsets + xs[..., self._source]]
 
     def inverse(self) -> "Automorphism":
         """x[dim_perm[i]] = perms[i]^-1[y[i]]; argsort inverts a permutation."""

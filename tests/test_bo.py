@@ -1,9 +1,11 @@
 import hashlib
+from math import sqrt
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from heatbo import benchmarks, bo, gp, kernels
 from heatbo.space import (
@@ -15,7 +17,63 @@ from heatbo.space import (
 )
 
 
+def masked_expected_improvement(mean, variance, best_so_far):
+    """Expected improvement as two nested masks computed it, frozen as the
+    reference for ``bo.expected_improvement``'s bits: z = 0 and EI =
+    max(improve, 0) where the variance is 0."""
+    mean = np.asarray(mean, dtype=float)
+    variance = np.asarray(variance, dtype=float)
+    sigma = np.sqrt(variance)
+    improve = best_so_far - mean
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(sigma > 0, improve / np.where(sigma > 0, sigma, 1.0), 0.0)
+        z = np.clip(z, -38.0, 38.0)
+        ei = np.where(
+            sigma > 0,
+            improve * ndtr(z) + sigma * np.exp(-0.5 * z**2) / sqrt(2.0 * np.pi),
+            np.maximum(improve, 0.0),
+        )
+    return np.maximum(ei, 0.0) if ei.ndim else float(max(ei, 0.0))
+
+
+# zero, subnormal and tiny variances put |improve| / sigma past the +-38 clip
+VARIANCES = st.one_of(
+    st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e-8), st.floats(0.0, 1e4)
+)
+MEANS = st.floats(-1e4, 1e4)
+
+
 class TestExpectedImprovement:
+    @given(
+        pairs=st.lists(st.tuples(MEANS, VARIANCES), min_size=1, max_size=30),
+        best=MEANS,
+        scalar=st.booleans(),
+    )
+    @settings(max_examples=500, deadline=None)
+    @example(pairs=[(1.0, 0.0), (-1.0, 0.0), (0.5, 0.0), (0.0, 1e-300)], best=0.5, scalar=False)
+    @example(pairs=[(-0.0, 0.0)], best=0.0, scalar=True)
+    @example(pairs=[(1.602, 0.057)], best=0.5, scalar=True)  # z**2 and z * z give other EI bits
+    def test_bits_match_the_masked_formula(self, pairs, best, scalar):
+        mean, variance = (list(column) for column in zip(*pairs))
+        if scalar:
+            mean, variance = mean[0], variance[0]
+        got = bo.expected_improvement(mean, variance, best)
+        want = masked_expected_improvement(mean, variance, best)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "mean, variance, best",
+        [(0.0, np.nan, 0.5), ([0.0, 1.0], [1.0, np.nan], 0.5), (np.nan, 1.0, 0.0),
+         ([0.0, np.inf], [1.0, 1.0], 0.0), (-np.inf, 0.0, 0.0), (0.0, 1.0, np.nan),
+         (0.0, 1.0, np.inf), (0.0, 1.0, -np.inf)],
+        ids=["nan-var", "nan-var-in-batch", "nan-mean", "inf-mean-in-batch", "-inf-mean",
+             "nan-best", "inf-best", "-inf-best"],
+    )
+    def test_nan_variance_and_non_finite_mean_or_best_rejected(self, mean, variance, best):
+        with pytest.raises(InvalidInputError):
+            bo.expected_improvement(mean, variance, best)
+
     def test_at_the_incumbent_mean(self):
         got = bo.expected_improvement(0.0, 1.0, 0.0)
         assert got == pytest.approx(1.0 / np.sqrt(2 * np.pi), abs=1e-12)
@@ -450,6 +508,40 @@ def run_ga(optimize, problem):
         return exc
 
 
+class RecordingGenerator:
+    """Forwards ``integers`` and ``random`` to a generator and records every
+    draw as (method, number of values, shape of an array ``high``).  A draw of
+    no values must leave the stream where it was; it is not recorded."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def _draw(self, method, *args, **kwargs):
+        before = self.rng.bit_generator.state
+        out = getattr(self.rng, method)(*args, **kwargs)
+        if np.size(out) == 0:
+            assert self.rng.bit_generator.state == before
+        else:
+            high = args[1] if method == "integers" and len(args) > 1 else None
+            self.calls.append((method, np.size(out), np.shape(high)))
+        return out
+
+    def integers(self, *args, **kwargs):
+        return self._draw("integers", *args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self._draw("random", *args, **kwargs)
+
+
+def recorded_draws(optimize, problem):
+    """Every draw from the generators that ``run_ga`` makes."""
+    calls, make = [], np.random.default_rng
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bo.np.random, "default_rng", lambda s: RecordingGenerator(make(s), calls))
+        run_ga(optimize, problem)
+    return calls
+
+
 class TestGaBookkeeping:
     @given(ga_problems())
     @settings(max_examples=300, deadline=None)
@@ -461,6 +553,13 @@ class TestGaBookkeeping:
             assert str(got) == str(want)
         else:
             np.testing.assert_array_equal(got, want)
+
+    @given(ga_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_draws_match_per_row_reference(self, problem):
+        # an added, dropped or reordered draw fails even where the results agree
+        want = recorded_draws(reference_ga_optimize, problem)
+        assert recorded_draws(bo.ga_optimize, problem) == want
 
     @given(ga_problems())
     @settings(max_examples=300, deadline=None)

@@ -81,6 +81,31 @@ class TestSearchSpace:
         points = sp.sample_points(4, np.random.default_rng(0))
         assert sp.validate_points(points) is points  # no copy on the hot path
 
+    def test_held_arrays_are_read_only_copies_of_the_cardinalities(self):
+        sp = SearchSpace((2, 5, 3))
+        assert sp.card_array.dtype == sp.one_hot_offsets.dtype == np.int64
+        assert sp.card_array.tolist() == [2, 5, 3]
+        assert sp.one_hot_offsets.tolist() == [0, 2, 7]
+        with pytest.raises(ValueError):
+            sp.card_array[0] = 4
+        assert sp == SearchSpace([2, 5, 3]) and hash(sp) == hash(SearchSpace((2, 5, 3)))
+
+    @pytest.mark.parametrize(
+        "points, match",
+        [
+            ([[0, 4, 2], [-1, 0, 0]], r"point \[-1, 0, 0\] out of category range"),
+            ([[0, 4, 2], [1, 5, 0]], r"point \[1, 5, 0\] out of category range"),
+            ([[2, 0, 0], [0, 0, 3]], r"point \[2, 0, 0\] out of category range"),
+            ([[0, 4, 2], [1, 1.5, 0]], "finite integers"),
+            ([[0, 4, 2], [1, 1]], "unequal lengths"),
+            ([[0, 4]], "2 dimensions, expected 3"),
+        ],
+        ids=["negative", "too-large", "too-large-binary", "non-integer", "ragged", "width"],
+    )
+    def test_batch_errors_on_mixed_cardinalities(self, points, match):
+        with pytest.raises(InvalidInputError, match=match):
+            SearchSpace((2, 5, 3)).validate_points(points)
+
     def test_enumerate_points(self):
         sp = SearchSpace((2, 3))
         pts = sp.enumerate_points()
@@ -134,6 +159,23 @@ class TestOneHot:
     def test_binary_pair(self):
         sp = SearchSpace((2, 2))
         assert _one_hot(sp, np.array([[0, 0]])).tolist() == [[1, 0, 1, 0]]
+
+    @given(
+        st.lists(st.integers(2, 6), min_size=1, max_size=6),
+        st.integers(0, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_row_by_row_construction(self, cards, count, seed):
+        sp = SearchSpace(tuple(cards))
+        X = sp.sample_points(count, np.random.default_rng(seed))
+        want = np.zeros((count, sum(cards)))
+        for r, row in enumerate(X.tolist()):
+            start = 0
+            for g, v in zip(cards, row):
+                want[r, start + v] = 1.0
+                start += g
+        np.testing.assert_array_equal(_one_hot(sp, X), want)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
