@@ -31,9 +31,10 @@ lower MLL than Adam on many training sets, so they keep Adam.
 
 The linear algebra calls LAPACK directly through this module's own
 ``cholesky``, ``cho_solve`` and ``solve_triangular``, without scipy.linalg's
-per-call checks and copies.  An evaluation makes one copy of K: the noise
-goes onto its diagonal and dpotrf factors it in place; only a jitter level
-above zero takes another.  The bits are those of K + noise I + jitter I.
+per-call checks and copies.  An evaluation copies the exactly symmetric K
+once and dpotrf factors the F-ordered transpose in place, the noise on its
+diagonal; only a jitter level above zero takes another copy.  The bits are
+those of K + noise I + jitter I.  W takes potri's triangle, then its mirror.
 
 Predictions take the same arithmetic.  ``posterior(state)`` validates the
 spec once and returns ``predict`` for validated rows, which ``predict_batch``
@@ -199,15 +200,16 @@ def _chol_with_jitter(K: np.ndarray, ladder, noise: float = 0.0) -> tuple[np.nda
     """Factor of K + noise I + jitter I at the first ladder level that factors,
     and that jitter: the level times the mean of K + noise I's diagonal.
 
-    Each try takes one F-ordered copy of K, the layout dpotrf factors in
-    place; adding 0.0 off the diagonal keeps the bits of adding a scaled
-    identity.  Level 0 needs no mean.
+    K must be exactly symmetric: each try takes one contiguous copy of K
+    and factors its transpose, which is F-ordered, the layout dpotrf factors
+    in place.  Adding 0.0 off the diagonal keeps the bits of adding a scaled
+    identity, -0.0 turned into +0.0 included.  Level 0 needs no mean.
     """
     if not (np.isfinite(K).all() and isfinite(noise)):
         raise NumericFailure("covariance has non-finite entries")
     mean_diag = None
     for level in ladder:
-        A = np.add(K, 0.0, order="F")
+        A = np.add(K, 0.0).T
         diag = _diagonal(A)
         diag += noise
         jitter = 0.0
@@ -241,12 +243,12 @@ def _mll_grad(terms, spec, parts) -> np.ndarray:
     """The gradient at ``_mll_parts``'s result, whose factor it overwrites."""
     _, K, L, alpha, noise = parts
     # potri overwrites L with the lower triangle of K^-1 and keeps its zero
-    # upper triangle: adding the transpose mirrors it, doubling the diagonal
+    # upper triangle: it, then its transpose without the diagonal, is K^-1
     K_inv, _ = dpotri(L, lower=1, overwrite_c=1)
-    S = K_inv + K_inv.T
-    _diagonal(S)[:] = _diagonal(K_inv)
-    W = np.outer(alpha, alpha)
-    W -= S
+    W = np.multiply.outer(alpha, alpha)
+    W -= K_inv
+    _diagonal(K_inv)[:] = 0.0
+    W -= K_inv.T
     # dK/d log noise = noise * I
     return np.array([*terms.grad(spec, K, W), 0.5 * float(W.trace()) * noise])
 

@@ -19,17 +19,19 @@ Every family has one kernel arithmetic: ``encode(space, spec, X1, X2)``
 holds what its Gram needs about two point sets and ``kernel(spec, enc)``
 returns the matrix.  ``gram``, ``cross_gram``, ``diag_values``
 and the GP fitter's ``fit_terms`` all go through that pair, so the fit's K
-is bit for bit ``gram``.  heat, combo and casmopolitan are ``sigma2 * exp``
-of an exact weighted mismatch count (one-hot products, weights on one
-binary grid), the distance profiles functions of the exact Hamming matrix,
-and ``additive_sum`` affine in a weighted one-hot product; the other
-families take one mismatch mask per dimension.  ``fit_terms(space, spec,
-X)`` encodes a training set once, for the GP's fit and predictions alike:
-its ``grad(spec, K, W)`` gives 1/2 <W, dK/dtheta_j> in closed form where
-the family has one, else by central differences, and its ``cross_gram(spec,
-X1)`` gives ``cross_gram``'s bits, the log-affine families encoding only
-X1's one-hot block against the weighted training side they keep for the
-last spec.  The scalar ``*_eval`` functions are independent oracles.
+is bit for bit ``gram``, which each family's ``gram`` makes symmetric.
+heat, combo and casmopolitan are ``sigma2 * exp`` of an exact weighted
+mismatch count (one-hot products, weights on one binary grid; with one
+weight group, a table of n + 1 values taken at the exact Hamming matrix),
+the distance profiles functions of that matrix, and ``additive_sum`` affine
+in a weighted one-hot product; the other families take one mismatch mask
+per dimension.  ``fit_terms(space, spec, X)`` encodes a training set once,
+for the GP's fit and predictions alike: its ``grad(spec, K, W)`` gives
+1/2 <W, dK/dtheta_j> in closed form where the family has one, else by
+central differences, and its ``cross_gram(spec, X1)`` gives ``cross_gram``'s
+bits, the log-affine families encoding only X1's one-hot block against the
+weighted training side they keep for the last spec.  The scalar ``*_eval``
+functions are independent oracles.
 """
 
 from __future__ import annotations
@@ -553,6 +555,10 @@ class _Family:
 
     grad = None  # without one, _FitTerms takes differences of the kernel
 
+    def gram(self, spec, enc):
+        """k(X, X) from X's encoding against itself, exactly symmetric."""
+        return _symmetrize(self.kernel(spec, enc))
+
     def cross(self, space, spec, X1, X2, enc):
         """k(X1, X2), given ``enc``, X2's encoding against itself: bit for bit
         ``kernel`` of the pair's own encoding."""
@@ -580,6 +586,7 @@ class _LogAffineFamily(_Family):
     exponent is exact, as the weights' one-hot product or, once a gradient
     has counted the mismatches per weight group, as sum_g w_g D_g.  So fit,
     predict, relocated inputs and tied ARD values all give the same bits.
+    One weight group counts at once, and ``gram`` takes a table at the counts.
     The fit asks for K and then its gradient: weights once per spec.
     """
 
@@ -609,11 +616,15 @@ class _LogAffineFamily(_Family):
         _, first, inverse, sizes = np.unique(  # sorted, as mismatch_counts orders them
             groups, return_index=True, return_inverse=True, return_counts=True
         )
-        return SimpleNamespace(
+        enc = SimpleNamespace(
             space=space, ard=spec.ard, points=(X1, X2), first=first, inverse=inverse,
-            sizes=sizes, pair=_one_hot_pair(space, X1, X2), counts=None, last=(None, None),
-            side=(None, None),
+            sizes=sizes, pair=_one_hot_pair(space, X1, X2), counts=None, dist=None,
+            last=(None, None), side=(None, None),
         )
+        if sizes.size == 1:  # the gradient's counts are the Hamming matrix
+            D = mismatch_counts(space, X1, X2, inverse)
+            enc.counts, enc.dist = D.reshape(1, -1), D[0].astype(np.intp)
+        return enc
 
     def _weights(self, spec, enc):
         if enc.last[0] is not spec:
@@ -629,6 +640,16 @@ class _LogAffineFamily(_Family):
         else:
             exponent = (w @ enc.counts).reshape(len(enc.pair.Z1), -1)
         return _scaled_exp(exponent, spec.sigma2)
+
+    def gram(self, spec, enc):
+        """One weight group: sigma2 exp(w d) for d = 0..n, with w d exact and exp
+        elementwise, taken at the symmetric Hamming matrix: ``kernel``'s and
+        ``_symmetrize``'s bits, overflow to inf included."""
+        if enc.dist is None:
+            return super().gram(spec, enc)
+        w, _ = self._weights(spec, enc)
+        table = _scaled_exp(_dyadic(w, enc.sizes) * np.arange(enc.space.n + 1), spec.sigma2)
+        return _symmetrize(table).take(enc.dist)
 
     def cross(self, space, spec, X1, X2, enc):
         """Only X1's one-hot block is new: ``enc`` keeps the last spec's weighted
@@ -1051,7 +1072,7 @@ def gram(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
     fam = _FAMILIES[spec.family]
     validate_spec(space, spec)
     X = space.validate_points(points)
-    return _symmetrize(fam.kernel(spec, fam.encode(space, spec, X, X)))
+    return fam.gram(spec, fam.encode(space, spec, X, X))
 
 
 def diag_values(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
@@ -1086,7 +1107,7 @@ class _FitTerms:
         self.enc = self.family.encode(space, spec, X, X)
 
     def gram(self, spec):
-        return _symmetrize(self.family.kernel(spec, self.enc))
+        return self.family.gram(spec, self.enc)
 
     def cross_gram(self, spec, X1):
         return self.family.cross(self.space, spec, X1, self.X, self.enc)

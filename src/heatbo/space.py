@@ -33,7 +33,7 @@ class NumericFailure(RuntimeError):
     """A linear-algebra step failed beyond recoverable tolerance."""
 
 
-def _coordinates(x) -> np.ndarray:
+def _coordinates(x, what: str = "coordinates") -> np.ndarray:
     """``x`` as an array of category indices, before the range check: integer
     and bool arrays as they are, float arrays only of finite integers."""
     try:
@@ -43,7 +43,7 @@ def _coordinates(x) -> np.ndarray:
     if x.dtype.kind in "biu":
         return x
     if x.dtype.kind != "f" or not np.isfinite(x).all() or (x != np.round(x)).any():
-        raise InvalidInputError(f"coordinates must be finite integers, got {x.dtype} values")
+        raise InvalidInputError(f"{what} must be finite integers, got {x.dtype} values")
     return x
 
 
@@ -72,7 +72,10 @@ class SearchSpace:
     cardinalities: tuple[int, ...]
 
     def __post_init__(self):
-        cards = tuple(int(g) for g in self.cardinalities)
+        cards = _coordinates(self.cardinalities, "cardinalities")
+        if cards.ndim != 1:
+            raise InvalidInputError(f"need one cardinality per dimension, got {cards.shape}")
+        cards = tuple(int(g) for g in cards.tolist())
         object.__setattr__(self, "cardinalities", cards)
         if len(cards) == 0:
             raise InvalidInputError("search space needs at least one dimension")
@@ -114,6 +117,8 @@ class SearchSpace:
 
     def validate_points(self, xs) -> np.ndarray:
         xs = np.atleast_2d(_coordinates(xs))
+        if xs.ndim != 2:
+            raise InvalidInputError(f"need one point or a 2-D array of points, got {xs.shape}")
         if xs.shape[1] != self.n:
             raise InvalidInputError(
                 f"points have {xs.shape[1]} dimensions, expected {self.n}"

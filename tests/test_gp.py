@@ -987,6 +987,13 @@ class TestPredict:
         assert mean == pytest.approx(train.mean, abs=1e-6)
         assert var == pytest.approx(state.prior_variance(), rel=1e-5)
 
+    def test_points_of_more_than_two_dimensions_rejected(self):
+        sp = SearchSpace((3, 4, 5))
+        train = make_train(sp, np.random.default_rng(11), m=6)
+        state = gp.make_state(sp, train, kernels.default_spec(sp, "heat"), 1e-3)
+        with pytest.raises(InvalidInputError):
+            gp.predict_batch(state, np.zeros((4, 3, 1), dtype=np.int64))
+
     def test_batch_equals_pointwise(self):
         sp = SearchSpace((3, 4, 5))
         rng = np.random.default_rng(11)
@@ -1179,16 +1186,29 @@ class TestLeanStep:
         # a ladder whose first level already jitters
         self.assert_same_step(terms, spec, -3.0, train.standardized(), (1e-6, 1e-4))
 
+    def test_negative_zero_off_the_diagonal_factors_as_the_old_copy(self):
+        # dpotrf keeps the sign of a zero; the copy's + 0.0 makes -0.0 into
+        # +0.0, as adding a scaled identity does
+        K = np.array([[2.0, -0.0, 0.5], [-0.0, 2.0, -0.0], [0.5, -0.0, 2.0]])
+        L, jitter = gp._chol_with_jitter(K, gp.JITTER_LADDER, 1e-3)
+        old = np.add(K, 0.0, order="F")
+        gp._diagonal(old)[:] += 1e-3
+        np.testing.assert_array_equal(bits(L), bits(gp.cholesky(old)))
+        assert jitter == 0.0 and bits(L[1, 0]) == bits(0.0)
+
     def test_non_finite_covariance_is_numeric_failure(self):
         K = np.eye(3)
         K[2, 1] = K[1, 2] = np.nan
         with pytest.raises(gp.NumericFailure):
             gp._chol_with_jitter(K, gp.JITTER_LADDER, 1e-3)
 
-    def test_overflowing_gram_is_numeric_failure(self):
-        sp = SearchSpace((3, 4, 2))
+    @pytest.mark.parametrize(
+        "cards, ard", [((3, 4, 2), True), ((3, 3, 3), False)], ids=["ard", "one-group"]
+    )
+    def test_overflowing_gram_is_numeric_failure(self, cards, ard):
+        sp = SearchSpace(cards)
         train = make_train(sp, np.random.default_rng(18), m=6)
-        spec = kernels.default_spec(sp, "heat", sigma2=1e308)
+        spec = kernels.default_spec(sp, "heat", ard=ard, sigma2=1e308)
         terms = kernels.fit_terms(sp, spec, train.points)
         with np.errstate(over="ignore"):
             assert not np.isfinite(terms.gram(spec)).all()  # K + K^T overflows

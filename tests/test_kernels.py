@@ -737,6 +737,67 @@ class TestFitTerms:
         np.testing.assert_array_equal(terms.cross_gram(A, queries[rows]), K[rows])
 
 
+def matrix_route(space, spec, X1, X2):
+    """Frozen copy of the one-hot route every log-affine Gram took before the
+    one-group table: sigma2 * exp of the dyadic weights' one-hot product."""
+    fam = kn._FAMILIES[spec.family]
+    groups = np.arange(space.n) if spec.ard else fam.tied_groups(space)
+    _, first, inverse, sizes = np.unique(
+        groups, return_index=True, return_inverse=True, return_counts=True
+    )
+    w = kn._dyadic(fam.log_weights(space, spec, first)[0], sizes)
+    Z1, Z2 = kn._one_hot(space, X1), kn._one_hot(space, X2)
+    exponent = (Z1 * np.repeat(w[inverse], space.cardinalities)) @ (1.0 - Z2).T
+    return spec.sigma2 * np.exp(exponent)
+
+
+@st.composite
+def one_group_problems(draw):
+    """heat, combo or casmopolitan with one weight group: without ARD on an
+    equal-cardinality space (any space for casmopolitan), or on one dimension;
+    heat's beta may be 0 (a floored weight) and sigma2 up to 1e308."""
+    family = draw(st.sampled_from(["heat", "combo", "casmopolitan"]))
+    cards = draw(st.lists(st.integers(2, 5), min_size=1, max_size=12))
+    if family != "casmopolitan":
+        cards = [cards[0]] * len(cards)
+    sp = SearchSpace(tuple(cards))
+    ard = draw(st.booleans()) if sp.n == 1 else False
+    value = draw(st.one_of(
+        st.floats(0.01, 5.0), st.just(0.0) if family == "heat" else st.floats(0.01, 0.1)
+    ))
+    sigma2 = draw(st.one_of(st.floats(1e-3, 10.0), st.floats(1e300, 1e308), st.just(1e308)))
+    spec = kn.default_spec(sp, family, ard=ard)
+    param = "lengthscales" if family == "casmopolitan" else "betas"
+    spec = spec.replace_params(**{param: np.array([value]), "sigma2": sigma2})
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    return sp, spec, rng
+
+
+class TestOneGroupTable:
+    @given(one_group_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_gram_and_cross_gram_keep_the_matrix_route_bits(self, problem):
+        sp, spec, rng = problem
+        X = sp.sample_points(int(rng.integers(1, 15)), rng)
+        queries = sp.sample_points(int(rng.integers(1, 9)), rng)
+        moved = sample_relocation(sp, int(rng.integers(2**31)))
+        with np.errstate(over="ignore"):  # sigma2 above DBL_MAX / 2: K + K^T is inf
+            K = matrix_route(sp, spec, X, X)
+            want = (K + K.T) * 0.5
+            for pts in (X, moved.apply_many(X)):
+                for got in (kn.gram(sp, spec, pts), kn.fit_terms(sp, spec, pts).gram(spec)):
+                    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(
+                kn.cross_gram(sp, spec, queries, X).view(np.uint64),
+                matrix_route(sp, spec, queries, X).view(np.uint64),
+            )
+            # relocating both sides keeps every distance, so every entry
+            np.testing.assert_array_equal(
+                kn.cross_gram(sp, spec, moved.apply_many(queries), moved.apply_many(X)),
+                matrix_route(sp, spec, queries, X),
+            )
+
+
 def poisoned(spec, bad):
     """One spec per float hyperparameter, with that parameter's first entry
     set to ``bad``; for ``invariant`` the inner spec's parameters."""

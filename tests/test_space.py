@@ -39,6 +39,18 @@ class TestSearchSpace:
         with pytest.raises(InvalidInputError):
             SearchSpace(())
 
+    @pytest.mark.parametrize("cards", [(2.7, 3), ("3", 2), (3, np.nan), (3, np.inf), ((2, 3),), 3])
+    def test_non_integral_cardinalities_rejected(self, cards):
+        # the rule points follow: ints and bools as they are, floats only if
+        # finite integers; one cardinality per dimension
+        with pytest.raises(InvalidInputError):
+            SearchSpace(cards)
+
+    def test_integral_float_cardinalities_become_ints(self):
+        sp = SearchSpace((2.0, np.int64(3)))
+        assert sp.cardinalities == (2, 3)
+        assert all(type(g) is int for g in sp.cardinalities)
+
     def test_point_validation(self):
         sp = SearchSpace((2, 3))
         sp.validate_point([1, 2])
@@ -52,6 +64,13 @@ class TestSearchSpace:
         for ragged in ([[0, 1], [2]], [[0, 1], [2, 0, 1]]):
             with pytest.raises(InvalidInputError, match="unequal lengths"):
                 sp.validate_points(ragged)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 1), (1, 4, 3), (2, 2, 3)])
+    def test_one_point_or_a_2d_array_only(self, shape):
+        # (4, 3, 1) passes a broadcast range check on 3 dimensions
+        sp = SearchSpace((2, 3, 4))
+        with pytest.raises(InvalidInputError, match="2-D array"):
+            sp.validate_points(np.zeros(shape, dtype=np.int64))
 
     def test_range_error_names_first_offending_point(self):
         sp = SearchSpace((3, 3))
