@@ -8,8 +8,9 @@ correlations).
 
 Every family takes one route.  ``fit`` encodes the training set once
 (``kernels.fit_terms``); every start, each unpacked through ``spec``, and
-the returned state share those terms, and K comes from ``terms.gram``, bit
-for bit ``kernels.gram``.  Each evaluation factors K + noise I once and,
+the returned state share those terms, and K is ``terms.gram``: the family's
+exact kernel, bit for bit ``kernels.gram`` and ``kernels.cross_gram(X, X)``,
+so exactly symmetric.  Each evaluation factors K + noise I once and,
 for the gradient, takes K^-1 from the Cholesky factor (LAPACK potri), forms
 W = alpha alpha^T - K^-1 and asks ``terms.grad`` for 1/2 <W, dK/dtheta_j>;
 with the noise term 1/2 tr(W) noise appended, that is one float array.
@@ -200,10 +201,11 @@ def _chol_with_jitter(K: np.ndarray, ladder, noise: float = 0.0) -> tuple[np.nda
     """Factor of K + noise I + jitter I at the first ladder level that factors,
     and that jitter: the level times the mean of K + noise I's diagonal.
 
-    K must be exactly symmetric: each try takes one contiguous copy of K
-    and factors its transpose, which is F-ordered, the layout dpotrf factors
-    in place.  Adding 0.0 off the diagonal keeps the bits of adding a scaled
-    identity, -0.0 turned into +0.0 included.  Level 0 needs no mean.
+    K must be exactly symmetric, as every family's kernel is by construction:
+    each try takes one contiguous copy of K and factors its transpose, which
+    is F-ordered, the layout dpotrf factors in place.  Adding 0.0 off the
+    diagonal keeps the bits of adding a scaled identity, -0.0 turned into
+    +0.0 included.  Level 0 needs no mean.
     """
     if not (np.isfinite(K).all() and isfinite(noise)):
         raise NumericFailure("covariance has non-finite entries")

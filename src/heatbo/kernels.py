@@ -18,14 +18,20 @@ dimensions.
 Every family has one kernel arithmetic: ``encode(space, spec, X1, X2)``
 holds what its Gram needs about two point sets and ``kernel(spec, enc)``
 returns the matrix.  ``gram``, ``cross_gram``, ``diag_values``
-and the GP fitter's ``fit_terms`` all go through that pair, so the fit's K
-is bit for bit ``gram``, which each family's ``gram`` makes symmetric.
+and the GP fitter's ``fit_terms`` all go through that pair, and every
+kernel is exact by construction: an entry's bits depend on its two rows
+alone, so k(X, X) is exactly symmetric, a row has the same bits in any
+batch, and the fit's K is bit for bit ``gram`` and ``cross_gram(X, X)``.
 heat, combo and casmopolitan are ``sigma2 * exp`` of an exact weighted
 mismatch count (one-hot products, weights on one binary grid; with one
 weight group, a table of n + 1 values taken at the exact Hamming matrix),
 the distance profiles functions of that matrix, and ``additive_sum`` affine
-in a weighted one-hot product; the other families take one mismatch mask
-per dimension.  ``fit_terms(space, spec, X)`` encodes a training set once,
+in a one-hot product weighted on that grid; the other families take one
+mismatch mask per dimension, entry by entry.  ``invariant``'s sum and prod
+modes reduce the inner values T[p, q] = k(x o p, y o q) over sampled
+permutations p, q in a fixed order: T[p, p], then T[p, q] + T[q, p] (or
+the product) for each q > p, so (x, y) and (y, x) combine the same pairs.
+``fit_terms(space, spec, X)`` encodes a training set once,
 for the GP's fit and predictions alike: its ``grad(spec, K, W)`` gives
 1/2 <W, dK/dtheta_j> in closed form where the family has one, else by
 central differences, and its ``cross_gram(spec, X1)`` gives ``cross_gram``'s
@@ -521,17 +527,6 @@ def _scaled_exp(exponent: np.ndarray, sigma2: float) -> np.ndarray:
     return np.multiply(exponent, sigma2, out=exponent)
 
 
-def _symmetrize(K: np.ndarray) -> np.ndarray:
-    """Exact symmetry regardless of BLAS summation order.
-
-    Averaging with the transpose is bit-symmetric because IEEE addition is
-    commutative, and costs two passes instead of the triangular mirror's
-    mask construction.
-    """
-    S = K + K.T
-    return np.multiply(S, 0.5, out=S)
-
-
 def _logistic(t):
     return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
 
@@ -554,10 +549,6 @@ class _Family:
     """``encode`` reads only a spec's structure; ``kernel``, ``grad`` any spec of it."""
 
     grad = None  # without one, _FitTerms takes differences of the kernel
-
-    def gram(self, spec, enc):
-        """k(X, X) from X's encoding against itself, exactly symmetric."""
-        return _symmetrize(self.kernel(spec, enc))
 
     def cross(self, space, spec, X1, X2, enc):
         """k(X1, X2), given ``enc``, X2's encoding against itself: bit for bit
@@ -586,7 +577,7 @@ class _LogAffineFamily(_Family):
     exponent is exact, as the weights' one-hot product or, once a gradient
     has counted the mismatches per weight group, as sum_g w_g D_g.  So fit,
     predict, relocated inputs and tied ARD values all give the same bits.
-    One weight group counts at once, and ``gram`` takes a table at the counts.
+    One weight group counts at once, and ``kernel`` takes a table at the counts.
     The fit asks for K and then its gradient: weights once per spec.
     """
 
@@ -632,24 +623,15 @@ class _LogAffineFamily(_Family):
         return enc.last[1]
 
     def kernel(self, spec, enc):
-        w, _ = self._weights(spec, enc)
-        w = _dyadic(w, enc.sizes)
+        w = _dyadic(self._weights(spec, enc)[0], enc.sizes)
+        if enc.dist is not None:  # one group: sigma2 exp(w d) for d = 0..n, w d exact
+            return _scaled_exp(w * np.arange(enc.space.n + 1), spec.sigma2).take(enc.dist)
         # exact on the dyadic grid, so the counts a gradient caches give the same bits
         if enc.counts is None:
             exponent = _weighted_mismatches(enc.pair, w[enc.inverse])
         else:
             exponent = (w @ enc.counts).reshape(len(enc.pair.Z1), -1)
         return _scaled_exp(exponent, spec.sigma2)
-
-    def gram(self, spec, enc):
-        """One weight group: sigma2 exp(w d) for d = 0..n, with w d exact and exp
-        elementwise, taken at the symmetric Hamming matrix: ``kernel``'s and
-        ``_symmetrize``'s bits, overflow to inf included."""
-        if enc.dist is None:
-            return super().gram(spec, enc)
-        w, _ = self._weights(spec, enc)
-        table = _scaled_exp(_dyadic(w, enc.sizes) * np.arange(enc.space.n + 1), spec.sigma2)
-        return _symmetrize(table).take(enc.dist)
 
     def cross(self, space, spec, X1, X2, enc):
         """Only X1's one-hot block is new: ``enc`` keeps the last spec's weighted
@@ -868,7 +850,8 @@ class _AdditiveSumFamily(_AdditiveBase):
 
     def kernel(self, spec, pair):
         vs, cs = self._vs_cs(spec)
-        return float(np.sum(vs)) - _weighted_mismatches(pair, vs - cs)
+        w = _dyadic(vs - cs, np.ones(vs.size))  # on one grid: an exact one-hot product
+        return float(np.sum(vs)) - _weighted_mismatches(pair, w)
 
 
 class _RandomDecompositionFamily(_AdditiveBase):
@@ -942,9 +925,9 @@ class _InvariantFamily(_Family):
 
     The encoding is the padded-encoding distance (``padded_proj``), the
     inner family's encoding of the sorted rows (``proj``), or the rows under
-    each of the S sampled permutations (``sum``, ``prod``), which the kernel
-    encodes for the inner family one permutation of X1 at a time: S m1 m2
-    inner entries at once rather than S^2 m1 m2.
+    each of the S sampled permutations (``sum``, ``prod``).  For those two
+    the kernel asks the inner family, for each p, for T[p, q] with q >= p
+    and T[q, p] with q > p: S^2 m1 m2 inner entries in all, 2 S calls.
     """
 
     name = "invariant"
@@ -952,16 +935,18 @@ class _InvariantFamily(_Family):
     def validate(self, space, spec):
         inner = spec.params["inner"]
         mode = spec.params["mode"]
+        samples = spec.params.get("samples", 200)
         if mode not in ("sum", "proj", "padded_proj", "prod"):
             raise InvalidInputError(f"unknown invariance mode {mode!r}")
         if not isinstance(inner, KernelSpec):
             raise InvalidInputError("inner kernel must be a KernelSpec")
         validate_spec(space, inner)
+        _require_equal_alphabet(space)  # so permuted and sorted rows stay in range
         if mode == "padded_proj" and not isinstance(_FAMILIES[inner.family], _ProfileFamily):
             raise InvalidInputError("padded projection needs a distance-profile inner")
-        if mode in ("sum", "prod") and spec.params.get("samples", 200) is not None:
-            if int(spec.params.get("samples", 200)) < 1:
-                raise InvalidInputError("need at least one sampled group element")
+        integer = isinstance(samples, (int, np.integer)) and not isinstance(samples, bool)
+        if samples is not None and not (integer and samples >= 1):
+            raise InvalidInputError(f"samples must be None or an int >= 1, got {samples!r}")
 
     def default_spec(self, space, ard=True):
         inner = default_spec(space, "hamming_rbf")
@@ -974,32 +959,38 @@ class _InvariantFamily(_Family):
     def encode(self, space, spec, X1, X2):
         inner, mode = spec.params["inner"], spec.params["mode"]
         if mode == "padded_proj":  # the inner profile's Hamming matrix, padded
-            g = _require_equal_alphabet(space)
+            g = space.cardinalities[0]
             C1, C2 = (np.stack([np.sum(X == c, axis=1) for c in range(g)]) for X in (X1, X2))
             h = sum(np.abs(c1[:, None] - c2[None, :]) for c1, c2 in zip(C1, C2))
             return h.astype(float)
         if mode == "proj":
-            rows = [space.validate_points(np.sort(X, axis=1)) for X in (X1, X2)]
+            rows = (np.sort(X, axis=1) for X in (X1, X2))
             return _FAMILIES[inner.family].encode(space, inner, *rows)
         perms = _dimension_permutations(
             space.n, spec.params.get("samples", 200), int(spec.params.get("seed", 0))
         )
-        return SimpleNamespace(
-            space=space, rows1=[space.validate_points(X1[:, p]) for p in perms],
-            rows2=space.validate_points(np.concatenate([X2[:, q] for q in perms])),
-        )
+        rows = [np.stack([X[:, p] for p in perms]) for X in (X1, X2)]  # [p, a]: row a under p
+        return SimpleNamespace(space=space, rows=rows)
 
     def kernel(self, spec, enc):
         inner, mode = spec.params["inner"], spec.params["mode"]
         family = _FAMILIES[inner.family]
         if mode not in ("sum", "prod"):
             return family.kernel(inner, enc)
-        reduce, S = (np.mean if mode == "sum" else np.prod), len(enc.rows1)
-        return reduce([  # block p: (x under p, y under each q, y)
-            reduce(family.kernel(inner, family.encode(enc.space, inner, R, enc.rows2))
-                   .reshape(len(R), S, -1), axis=1)
-            for R in enc.rows1
-        ], axis=0)
+        op, (R1, R2) = (np.add if mode == "sum" else np.multiply), enc.rows
+        (S, m1, n), m2 = R1.shape, R2.shape[1]
+
+        def inner_kernel(A, B):  # every row of the stack A against every row of B
+            A, B = A.reshape(-1, n), B.reshape(-1, n)
+            return family.kernel(inner, family.encode(enc.space, inner, A, B))
+
+        rows = []
+        for p in range(S):  # T[p, q] for q >= p, then T[p, q] op T[q, p] for q > p
+            T = inner_kernel(R1[p], R2[p:]).reshape(m1, S - p, m2).swapaxes(0, 1)
+            T[1:] = op(T[1:], inner_kernel(R1[p + 1 :], R2[p]).reshape(T[1:].shape))
+            rows.append(op.accumulate(T)[-1])  # in order, unlike reduce's shape-led order
+        total = op.accumulate(rows)[-1]
+        return total / S**2 if mode == "sum" else total
 
     def diag(self, space, spec, X):
         """k(x, x) depends on x here: one value per point."""
@@ -1068,11 +1059,12 @@ def cross_gram(space: SearchSpace, spec: KernelSpec, points1, points2) -> np.nda
 
 
 def gram(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
-    """Pairwise kernel matrix; exactly symmetric by construction."""
+    """Pairwise kernel matrix: the family's exact ``kernel``, so exactly
+    symmetric and bit for bit ``cross_gram(space, spec, points, points)``."""
     fam = _FAMILIES[spec.family]
     validate_spec(space, spec)
     X = space.validate_points(points)
-    return fam.gram(spec, fam.encode(space, spec, X, X))
+    return fam.kernel(spec, fam.encode(space, spec, X, X))
 
 
 def diag_values(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
@@ -1107,7 +1099,7 @@ class _FitTerms:
         self.enc = self.family.encode(space, spec, X, X)
 
     def gram(self, spec):
-        return self.family.gram(spec, self.enc)
+        return self.family.kernel(spec, self.enc)
 
     def cross_gram(self, spec, X1):
         return self.family.cross(self.space, spec, X1, self.X, self.enc)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatbo import gp
 from heatbo import kernels as kn
 from heatbo.space import (
     InvalidInputError,
@@ -455,6 +456,47 @@ class TestInvariantWrappers:
             kn.invariant_eval(sp, inner, "sum", [0, 0], [1, 1], samples=0)
 
 
+INVARIANT_MODES = ("sum", "proj", "padded_proj", "prod")
+
+
+def bits(x):
+    """The IEEE bit patterns: equal bits, not merely equal values (-0.0, NaN)."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def invariant_spec(space, mode, samples=3):
+    """An invariant spec around a distance profile, which every mode takes."""
+    params = {"inner": kn.default_spec(space, "hamming_rbf"), "mode": mode,
+              "samples": samples, "seed": 0}
+    return kn.KernelSpec("invariant", params, False)
+
+
+class TestInvariantValidation:
+    @pytest.mark.parametrize("mode", INVARIANT_MODES)
+    def test_unequal_cardinalities_rejected(self, mode):
+        sp = SearchSpace((2, 3))
+        spec = invariant_spec(sp, mode)
+        with pytest.raises(InvalidInputError, match="alphabet"):
+            kn.validate_spec(sp, spec)
+        # a permuted row may or may not leave its range: rejected either way
+        for pts in ([[0, 1], [1, 0]], [[0, 2], [1, 2]]):
+            with pytest.raises(InvalidInputError, match="alphabet"):
+                kn.gram(sp, spec, pts)
+
+    @pytest.mark.parametrize("samples", [2.5, True, False, 0, -1, "3"])
+    @pytest.mark.parametrize("mode", INVARIANT_MODES)
+    def test_samples_must_be_none_or_a_positive_int(self, mode, samples):
+        sp = SearchSpace((3, 3))
+        with pytest.raises(InvalidInputError, match="samples"):
+            kn.validate_spec(sp, invariant_spec(sp, mode, samples))
+
+    @pytest.mark.parametrize("samples", [None, 1, np.int64(4)])
+    @pytest.mark.parametrize("mode", INVARIANT_MODES)
+    def test_valid_samples_accepted(self, mode, samples):
+        sp = SearchSpace((3, 3))
+        kn.gram(sp, invariant_spec(sp, mode, samples), [[0, 1], [2, 2]])
+
+
 MATCH_BASED = (
     "heat", "combo", "casmopolitan", "rho",
     "hamming_rbf", "hamming_matern52", "hamming_rq",
@@ -512,28 +554,6 @@ class TestGram:
         spec = kn.default_spec(sp, "heat", sigma2=1.5)
         gram = kn.gram(sp, spec, [[0, 1]])
         np.testing.assert_allclose(gram, [[1.5]])
-
-    def test_exact_symmetry(self):
-        rng = np.random.default_rng(17)
-        for family in kn.FAMILY_NAMES:
-            if family == "invariant":
-                continue
-            sp = random_space(rng, min_n=2)
-            pts = sp.sample_points(10, rng)
-            gram = kn.gram(sp, spec_for(sp, family, rng), pts)
-            assert np.array_equal(gram, gram.T)
-
-    def test_invariant_gram_symmetric(self):
-        sp = SearchSpace((2, 2, 2))
-        spec = kn.KernelSpec(
-            "invariant",
-            {"inner": kn.default_spec(sp, "heat"), "mode": "sum", "samples": 4, "seed": 1},
-            False,
-        )
-        rng = np.random.default_rng(18)
-        pts = sp.sample_points(6, rng)
-        gram = kn.gram(sp, spec, pts)
-        assert np.array_equal(gram, gram.T)
 
     def test_cross_gram_matches_value(self):
         rng = np.random.default_rng(19)
@@ -729,12 +749,49 @@ class TestFitTerms:
         for spec in (A, B, A):
             K = terms.cross_gram(spec, queries)
             np.testing.assert_array_equal(K, kn.cross_gram(sp, spec, queries, pts))
-        if family == "additive_sum":
-            # its one-hot product weighs by v - c, off any grid: BLAS may sum a
-            # row in an order that depends on the rest of its batch
-            return
         rows = rng.permutation(len(queries))[: int(rng.integers(1, len(queries) + 1))]
         np.testing.assert_array_equal(terms.cross_gram(A, queries[rows]), K[rows])
+
+
+class TestExactKernels:
+    """Every kernel's entries depend on their two rows alone, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "family, mode",
+        [(f, None) for f in kn.FAMILY_NAMES if f != "invariant"]
+        + [("invariant", mode) for mode in INVARIANT_MODES],
+    )
+    @given(seed=st.integers(0, 2**31), ard=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_symmetric_shared_by_fit_and_predict_and_batch_free(self, family, mode, seed, ard):
+        rng = np.random.default_rng(seed)
+        sp = random_space(rng, min_n=2)
+        if family == "invariant":  # one alphabet; heat, rho, additive_sum or a profile inside
+            sp = SearchSpace((sp.cardinalities[0],) * min(sp.n, 4))
+            inner = "hamming_rq" if mode == "padded_proj" else str(
+                rng.choice(["heat", "rho", "additive_sum", "hamming_rbf"])
+            )
+            params = {"inner": fit_terms_spec(sp, inner, rng, ard), "mode": mode,
+                      "samples": int(rng.integers(1, 6)), "seed": int(rng.integers(9))}
+            spec = kn.KernelSpec(family, params, False)
+        else:
+            spec = fit_terms_spec(sp, family, rng, ard)
+        X = sp.sample_points(int(rng.integers(1, 16)), rng)
+        K = kn.gram(sp, spec, X)
+        np.testing.assert_array_equal(bits(K), bits(K.T))
+        np.testing.assert_array_equal(bits(kn.cross_gram(sp, spec, X, X)), bits(K))
+        np.testing.assert_array_equal(bits(kn.diag_values(sp, spec, X)), bits(np.diag(K)))
+        # a noise that makes K + noise I diagonally dominant, so it factors
+        log_noise = np.log(1.0 + len(X) * np.abs(K).max())
+        y = rng.normal(size=len(X))
+        fitted = gp._mll_parts(kn.fit_terms(sp, spec, X), spec, log_noise, y, (0.0,))[1]
+        np.testing.assert_array_equal(bits(fitted), bits(K))
+        queries = sp.sample_points(int(rng.integers(1, 20)), rng)
+        rows = rng.permutation(len(queries))[: int(rng.integers(1, len(queries) + 1))]
+        np.testing.assert_array_equal(
+            bits(kn.cross_gram(sp, spec, queries[rows], X)),
+            bits(kn.cross_gram(sp, spec, queries, X)[rows]),
+        )
 
 
 def matrix_route(space, spec, X1, X2):
@@ -781,21 +838,20 @@ class TestOneGroupTable:
         X = sp.sample_points(int(rng.integers(1, 15)), rng)
         queries = sp.sample_points(int(rng.integers(1, 9)), rng)
         moved = sample_relocation(sp, int(rng.integers(2**31)))
-        with np.errstate(over="ignore"):  # sigma2 above DBL_MAX / 2: K + K^T is inf
-            K = matrix_route(sp, spec, X, X)
-            want = (K + K.T) * 0.5
-            for pts in (X, moved.apply_many(X)):
-                for got in (kn.gram(sp, spec, pts), kn.fit_terms(sp, spec, pts).gram(spec)):
-                    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-            np.testing.assert_array_equal(
-                kn.cross_gram(sp, spec, queries, X).view(np.uint64),
-                matrix_route(sp, spec, queries, X).view(np.uint64),
-            )
-            # relocating both sides keeps every distance, so every entry
-            np.testing.assert_array_equal(
-                kn.cross_gram(sp, spec, moved.apply_many(queries), moved.apply_many(X)),
-                matrix_route(sp, spec, queries, X),
-            )
+        # K is finite up to sigma2 = 1e308: no entry exceeds sigma2
+        want = matrix_route(sp, spec, X, X)
+        for pts in (X, moved.apply_many(X)):
+            for got in (kn.gram(sp, spec, pts), kn.fit_terms(sp, spec, pts).gram(spec)):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_array_equal(
+            kn.cross_gram(sp, spec, queries, X).view(np.uint64),
+            matrix_route(sp, spec, queries, X).view(np.uint64),
+        )
+        # relocating both sides keeps every distance, so every entry
+        np.testing.assert_array_equal(
+            kn.cross_gram(sp, spec, moved.apply_many(queries), moved.apply_many(X)),
+            matrix_route(sp, spec, queries, X),
+        )
 
 
 def poisoned(spec, bad):
@@ -887,9 +943,14 @@ class TestSpecPacking:
     def test_default_specs_valid(self):
         rng = np.random.default_rng(25)
         sp = random_space(rng, min_n=2)
+        assert not sp.equal_sized()
         for family in kn.FAMILY_NAMES:
-            spec = kn.default_spec(sp, family)
-            kn.validate_spec(sp, spec)
+            space = sp
+            if family == "invariant":  # dimension permutations need one alphabet
+                with pytest.raises(InvalidInputError, match="alphabet"):
+                    kn.default_spec(sp, family)
+                space = SearchSpace((sp.cardinalities[0],) * sp.n)
+            kn.validate_spec(space, kn.default_spec(space, family))
 
     def test_analytic_gradients_match_finite_differences(self):
         rng = np.random.default_rng(26)
