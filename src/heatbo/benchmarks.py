@@ -19,6 +19,7 @@ import json
 import numbers
 import os
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -50,9 +51,18 @@ __all__ = [
 ]
 
 
-def _load_constants() -> dict:
+def _frozen(value):
+    """A JSON value with its objects as read-only mappings and its arrays as tuples."""
+    if isinstance(value, dict):
+        return MappingProxyType({key: _frozen(v) for key, v in value.items()})
+    if isinstance(value, list):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def _load_constants() -> MappingProxyType:
     ref = importlib.resources.files("heatbo").joinpath("data/benchmark_constants.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
+    return _frozen(json.loads(ref.read_text(encoding="utf-8")))
 
 
 BENCHMARK_CONSTANTS = _load_constants()
@@ -200,17 +210,18 @@ def serialize_wcnf(instance: WcnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate_synthetic_wcnf(
-    num_variables: int, num_clauses: int, seed: int, max_clause_len: int = 3
-) -> WcnfInstance:
-    """Seeded random soft instance; stands in when a real instance file is absent."""
+def generate_synthetic_wcnf(num_variables: int, num_clauses: int, seed: int) -> WcnfInstance:
+    """Seeded random soft instance; stands in when a real instance file is absent.
+
+    Each clause has 1 to 3 distinct variables (at most ``num_variables``).
+    """
     if num_variables < 1 or num_clauses < 1:
         raise InvalidInputError("need at least one variable and one clause")
     rng = np.random.default_rng(seed)
     weights = []
     clauses = []
     for _ in range(num_clauses):
-        length = min(int(rng.integers(1, max_clause_len + 1)), num_variables)
+        length = min(int(rng.integers(1, 4)), num_variables)
         variables = rng.choice(num_variables, size=length, replace=False) + 1
         signs = rng.choice([-1, 1], size=length)
         clauses.append(tuple(int(v * s) for v, s in zip(variables, signs)))

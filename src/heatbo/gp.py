@@ -127,21 +127,14 @@ class TrainingSet:
         return self.std**2 * np.asarray(values)
 
 
-def validate_jitter_ladder(ladder) -> None:
-    """A ladder needs a level, and each level must be finite and >= 0."""
-    if len(ladder) == 0 or not all(0 <= level < inf for level in ladder):  # NaN fails
-        raise InvalidInputError(f"need jitter levels, each finite and >= 0, got {ladder!r}")
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     steps: int = 100
     learning_rate: float = 0.03
-    jitter_ladder: tuple = JITTER_LADDER
     initial_noise: float = 1e-3
+    jitter_ladder = JITTER_LADDER  # not a field: every fit takes JITTER_LADDER
 
     def __post_init__(self):
-        validate_jitter_ladder(self.jitter_ladder)
         if not (0 < self.learning_rate < inf and 0 < self.initial_noise < inf):  # NaN fails
             raise InvalidInputError("need finite learning_rate > 0 and initial_noise > 0")
         if self.steps < 0:
@@ -171,12 +164,12 @@ class GpState:
 def cholesky(A: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of A with a zeroed upper triangle (LAPACK dpotrf).
 
-    An F-ordered A is factored in place.  Raises ``np.linalg.LinAlgError``
-    when A is not positive definite.
+    An F-ordered A is factored in place.  Raises ``NumericFailure`` when A
+    is not positive definite.
     """
     L, info = dpotrf(A, lower=1, clean=1, overwrite_a=1)
     if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrf info {info}: not positive definite")
+        raise NumericFailure(f"dpotrf info {info}: not positive definite")
     return L
 
 
@@ -222,7 +215,7 @@ def _chol_with_jitter(K: np.ndarray, ladder, noise: float = 0.0) -> tuple[np.nda
             diag += jitter
         try:
             return cholesky(A), jitter
-        except np.linalg.LinAlgError:
+        except NumericFailure:
             continue
     raise NumericFailure("covariance not factorizable after jitter escalation")
 
@@ -372,7 +365,10 @@ def make_state(
     the training set's kernel ``terms``, which are built here if not given."""
     if noise_variance <= 0:
         raise InvalidInputError("noise variance must be > 0")
-    validate_jitter_ladder(jitter_ladder)
+    if len(jitter_ladder) == 0 or not all(0 <= v < inf for v in jitter_ladder):  # NaN fails
+        raise InvalidInputError(
+            f"need jitter levels, each finite and >= 0, got {jitter_ladder!r}"
+        )
     kernels.validate_spec(space, spec)
     if terms is None:
         terms = kernels.fit_terms(space, spec, train.points)
@@ -419,12 +415,11 @@ def fit(
             raise InvalidInputError("warm start differs from spec in family, ard or length")
         starts.append((warm, warm_noise if warm_noise else config.initial_noise))
     y = train.standardized()
-    ladder = config.jitter_ladder
     terms = kernels.fit_terms(space, spec, train.points)
 
     def evaluate(x):
         cur = kernels.unpack_spec(space, spec, x[:-1])
-        parts = _mll_parts(terms, cur, x[-1], y, ladder)
+        parts = _mll_parts(terms, cur, x[-1], y, JITTER_LADDER)
         return parts[0], lambda: _mll_grad(terms, cur, parts)
 
     stall_nats = STALL_NATS_PER_POINT * train.count
@@ -441,11 +436,11 @@ def fit(
     if not results:
         if warm_start is None:
             raise NumericFailure("no start could be evaluated")
-        return make_state(space, train, warm_start, starts[-1][1], ladder, terms=terms)
+        return make_state(space, train, warm_start, starts[-1][1], terms=terms)
     theta_opt, _ = max(results, key=lambda result: result[1])  # the first on a tie
     fitted_spec = kernels.unpack_spec(space, spec, theta_opt[:-1])
     fitted_noise = float(np.exp(theta_opt[-1]))
-    return make_state(space, train, fitted_spec, fitted_noise, ladder, terms=terms)
+    return make_state(space, train, fitted_spec, fitted_noise, terms=terms)
 
 
 def posterior(state: GpState):

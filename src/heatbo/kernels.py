@@ -31,7 +31,9 @@ mismatch mask per dimension, entry by entry.  ``invariant``'s sum and prod
 modes reduce the inner values T[p, q] = k(x o p, y o q) over sampled
 permutations p, q in a fixed order: T[p, p], then T[p, q] + T[q, p] (or
 the product) for each q > p, so (x, y) and (y, x) combine the same pairs.
-``fit_terms(space, spec, X)`` encodes a training set once,
+Each inner value is taken once: on one point set T[q, p] is T[p, q]'s block
+transposed, and ``diag`` folds one inner Gram of a point's permuted copies
+in the same order.  ``fit_terms(space, spec, X)`` encodes a training set once,
 for the GP's fit and predictions alike: its ``grad(spec, K, W)`` gives
 1/2 <W, dK/dtheta_j> in closed form where the family has one, else by
 central differences, and its ``cross_gram(spec, X1)`` gives ``cross_gram``'s
@@ -312,14 +314,14 @@ class Decomposition:
         return seen == set(range(n))
 
 
-def sample_decomposition(space: SearchSpace, seed: int, max_size: int = 3) -> Decomposition:
-    """Uniform random partition of the dimensions into components of bounded size."""
+def sample_decomposition(space: SearchSpace, seed: int) -> Decomposition:
+    """Uniform random partition of the dimensions into components of 1 to 3 dimensions."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(space.n)
     comps = []
     i = 0
     while i < space.n:
-        size = int(rng.integers(1, max_size + 1))
+        size = int(rng.integers(1, 4))
         comps.append(tuple(int(j) for j in order[i : i + size]))
         i += size
     return Decomposition(tuple(comps), seed=seed)
@@ -608,13 +610,13 @@ class _LogAffineFamily(_Family):
             groups, return_index=True, return_inverse=True, return_counts=True
         )
         enc = SimpleNamespace(
-            space=space, ard=spec.ard, points=(X1, X2), first=first, inverse=inverse,
-            sizes=sizes, pair=_one_hot_pair(space, X1, X2), counts=None, dist=None,
+            space=space, points=(X1, X2), first=first, inverse=inverse, sizes=sizes,
+            pair=_one_hot_pair(space, X1, X2), counts=None, dist=None,
             last=(None, None), side=(None, None),
         )
         if sizes.size == 1:  # the gradient's counts are the Hamming matrix
-            D = mismatch_counts(space, X1, X2, inverse)
-            enc.counts, enc.dist = D.reshape(1, -1), D[0].astype(np.intp)
+            D = enc.pair.Z1 @ enc.pair.Z2c.T
+            enc.counts, enc.dist = D.reshape(1, -1), D.astype(np.intp)
         return enc
 
     def _weights(self, spec, enc):
@@ -648,7 +650,7 @@ class _LogAffineFamily(_Family):
             enc.counts = D.reshape(len(D), -1)
         A = W * K  # dK/dtheta_g = dw_g * K o D_g: one product with the counts
         per_group = 0.5 * dw * (enc.counts @ A.ravel())
-        kernel_part = per_group.tolist() if enc.ard else [float(per_group.sum())]
+        kernel_part = per_group.tolist() if spec.ard else [float(per_group.sum())]
         return kernel_part + [float(0.5 * A.sum())]
 
 
@@ -675,8 +677,6 @@ class _HeatFamily(_LogAffineFamily):
         rhos, dw, betas = [], [], np.asarray(spec.params["betas"]).ravel().tolist()
         for i in dims.tolist():
             b = betas[i] if spec.ard else betas[0]
-            if b < 0:
-                raise InvalidInputError(f"beta must be >= 0, got {b}")
             g = space.cardinalities[i]
             e = exp(-b * g)
             d = 1.0 + (g - 1.0) * e
@@ -863,11 +863,11 @@ class _RandomDecompositionFamily(_AdditiveBase):
         if not isinstance(decomp, Decomposition) or not decomp.covers(space.n):
             raise InvalidInputError("decomposition must cover every dimension")
 
-    def default_spec(self, space, ard=True, seed: int = 0):
+    def default_spec(self, space, ard=True):
         vs, cs = self.default_base(space)
         return KernelSpec(
             self.name,
-            {"vs": vs, "cs": cs, "decomposition": sample_decomposition(space, seed)},
+            {"vs": vs, "cs": cs, "decomposition": sample_decomposition(space, 0)},
             True,
         )
 
@@ -925,17 +925,20 @@ class _InvariantFamily(_Family):
 
     The encoding is the padded-encoding distance (``padded_proj``), the
     inner family's encoding of the sorted rows (``proj``), or the rows under
-    each of the S sampled permutations (``sum``, ``prod``).  For those two
-    the kernel asks the inner family, for each p, for T[p, q] with q >= p
-    and T[q, p] with q > p: S^2 m1 m2 inner entries in all, 2 S calls.
+    each of the S sampled permutations (``sum``, ``prod``), one stack when X2
+    is X1.  For those two the kernel asks the inner family, for each p, for
+    T[p, q] with q >= p and T[q, p] with q > p: S^2 m1 m2 inner entries in
+    2 S calls.  When X2 is X1, T[q, p] is T[p, q]'s block transposed: S calls
+    and about half the entries.  ``diag`` makes one inner call per point.
     """
 
     name = "invariant"
+    samples, seed = 200, 0  # the sampled permutations, where a spec sets none
 
     def validate(self, space, spec):
         inner = spec.params["inner"]
         mode = spec.params["mode"]
-        samples = spec.params.get("samples", 200)
+        samples = spec.params.get("samples", self.samples)
         if mode not in ("sum", "proj", "padded_proj", "prod"):
             raise InvalidInputError(f"unknown invariance mode {mode!r}")
         if not isinstance(inner, KernelSpec):
@@ -952,9 +955,15 @@ class _InvariantFamily(_Family):
         inner = default_spec(space, "hamming_rbf")
         return KernelSpec(
             self.name,
-            {"inner": inner, "mode": "padded_proj", "samples": 200, "seed": 0},
+            {"inner": inner, "mode": "padded_proj", "samples": self.samples, "seed": self.seed},
             False,
         )
+
+    def _permutations(self, space, spec):
+        """The S sampled (or all) dimension permutations, as an (S, n) array."""
+        samples = spec.params.get("samples", self.samples)
+        seed = int(spec.params.get("seed", self.seed))
+        return np.array(_dimension_permutations(space.n, samples, seed))
 
     def encode(self, space, spec, X1, X2):
         inner, mode = spec.params["inner"], spec.params["mode"]
@@ -966,11 +975,10 @@ class _InvariantFamily(_Family):
         if mode == "proj":
             rows = (np.sort(X, axis=1) for X in (X1, X2))
             return _FAMILIES[inner.family].encode(space, inner, *rows)
-        perms = _dimension_permutations(
-            space.n, spec.params.get("samples", 200), int(spec.params.get("seed", 0))
-        )
-        rows = [np.stack([X[:, p] for p in perms]) for X in (X1, X2)]  # [p, a]: row a under p
-        return SimpleNamespace(space=space, rows=rows)
+        perms = self._permutations(space, spec)
+        R1 = np.stack([X1[:, p] for p in perms])  # [p, a]: row a under p
+        R2 = R1 if X2 is X1 else np.stack([X2[:, p] for p in perms])
+        return SimpleNamespace(space=space, rows=(R1, R2))
 
     def kernel(self, spec, enc):
         inner, mode = spec.params["inner"], spec.params["mode"]
@@ -987,16 +995,40 @@ class _InvariantFamily(_Family):
         rows = []
         for p in range(S):  # T[p, q] for q >= p, then T[p, q] op T[q, p] for q > p
             T = inner_kernel(R1[p], R2[p:]).reshape(m1, S - p, m2).swapaxes(0, 1)
-            T[1:] = op(T[1:], inner_kernel(R1[p + 1 :], R2[p]).reshape(T[1:].shape))
+            if R2 is R1:  # an exact inner kernel is symmetric: T[q, p] = T[p, q].T
+                T[1:] = op(T[1:], T[1:].swapaxes(1, 2))
+            else:
+                T[1:] = op(T[1:], inner_kernel(R1[p + 1 :], R2[p]).reshape(T[1:].shape))
             rows.append(op.accumulate(T)[-1])  # in order, unlike reduce's shape-led order
         total = op.accumulate(rows)[-1]
         return total / S**2 if mode == "sum" else total
 
     def diag(self, space, spec, X):
-        """k(x, x) depends on x here: one value per point."""
-        return np.array(
-            [self.kernel(spec, self.encode(space, spec, x[None], x[None]))[0, 0] for x in X]
-        )
+        """k(x, x) per point, bit for bit the Gram's diagonal.  ``proj`` and
+        ``padded_proj`` take the inner family's own (on the sorted rows; the
+        profile at distance 0).  ``sum`` and ``prod`` take one S x S inner
+        Gram G of each point's permuted copies and fold it in ``kernel``'s
+        order: row p is G[p, p], then G[p, q] op G[q, p] for q > p, led by the
+        op's identity, which leaves every value's bits as they are."""
+        inner, mode = spec.params["inner"], spec.params["mode"]
+        family = _FAMILIES[inner.family]
+        if mode == "proj":
+            return family.diag(space, inner, np.sort(X, axis=1))
+        if mode == "padded_proj":
+            return family.diag(space, inner, X)
+        op, identity = (np.add, -0.0) if mode == "sum" else (np.multiply, 1.0)
+        perms = self._permutations(space, spec)
+        S = len(perms)
+        above = np.arange(S)[:, None] < np.arange(S)  # [p, q]: q > p
+        out = []
+        for x in X:
+            R = x[perms]  # row p: x under p
+            G = family.kernel(inner, family.encode(space, inner, R, R))
+            M = np.where(above, op(G, G.T), identity)
+            np.fill_diagonal(M, G.diagonal())
+            out.append(op.accumulate(op.accumulate(M, axis=1)[:, -1])[-1])
+        total = np.array(out)
+        return total / S**2 if mode == "sum" else total
 
     def pack(self, space, spec):
         inner = spec.params["inner"]

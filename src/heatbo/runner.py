@@ -134,8 +134,7 @@ def _int_list(text: str) -> tuple:
 
 
 # The getter for each type a key can have.  A key of another type (the
-# ExperimentConfig dicts, the jitter ladder tuple, a kernel's inner spec)
-# cannot be set in a file.
+# ExperimentConfig dicts, a kernel's inner spec) cannot be set in a file.
 _GETTERS = {
     int: "getint", float: "getfloat", float | None: "getfloat",
     bool: "getboolean", bool | None: "getboolean",
@@ -493,16 +492,13 @@ def _single_threaded_blas():
             set_(count)
 
 
-def compare_speed(
-    category_sizes=(4, 8, 16, 32), num_points: int = 200, dims: int = 10,
-    repeats: int = 15,
-):
+def compare_speed(category_sizes=(4, 8, 16, 32), num_points: int = 200, dims: int = 10):
     """Time closed-form vs numeric-eigendecomposition Gram construction.
 
     Returns rows of (kernel, categories, dims, points, median_ms,
     blas_pinned) and verifies the two routes produce the same Gram up to
-    global scale.  Measurements are interleaved so the ordering reflects the
-    algorithms, not scheduler noise, and are taken with BLAS limited to one
+    global scale.  Each median is over 15 interleaved rounds, so the ordering
+    reflects the algorithms, not scheduler noise, with BLAS limited to one
     thread (see ``_single_threaded_blas``); ``blas_pinned`` is False when no
     limit could be applied and the timings used whatever threading BLAS has.
     """
@@ -520,7 +516,7 @@ def compare_speed(
             "spectral_numeric": lambda: spectral.combo_gram_numeric(space, betas, pts),
         }
         with _single_threaded_blas() as pinned:
-            medians = _interleaved_median_times(routes, repeats)
+            medians = _interleaved_median_times(routes, 15)
         closed, numeric = medians.values()
         k_closed, k_numeric = (route() for route in routes.values())
         deviation = float(

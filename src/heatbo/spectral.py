@@ -93,14 +93,14 @@ def factor_spectrum(g: int) -> FactorSpectrum:
     return FactorSpectrum(g=g, eigenvalues=eigenvalues, basis=_helmert_basis(g))
 
 
-def _group_values(values: np.ndarray, tol: float = EIGENVALUE_GROUP_TOL):
-    """Group a sorted value array into (distinct, counts) with relative tolerance."""
+def _group_values(values: np.ndarray):
+    """Group sorted values into (distinct, counts), relative tolerance EIGENVALUE_GROUP_TOL."""
     values = np.sort(np.asarray(values, dtype=float))
     scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
     distinct: list[float] = []
     counts: list[int] = []
     for v in values:
-        if distinct and abs(v - distinct[-1]) <= tol * scale:
+        if distinct and abs(v - distinct[-1]) <= EIGENVALUE_GROUP_TOL * scale:
             counts[-1] += 1
         else:
             distinct.append(float(v))

@@ -100,6 +100,22 @@ class TestWcnfParser:
         with pytest.raises(bm.ParseError, match="line 1"):
             bm.parse_wcnf("p cnf 2 1\n3 1 0\n")
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("p wcnf two 1\n3 1 0\n", "line 1: non-integer header field"),
+            ("p wcnf 0 1\n3 1 0\n", "line 1: need at least one variable"),
+            ("c header below\n3 1 0\np wcnf 1 1\n", "line 2: clause before header"),
+            ("p wcnf 2 1\n3 1 x 0\n", "line 2: non-numeric token"),
+            ("p wcnf 2 2\n3 1 0\n4 0\n", "line 3: empty clause"),
+            ("c no header at all\n", "no header line found"),
+            ("p wcnf 2 3\n3 1 0\n4 -2 0\n", "declares 3 clauses, found 2"),
+        ],
+    )
+    def test_each_malformed_input_is_a_parse_error(self, text, match):
+        with pytest.raises(bm.ParseError, match=match):
+            bm.parse_wcnf(text)
+
     def test_round_trip(self):
         inst = bm.generate_synthetic_wcnf(10, 25, seed=4)
         again = bm.parse_wcnf(bm.serialize_wcnf(inst))
@@ -165,6 +181,34 @@ class TestMaxsat:
         inst = bm.parse_wcnf("p wcnf 3 1\n1 1 0\n")
         with pytest.raises(InvalidInputError):
             bm.maxsat_eval(inst, [0, 1])
+
+
+class TestConstants:
+    def test_read_only_at_every_level(self):
+        constants = bm.BENCHMARK_CONSTANTS
+        with pytest.raises(TypeError):
+            constants["monte_carlo_samples"] = 1
+        with pytest.raises(TypeError):
+            constants["pest_control"]["stations"] = 3
+        with pytest.raises(TypeError):
+            constants["pest_control"]["control_beta"][0] = 1.0
+        with pytest.raises(TypeError):
+            del constants["contamination"]["stages"]
+
+    @pytest.mark.parametrize(
+        "objective, x, noise_seed, frozen",
+        [
+            (bm.pest_control_eval, "3404223140112200000403311", 0, "0x1.49cac083126eap+4"),
+            (bm.pest_control_eval, "2140434013233304241140013", 1, "0x1.214c985f06f69p+4"),
+            (bm.pest_control_eval, "0411244410333002124121140", 2, "0x1.2594af4f0d844p+4"),
+            (bm.contamination_eval, "0000110011000011101101001", 0, "0x1.94a3d70a3d70bp+4"),
+            (bm.contamination_eval, "1011001110010110010111101", 1, "0x1.8028f5c28f5c2p+4"),
+        ],
+    )
+    def test_objective_values_unchanged(self, objective, x, noise_seed, frozen):
+        # the values the simulators gave while the table was a plain dict
+        x = np.array([int(c) for c in x])
+        assert objective(x, noise_seed).hex() == frozen
 
 
 class TestContamination:

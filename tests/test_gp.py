@@ -1238,8 +1238,6 @@ class TestJitter:
         train = make_train(sp, np.random.default_rng(4), m=5)
         spec = kernels.default_spec(sp, "heat")
         with pytest.raises(InvalidInputError):
-            gp.OptimizerConfig(jitter_ladder=ladder)
-        with pytest.raises(InvalidInputError):
             gp.make_state(sp, train, spec, 1e-3, ladder)
 
     def test_chol_failure_raises_numeric_failure(self):

@@ -794,6 +794,73 @@ class TestExactKernels:
         )
 
 
+def two_call_invariant(space, spec, X1, X2):
+    """Frozen copy of the invariant kernel before it took each inner value
+    once: sum and prod ask the inner family, for each p, for T[p, q] with
+    q >= p and then for T[q, p] with q > p, whether or not X2 is X1."""
+    inner, mode = spec.params["inner"], spec.params["mode"]
+    fam = kn._FAMILIES[inner.family]
+    if mode == "padded_proj":
+        C1, C2 = ([np.sum(X == c, axis=1) for c in range(space.cardinalities[0])]
+                  for X in (X1, X2))
+        h = sum(np.abs(c1[:, None] - c2[None, :]) for c1, c2 in zip(C1, C2))
+        return fam.kernel(inner, h.astype(float))
+    if mode == "proj":
+        return fam.kernel(inner, fam.encode(space, inner, np.sort(X1, 1), np.sort(X2, 1)))
+    op = np.add if mode == "sum" else np.multiply
+    perms = kn._dimension_permutations(space.n, spec.params["samples"], spec.params["seed"])
+    R1, R2 = (np.stack([X[:, p] for p in perms]) for X in (X1, X2))
+    S, m1, m2 = len(perms), len(X1), len(X2)
+
+    def inner_kernel(A, B):
+        A, B = A.reshape(-1, space.n), B.reshape(-1, space.n)
+        return fam.kernel(inner, fam.encode(space, inner, A, B))
+
+    rows = []
+    for p in range(S):
+        T = inner_kernel(R1[p], R2[p:]).reshape(m1, S - p, m2).swapaxes(0, 1)
+        T[1:] = op(T[1:], inner_kernel(R1[p + 1 :], R2[p]).reshape(T[1:].shape))
+        rows.append(op.accumulate(T)[-1])
+    total = op.accumulate(rows)[-1]
+    return total / S**2 if mode == "sum" else total
+
+
+INNER_ONCE_CASES = [
+    (mode, inner, ard)
+    for mode in ("sum", "prod", "proj")
+    for inner, ard in [("heat", True), ("heat", False), ("rho", True),
+                       ("hamming_rbf", False), ("additive_sum", True)]
+] + [("padded_proj", inner, False)
+     for inner in ("hamming_rbf", "hamming_matern52", "hamming_rq")]
+
+
+class TestInvariantTakesEachInnerValueOnce:
+    @pytest.mark.parametrize("mode, inner, ard", INNER_ONCE_CASES)
+    @given(seed=st.integers(0, 2**31))
+    @settings(max_examples=25, deadline=None)
+    def test_the_bits_of_the_per_point_and_two_call_routes(self, mode, inner, ard, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        sp = SearchSpace((int(rng.integers(2, 5)),) * n)
+        # a product of S^2 values soon overflows or underflows: prod takes few
+        most = 6 if mode == "prod" else 40
+        samples = None if n < 4 and rng.random() < 0.2 else int(rng.integers(1, most + 1))
+        params = {"inner": fit_terms_spec(sp, inner, rng, ard), "mode": mode,
+                  "samples": samples, "seed": int(rng.integers(9))}
+        spec = kn.KernelSpec("invariant", params, False)
+        X = sp.sample_points(int(rng.integers(1, 9)), rng)
+        queries = sp.sample_points(int(rng.integers(1, 6)), rng)
+        want = bits(two_call_invariant(sp, spec, X, X))
+        np.testing.assert_array_equal(bits(kn.gram(sp, spec, X)), want)
+        np.testing.assert_array_equal(bits(kn.fit_terms(sp, spec, X).gram(spec)), want)
+        np.testing.assert_array_equal(
+            bits(kn.cross_gram(sp, spec, queries, X)),
+            bits(two_call_invariant(sp, spec, queries, X)),
+        )
+        per_point = [two_call_invariant(sp, spec, x[None], x[None])[0, 0] for x in queries]
+        np.testing.assert_array_equal(bits(kn.diag_values(sp, spec, queries)), bits(per_point))
+
+
 def matrix_route(space, spec, X1, X2):
     """Frozen copy of the one-hot route every log-affine Gram took before the
     one-group table: sigma2 * exp of the dyadic weights' one-hot product."""

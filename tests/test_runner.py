@@ -111,6 +111,18 @@ class TestConfig:
             runner.load_config(path)
 
     @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"seeds": ()}, "seed list must be non-empty"),
+            ({"parallel": 0}, "parallel degree must be >= 1"),
+            ({"kernel_options": {"gamma": 1.0}}, r"unknown key\(s\) \['gamma'\] in \[kernel\]"),
+        ],
+    )
+    def test_validate_rejects(self, fields, match):
+        with pytest.raises(runner.ConfigError, match=match):
+            runner.ExperimentConfig(**fields).validate()
+
+    @pytest.mark.parametrize(
         "kernel, ard, key, param, shape",
         [
             ("heat", "true", "beta", "betas", (6,)),
@@ -188,6 +200,14 @@ class TestRunExperiment:
         summary = read_csv(result["summary"])
         assert len(summary) == 6
         assert list(summary[0].keys()) == list(runner.SUMMARY_COLUMNS)
+
+    def test_unwritable_output_is_config_error(self, tmp_path):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        config = runner.load_config(write_config(tmp_path, output_dir=blocker / "out"))
+        with pytest.raises(runner.ConfigError, match="output path not writable"):
+            runner.run_experiment(config)
+        assert blocker.read_text() == ""
 
     def test_rerun_byte_identical_without_timing(self, tmp_path):
         config = runner.load_config(write_config(tmp_path))
