@@ -164,12 +164,12 @@ class GpState:
 def cholesky(A: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of A with a zeroed upper triangle (LAPACK dpotrf).
 
-    An F-ordered A is factored in place.  Raises ``NumericFailure`` when A
-    is not positive definite.
+    An F-ordered A is factored in place.  Raises ``np.linalg.LinAlgError``
+    when A is not positive definite.
     """
     L, info = dpotrf(A, lower=1, clean=1, overwrite_a=1)
     if info != 0:
-        raise NumericFailure(f"dpotrf info {info}: not positive definite")
+        raise np.linalg.LinAlgError(f"dpotrf info {info}: not positive definite")
     return L
 
 
@@ -215,7 +215,7 @@ def _chol_with_jitter(K: np.ndarray, ladder, noise: float = 0.0) -> tuple[np.nda
             diag += jitter
         try:
             return cholesky(A), jitter
-        except NumericFailure:
+        except np.linalg.LinAlgError:
             continue
     raise NumericFailure("covariance not factorizable after jitter escalation")
 

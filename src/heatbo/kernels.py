@@ -31,9 +31,9 @@ mismatch mask per dimension, entry by entry.  ``invariant``'s sum and prod
 modes reduce the inner values T[p, q] = k(x o p, y o q) over sampled
 permutations p, q in a fixed order: T[p, p], then T[p, q] + T[q, p] (or
 the product) for each q > p, so (x, y) and (y, x) combine the same pairs.
-Each inner value is taken once: on one point set T[q, p] is T[p, q]'s block
-transposed, and ``diag`` folds one inner Gram of a point's permuted copies
-in the same order.  ``fit_terms(space, spec, X)`` encodes a training set once,
+``diag`` takes k(x, x) as the one-point Gram, except that ``proj`` and
+``padded_proj`` take the inner family's own ``diag``, with the same bits.
+``fit_terms(space, spec, X)`` encodes a training set once,
 for the GP's fit and predictions alike: its ``grad(spec, K, W)`` gives
 1/2 <W, dK/dtheta_j> in closed form where the family has one, else by
 central differences, and its ``cross_gram(spec, X1)`` gives ``cross_gram``'s
@@ -925,11 +925,10 @@ class _InvariantFamily(_Family):
 
     The encoding is the padded-encoding distance (``padded_proj``), the
     inner family's encoding of the sorted rows (``proj``), or the rows under
-    each of the S sampled permutations (``sum``, ``prod``), one stack when X2
-    is X1.  For those two the kernel asks the inner family, for each p, for
-    T[p, q] with q >= p and T[q, p] with q > p: S^2 m1 m2 inner entries in
-    2 S calls.  When X2 is X1, T[q, p] is T[p, q]'s block transposed: S calls
-    and about half the entries.  ``diag`` makes one inner call per point.
+    each of the S sampled permutations (``sum``, ``prod``).  For those two
+    the kernel asks the inner family, for each p, for T[p, q] with q >= p
+    and T[q, p] with q > p: S^2 m1 m2 inner entries in all, 2 S calls, and
+    ``diag`` makes those 2 S calls per point.
     """
 
     name = "invariant"
@@ -959,12 +958,6 @@ class _InvariantFamily(_Family):
             False,
         )
 
-    def _permutations(self, space, spec):
-        """The S sampled (or all) dimension permutations, as an (S, n) array."""
-        samples = spec.params.get("samples", self.samples)
-        seed = int(spec.params.get("seed", self.seed))
-        return np.array(_dimension_permutations(space.n, samples, seed))
-
     def encode(self, space, spec, X1, X2):
         inner, mode = spec.params["inner"], spec.params["mode"]
         if mode == "padded_proj":  # the inner profile's Hamming matrix, padded
@@ -975,10 +968,12 @@ class _InvariantFamily(_Family):
         if mode == "proj":
             rows = (np.sort(X, axis=1) for X in (X1, X2))
             return _FAMILIES[inner.family].encode(space, inner, *rows)
-        perms = self._permutations(space, spec)
-        R1 = np.stack([X1[:, p] for p in perms])  # [p, a]: row a under p
-        R2 = R1 if X2 is X1 else np.stack([X2[:, p] for p in perms])
-        return SimpleNamespace(space=space, rows=(R1, R2))
+        perms = _dimension_permutations(
+            space.n, spec.params.get("samples", self.samples),
+            int(spec.params.get("seed", self.seed)),
+        )
+        rows = [np.stack([X[:, p] for p in perms]) for X in (X1, X2)]  # [p, a]: row a under p
+        return SimpleNamespace(space=space, rows=rows)
 
     def kernel(self, spec, enc):
         inner, mode = spec.params["inner"], spec.params["mode"]
@@ -995,10 +990,7 @@ class _InvariantFamily(_Family):
         rows = []
         for p in range(S):  # T[p, q] for q >= p, then T[p, q] op T[q, p] for q > p
             T = inner_kernel(R1[p], R2[p:]).reshape(m1, S - p, m2).swapaxes(0, 1)
-            if R2 is R1:  # an exact inner kernel is symmetric: T[q, p] = T[p, q].T
-                T[1:] = op(T[1:], T[1:].swapaxes(1, 2))
-            else:
-                T[1:] = op(T[1:], inner_kernel(R1[p + 1 :], R2[p]).reshape(T[1:].shape))
+            T[1:] = op(T[1:], inner_kernel(R1[p + 1 :], R2[p]).reshape(T[1:].shape))
             rows.append(op.accumulate(T)[-1])  # in order, unlike reduce's shape-led order
         total = op.accumulate(rows)[-1]
         return total / S**2 if mode == "sum" else total
@@ -1006,29 +998,15 @@ class _InvariantFamily(_Family):
     def diag(self, space, spec, X):
         """k(x, x) per point, bit for bit the Gram's diagonal.  ``proj`` and
         ``padded_proj`` take the inner family's own (on the sorted rows; the
-        profile at distance 0).  ``sum`` and ``prod`` take one S x S inner
-        Gram G of each point's permuted copies and fold it in ``kernel``'s
-        order: row p is G[p, p], then G[p, q] op G[q, p] for q > p, led by the
-        op's identity, which leaves every value's bits as they are."""
+        profile at distance 0), ``sum`` and ``prod`` the one-point Gram."""
         inner, mode = spec.params["inner"], spec.params["mode"]
-        family = _FAMILIES[inner.family]
         if mode == "proj":
-            return family.diag(space, inner, np.sort(X, axis=1))
+            return _FAMILIES[inner.family].diag(space, inner, np.sort(X, axis=1))
         if mode == "padded_proj":
-            return family.diag(space, inner, X)
-        op, identity = (np.add, -0.0) if mode == "sum" else (np.multiply, 1.0)
-        perms = self._permutations(space, spec)
-        S = len(perms)
-        above = np.arange(S)[:, None] < np.arange(S)  # [p, q]: q > p
-        out = []
-        for x in X:
-            R = x[perms]  # row p: x under p
-            G = family.kernel(inner, family.encode(space, inner, R, R))
-            M = np.where(above, op(G, G.T), identity)
-            np.fill_diagonal(M, G.diagonal())
-            out.append(op.accumulate(op.accumulate(M, axis=1)[:, -1])[-1])
-        total = np.array(out)
-        return total / S**2 if mode == "sum" else total
+            return _FAMILIES[inner.family].diag(space, inner, X)
+        return np.array(
+            [self.kernel(spec, self.encode(space, spec, x[None], x[None]))[0, 0] for x in X]
+        )
 
     def pack(self, space, spec):
         inner = spec.params["inner"]
@@ -1101,6 +1079,7 @@ def gram(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
 
 def diag_values(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
     """k(x, x) per point."""
+    validate_spec(space, spec)
     X = space.validate_points(points)
     return _FAMILIES[spec.family].diag(space, spec, X)
 

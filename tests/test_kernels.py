@@ -795,9 +795,9 @@ class TestExactKernels:
 
 
 def two_call_invariant(space, spec, X1, X2):
-    """Frozen copy of the invariant kernel before it took each inner value
-    once: sum and prod ask the inner family, for each p, for T[p, q] with
-    q >= p and then for T[q, p] with q > p, whether or not X2 is X1."""
+    """Frozen copy of the invariant kernel: sum and prod ask the inner
+    family, for each p, for T[p, q] with q >= p and then for T[q, p] with
+    q > p, whether or not X2 is X1."""
     inner, mode = spec.params["inner"], spec.params["mode"]
     fam = kn._FAMILIES[inner.family]
     if mode == "padded_proj":
@@ -825,7 +825,7 @@ def two_call_invariant(space, spec, X1, X2):
     return total / S**2 if mode == "sum" else total
 
 
-INNER_ONCE_CASES = [
+INVARIANT_CASES = [
     (mode, inner, ard)
     for mode in ("sum", "prod", "proj")
     for inner, ard in [("heat", True), ("heat", False), ("rho", True),
@@ -834,8 +834,8 @@ INNER_ONCE_CASES = [
      for inner in ("hamming_rbf", "hamming_matern52", "hamming_rq")]
 
 
-class TestInvariantTakesEachInnerValueOnce:
-    @pytest.mark.parametrize("mode, inner, ard", INNER_ONCE_CASES)
+class TestInvariantRoutes:
+    @pytest.mark.parametrize("mode, inner, ard", INVARIANT_CASES)
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_the_bits_of_the_per_point_and_two_call_routes(self, mode, inner, ard, seed):
@@ -859,6 +859,16 @@ class TestInvariantTakesEachInnerValueOnce:
         )
         per_point = [two_call_invariant(sp, spec, x[None], x[None])[0, 0] for x in queries]
         np.testing.assert_array_equal(bits(kn.diag_values(sp, spec, queries)), bits(per_point))
+
+    @pytest.mark.parametrize("mode", ["sum", "prod", "proj", "padded_proj"])
+    def test_negative_inner_beta_rejected(self, mode):
+        sp = SearchSpace((3, 3, 3))
+        inner = kn.KernelSpec("heat", {"betas": [-0.1], "sigma2": 1.0}, False)
+        spec = kn.KernelSpec("invariant", {"inner": inner, "mode": mode, "samples": 4}, False)
+        X = sp.sample_points(3, np.random.default_rng(0))
+        for call in (kn.diag_values, kn.gram):
+            with pytest.raises(InvalidInputError):
+                call(sp, spec, X)
 
 
 def matrix_route(space, spec, X1, X2):
