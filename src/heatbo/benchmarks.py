@@ -141,7 +141,7 @@ def parse_wcnf(text: str) -> WcnfInstance:
     """Parse DIMACS WCNF: ``p wcnf <nvars> <nclauses> [top]`` plus clause lines.
 
     Clause lines are ``<weight> <lit> ... 0``; comment lines start with "c".
-    Weights must be positive and soft: a weight equal to the header's top
+    Weights must be finite, positive and soft: a weight equal to the header's top
     value (a hard clause) is rejected.
     """
     num_vars = None
@@ -174,8 +174,8 @@ def parse_wcnf(text: str) -> WcnfInstance:
             literals = [int(t) for t in tokens[1:]]
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric token in clause")
-        if weight <= 0:
-            raise ParseError(f"line {lineno}: clause weight must be positive")
+        if not 0 < weight < np.inf:  # NaN fails too
+            raise ParseError(f"line {lineno}: clause weight must be finite and > 0")
         if top is not None and weight == top:
             raise ParseError(
                 f"line {lineno}: hard clause (weight equals top) not supported"

@@ -5,7 +5,9 @@ Minimization convention throughout.  The surrogate is refitted on the full
 (standardized) history every iteration, the acquisition is optimized only
 over points within the current trust-region radius of the incumbent, and the
 radius doubles after repeated successes and halves after repeated failures,
-restarting from a random unobserved center once it collapses.
+restarting from a random unobserved center once it collapses.  On n
+dimensions the radius runs from 1 to n and starts, and restarts, at
+ceil(n / 4); the GA mutates each dimension with probability 1/n.
 
 Category-changing random draws are modular offsets from the current value
 ((value + u) mod g), and which coordinates change or revert depends only on
@@ -83,21 +85,20 @@ def expected_improvement(mean, variance, best_so_far: float):
 
 @dataclass(frozen=True)
 class TrustRegionConfig:
-    l_init: int
-    l_min: int = 1
-    l_max: int = 0  # 0 means "dimension count", resolved by new_run
+    """The streak lengths of the radius schedule.  The radius itself follows
+    from the space: it runs from 1 to n and starts at ``_initial_radius(n)``."""
+
     success_tolerance: int = 3
     failure_tolerance: int = 10
 
     def __post_init__(self):
-        if min(self.l_min, self.success_tolerance, self.failure_tolerance) < 1:
-            raise InvalidInputError("need l_min and both tolerances >= 1")
+        if min(self.success_tolerance, self.failure_tolerance) < 1:
+            raise InvalidInputError("need both tolerances >= 1")
 
-    @classmethod
-    def for_space(cls, space: SearchSpace, **overrides) -> "TrustRegionConfig":
-        values = dict(l_init=max(ceil(space.n / 4), 1), l_max=space.n)
-        values.update(overrides)
-        return cls(**values)
+
+def _initial_radius(n: int) -> int:
+    """The radius a region starts and restarts at on n dimensions: a quarter of them."""
+    return ceil(n / 4)
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,8 @@ class TrustRegionState:
     failure_streak: int = 0
 
     def __post_init__(self):
-        if not (self.config.l_min <= self.radius <= self.config.l_max):
-            raise InvalidInputError(
-                f"radius {self.radius} outside [{self.config.l_min}, {self.config.l_max}]"
-            )
+        if not 1 <= self.radius <= len(self.center):
+            raise InvalidInputError(f"radius {self.radius} outside [1, {len(self.center)}]")
 
 
 def tr_update(tr: TrustRegionState, improved: bool) -> tuple[TrustRegionState, bool]:
@@ -120,35 +119,20 @@ def tr_update(tr: TrustRegionState, improved: bool) -> tuple[TrustRegionState, b
 
     Doubling after ``success_tolerance`` consecutive improvements, halving
     after ``failure_tolerance`` consecutive failures, restart once failures
-    accumulate at the minimum radius.
+    accumulate at radius 1.
     """
     cfg = tr.config
     if improved:
         succ = tr.success_streak + 1
         if succ >= cfg.success_tolerance:
-            return (
-                replace(
-                    tr,
-                    radius=min(2 * tr.radius, cfg.l_max),
-                    success_streak=0,
-                    failure_streak=0,
-                ),
-                False,
-            )
+            radius = min(2 * tr.radius, len(tr.center))
+            return replace(tr, radius=radius, success_streak=0, failure_streak=0), False
         return replace(tr, success_streak=succ, failure_streak=0), False
     fail = tr.failure_streak + 1
     if fail >= cfg.failure_tolerance:
-        if tr.radius <= cfg.l_min:
+        if tr.radius == 1:
             return replace(tr, success_streak=0, failure_streak=0), True
-        return (
-            replace(
-                tr,
-                radius=max(tr.radius // 2, cfg.l_min),
-                success_streak=0,
-                failure_streak=0,
-            ),
-            False,
-        )
+        return replace(tr, radius=tr.radius // 2, success_streak=0, failure_streak=0), False
     return replace(tr, success_streak=0, failure_streak=fail), False
 
 
@@ -189,7 +173,6 @@ class GaConfig:
     generations: int = 20
     tournament_size: int = 3
     crossover_prob: float = 0.9
-    mutation_prob: float | None = None  # None resolves to 1/n
     elite_count: int = 2
 
     def __post_init__(self):
@@ -197,9 +180,8 @@ class GaConfig:
                 and self.tournament_size >= 1 and self.generations >= 0):
             raise InvalidInputError("GA needs population_size >= 2, 0 <= elite_count < "
                                     "population_size, tournament_size >= 1, generations >= 0")
-        for prob in (self.crossover_prob, self.mutation_prob):
-            if prob is not None and not 0 <= prob <= 1:  # NaN fails too
-                raise InvalidInputError(f"GA probabilities must lie in [0, 1], got {prob}")
+        if not 0 <= self.crossover_prob <= 1:  # NaN fails too
+            raise InvalidInputError(f"need crossover_prob in [0, 1], got {self.crossover_prob}")
 
 
 def _shift(points, mask, cards, rng):
@@ -251,7 +233,7 @@ def ga_optimize(
     center = np.asarray(tr.center)
     radius = int(tr.radius)
     rng = np.random.default_rng(seed)
-    pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / space.n
+    pm = 1.0 / space.n  # one mutated dimension per child, on average
     cards = space.card_array
 
     population = np.concatenate(
@@ -363,11 +345,10 @@ def new_run(
     ga_config: GaConfig | None = None,
     optimizer_config: gp.OptimizerConfig | None = None,
 ) -> BoRunState:
-    tr_config = tr_config or TrustRegionConfig.for_space(space)
-    if tr_config.l_max == 0:  # "dimension count"
-        tr_config = replace(tr_config, l_max=space.n)
     placeholder = TrustRegionState(
-        center=tuple([0] * space.n), radius=tr_config.l_init, config=tr_config
+        center=(0,) * space.n,
+        radius=_initial_radius(space.n),
+        config=tr_config or TrustRegionConfig(),
     )
     return BoRunState(
         space=space,
@@ -429,9 +410,7 @@ def _restart_region(run: BoRunState) -> None:
     if center is None:  # space may be fully observed; keep incumbent center
         center = tuple(int(v) for v in incumbent)
     run.restart_count += 1
-    run.tr = TrustRegionState(
-        center=center, radius=run.tr.config.l_init, config=run.tr.config
-    )
+    run.tr = TrustRegionState(center, _initial_radius(len(center)), run.tr.config)
 
 
 def observe(
@@ -453,9 +432,7 @@ def observe(
 
     if run.incumbent_index is None:
         run.incumbent_index = 0
-        run.tr = TrustRegionState(
-            center=key, radius=run.tr.config.l_init, config=run.tr.config
-        )
+        run.tr = TrustRegionState(key, _initial_radius(len(key)), run.tr.config)
         return run
 
     improved = raw_value < run.incumbent_value - INCUMBENT_TOL

@@ -1048,9 +1048,20 @@ def default_spec(space: SearchSpace, family: str, ard: bool = True, **overrides)
     return spec
 
 
+# Keys of a family's default spec that a spec may leave out: sigma2 reads as 1,
+# and an invariant spec's samples and seed read as the family's own.
+_OPTIONAL_KEYS = frozenset({"sigma2", "samples", "seed"})
+
+
 def validate_spec(space: SearchSpace, spec: KernelSpec) -> None:
-    """The family's own checks, after two shared by every family: each numeric
-    hyperparameter is finite, and sigma2, where given, is positive."""
+    """The family's own checks, after three shared by every family: the spec
+    holds the keys of the family's default spec, each numeric hyperparameter
+    is finite, and sigma2, where given, is positive."""
+    taken = _FAMILIES[spec.family].default_spec(space).params.keys()
+    unknown, missing = spec.params.keys() - taken, taken - spec.params.keys() - _OPTIONAL_KEYS
+    if unknown or missing:
+        raise InvalidInputError(f"{spec.family} takes {sorted(taken)}; unknown key(s) "
+                                f"{sorted(unknown)}, missing key(s) {sorted(missing)}")
     for key, value in spec.params.items():
         values = np.asarray(value)
         if values.dtype.kind in "biuf" and not np.isfinite(values).all():

@@ -136,8 +136,7 @@ def _int_list(text: str) -> tuple:
 # The getter for each type a key can have.  A key of another type (the
 # ExperimentConfig dicts, a kernel's inner spec) cannot be set in a file.
 _GETTERS = {
-    int: "getint", float: "getfloat", float | None: "getfloat",
-    bool: "getboolean", bool | None: "getboolean",
+    int: "getint", float: "getfloat", bool: "getboolean", bool | None: "getboolean",
     str: "get", str | os.PathLike | None: "get", tuple[int, ...]: "getints",
 }
 # section: (the ExperimentConfig field it fills, or None for ExperimentConfig's
@@ -234,7 +233,7 @@ def _initial_kernel_spec(config: ExperimentConfig, space: SearchSpace):
 
 def _build_run_components(config: ExperimentConfig, space: SearchSpace):
     spec = _initial_kernel_spec(config, space)
-    tr_config = bo.TrustRegionConfig.for_space(space, **config.tr_options)
+    tr_config = bo.TrustRegionConfig(**config.tr_options)
     ga_config = bo.GaConfig(**config.ga_options)
     opt_config = gp.OptimizerConfig(**config.optimizer_options)
     return spec, tr_config, ga_config, opt_config

@@ -207,7 +207,7 @@ def test_criterion_8_ga_exhaustive_oracle():
         d2 = np.count_nonzero(points != bumps, axis=1).astype(float)
         return np.exp(-d1) + 0.4 * np.exp(-1.3 * d2)
 
-    config = bo.TrustRegionConfig.for_space(space, l_init=3)
+    config = bo.TrustRegionConfig()
     tr = bo.TrustRegionState(center=(1, 2, 0, 0), radius=3, config=config)
     ball = bo.enumerate_ball(space, np.array(tr.center), tr.radius)
     exact = float(np.max(acq(ball)))

@@ -88,6 +88,11 @@ class TestWcnfParser:
         with pytest.raises(bm.ParseError, match="line 2"):
             bm.parse_wcnf("p wcnf 2 1\n0 1 0\n")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "1e400"])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(bm.ParseError, match="line 3: clause weight must be finite"):
+            bm.parse_wcnf(f"p wcnf 2 2\n3 1 0\n{weight} 2 0\n")
+
     def test_literal_out_of_range(self):
         with pytest.raises(bm.ParseError, match="line 2"):
             bm.parse_wcnf("p wcnf 2 1\n3 5 0\n")

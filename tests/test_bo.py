@@ -119,10 +119,8 @@ class TestExpectedImprovement:
 
 
 class TestTrustRegionUpdate:
-    def make_tr(self, radius=4, n=16, **overrides):
-        sp = SearchSpace((2,) * n)
-        cfg = bo.TrustRegionConfig.for_space(sp, **overrides)
-        return bo.TrustRegionState(center=(0,) * n, radius=radius, config=cfg)
+    def make_tr(self, radius=4, n=16):
+        return bo.TrustRegionState(center=(0,) * n, radius=radius, config=bo.TrustRegionConfig())
 
     def test_three_successes_double_radius(self):
         tr = self.make_tr(radius=4)
@@ -160,14 +158,22 @@ class TestTrustRegionUpdate:
             tr, _ = bo.tr_update(tr, False)
         assert tr.radius == 4
 
-    def test_zero_l_max_means_dimension_count(self):
-        sp = SearchSpace((2,) * 6)
-        spec = kernels.default_spec(sp, "heat")
-        cfg = bo.TrustRegionConfig(l_init=2)  # l_max left at its 0 default
-        assert bo.new_run(sp, spec, 0, cfg).tr.config.l_max == 6
-        f = quadratic_objective(np.zeros(6, dtype=int))
-        trace = bo.run_bo(f, sp, spec, 3, 3, 0, tr_config=cfg, measure_time=False)
-        assert len(trace) == 6 and all(1 <= r.tr_radius <= 6 for r in trace)
+    @pytest.mark.parametrize(
+        "n, radii", [(1, [1, 1, 1, 1]), (4, [1, 1, 1, 1]), (5, [1, 2, 1, 2]), (16, [2, 1, 4, 2])]
+    )
+    def test_region_starts_and_restarts_at_a_quarter_of_the_dimensions(self, n, radii):
+        """ceil(n / 4) at the start and after each restart; each failure
+        (tolerance 1) halves the radius, or restarts the region at radius 1."""
+        sp = SearchSpace((2,) * n)
+        config = bo.TrustRegionConfig(failure_tolerance=1)
+        run = bo.new_run(sp, kernels.default_spec(sp, "heat"), 0, config)
+        bo.observe(run, (0,) * n, 1.0)
+        assert run.tr.radius == -(-n // 4)
+        seen = []
+        for value in (2.0, 3.0, 4.0, 5.0):
+            bo.observe(run, (0,) * n, value)
+            seen.append(run.tr.radius)
+        assert seen == radii
 
     def test_radius_stays_within_bounds(self):
         rng = np.random.default_rng(1)
@@ -175,8 +181,8 @@ class TestTrustRegionUpdate:
         for _ in range(200):
             tr, restart = bo.tr_update(tr, bool(rng.random() < 0.4))
             if restart:
-                tr = self.make_tr(radius=tr.config.l_init)
-            assert tr.config.l_min <= tr.radius <= tr.config.l_max
+                tr = self.make_tr(radius=bo._initial_radius(16))
+            assert 1 <= tr.radius <= 16
 
 
 class TestBallGeometry:
@@ -191,12 +197,10 @@ class TestBallGeometry:
 
 
 class TestGaOptimize:
-    @pytest.mark.parametrize(
-        "bad", [dict(l_min=0), dict(success_tolerance=0), dict(failure_tolerance=0)]
-    )
-    def test_radius_zero_and_zero_tolerances_rejected(self, bad):
+    @pytest.mark.parametrize("bad", [dict(success_tolerance=0), dict(failure_tolerance=0)])
+    def test_zero_tolerances_rejected(self, bad):
         with pytest.raises(InvalidInputError):
-            bo.TrustRegionConfig.for_space(SearchSpace((3, 3, 3)), **bad)
+            bo.TrustRegionConfig(**bad)
 
     def test_beats_95_percent_of_exhaustive_optimum(self):
         # exhaustive-enumeration oracle over the trust region
@@ -209,7 +213,7 @@ class TestGaOptimize:
             d2 = np.count_nonzero(points != bumps, axis=1).astype(float)
             return np.exp(-d1) + 0.4 * np.exp(-1.3 * d2)
 
-        cfg = bo.TrustRegionConfig.for_space(sp, l_init=3)
+        cfg = bo.TrustRegionConfig()
         tr = bo.TrustRegionState(center=(1, 2, 0, 0), radius=3, config=cfg)
         ball = bo.enumerate_ball(sp, np.array(tr.center), tr.radius)
         exact = float(np.max(acq(ball)))
@@ -222,7 +226,7 @@ class TestGaOptimize:
 
     def test_candidates_respect_radius(self):
         sp = SearchSpace((5,) * 6)
-        cfg = bo.TrustRegionConfig.for_space(sp, l_init=2)
+        cfg = bo.TrustRegionConfig()
         center = (0, 1, 2, 3, 4, 0)
         tr = bo.TrustRegionState(center=center, radius=2, config=cfg)
         seen = []
@@ -238,7 +242,7 @@ class TestGaOptimize:
 
     def test_deterministic_given_seed(self):
         sp = SearchSpace((3,) * 5)
-        cfg = bo.TrustRegionConfig.for_space(sp)
+        cfg = bo.TrustRegionConfig()
         tr = bo.TrustRegionState(center=(0,) * 5, radius=2, config=cfg)
         rng = np.random.default_rng(4)
         w = rng.normal(size=5)
@@ -249,7 +253,7 @@ class TestGaOptimize:
 
     def test_avoids_observed_points(self):
         sp = SearchSpace((2, 2, 2))
-        cfg = bo.TrustRegionConfig.for_space(sp, l_init=3)
+        cfg = bo.TrustRegionConfig()
         tr = bo.TrustRegionState(center=(0, 0, 0), radius=3, config=cfg)
         best = np.array([0, 0, 0])
 
@@ -262,7 +266,7 @@ class TestGaOptimize:
 
     def test_exhaustion_signal(self):
         sp = SearchSpace((2, 2))
-        cfg = bo.TrustRegionConfig.for_space(sp, l_init=2)
+        cfg = bo.TrustRegionConfig()
         tr = bo.TrustRegionState(center=(0, 0), radius=2, config=cfg)
         everything = frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
         with pytest.raises(bo.TrustRegionExhausted):
@@ -368,7 +372,7 @@ def reference_ga_optimize(acq, space, tr, config, seed, exclude=frozenset()):
     center = np.asarray(tr.center)
     radius = int(tr.radius)
     rng = np.random.default_rng(seed)
-    pm = config.mutation_prob if config.mutation_prob is not None else 1.0 / space.n
+    pm = 1.0 / space.n
     cards = space.cardinalities
     n = space.n
 
@@ -463,7 +467,7 @@ def ga_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
     radius = draw(st.integers(1, sp.n))
     center = tuple(int(v) for v in sp.sample_points(1, rng)[0])
-    cfg = bo.TrustRegionConfig.for_space(sp, l_init=radius)
+    cfg = bo.TrustRegionConfig()
     tr = bo.TrustRegionState(center=center, radius=radius, config=cfg)
     population = draw(st.integers(2, 12))
     ga = bo.GaConfig(
@@ -784,9 +788,9 @@ class TestRunBo:
         inv = reloc.inverse()
         f_moved = lambda x: f(inv.apply(x))
         spec = kernels.default_spec(sp, family, ard=ard)
-        tr_config = bo.TrustRegionConfig.for_space(
-            sp, success_tolerance=1, failure_tolerance=1
-        ) if restart else None
+        tr_config = (
+            bo.TrustRegionConfig(success_tolerance=1, failure_tolerance=1) if restart else None
+        )
         init = sp.sample_points(8, np.random.default_rng([seed, 0]))
         t1 = bo.run_bo(f, sp, spec, 8, 8, seed=seed, tr_config=tr_config,
                        initial_points=init, measure_time=False)

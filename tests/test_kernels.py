@@ -1,5 +1,6 @@
 import itertools
 import operator
+import re
 import zlib
 from functools import reduce
 from math import frexp
@@ -954,6 +955,26 @@ class TestHyperparameterValidation:
             kn.KernelSpec("heat", {"betas": [0.25] * 4, "sigma2": 1.0}, ard)
         with pytest.raises(InvalidInputError, match="ard"):
             kn.default_spec(sp, "heat", ard=ard)
+
+    @pytest.mark.parametrize("family", kn.FAMILY_NAMES)
+    def test_keys_are_those_of_the_default_spec(self, family):
+        """A key the family does not take, or a missing one it reads, is an
+        InvalidInputError before any kernel reads the spec; sigma2 and an
+        invariant spec's samples and seed may be left out."""
+        sp = SearchSpace((3, 3, 3))
+        X = sp.sample_points(3, np.random.default_rng(0))
+        default = kn.default_spec(sp, family)
+        with pytest.raises(InvalidInputError, match=re.escape("unknown key(s) ['beta']")):
+            kn.default_spec(sp, family, beta=0.3)
+        for key in default.params:
+            params = {k: v for k, v in default.params.items() if k != key}
+            spec = kn.KernelSpec(family, params, default.ard)
+            if key in ("sigma2", "samples", "seed"):
+                assert np.array_equal(kn.gram(sp, spec, X), kn.gram(sp, default, X))
+                continue
+            for route in (kn.gram, kn.diag_values):
+                with pytest.raises(InvalidInputError, match=re.escape(f"missing key(s) ['{key}']")):
+                    route(sp, spec, X)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("family", kn.FAMILY_NAMES)

@@ -182,6 +182,15 @@ class TestConfig:
         assert config.benchmark_options == {"path": name}
         assert runner._build_objective(config).space.n == 7
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "1e400"])
+    def test_non_finite_wcnf_weight_exits_one_before_writing(self, tmp_path, capsys, weight):
+        (tmp_path / "bad.wcnf").write_text(f"p wcnf 2 2\n3 1 0\n{weight} 2 0\n")
+        path = write_config(tmp_path, benchmark="maxsat")
+        path.write_text(path.read_text().replace("n = 10", f"path = {tmp_path / 'bad.wcnf'}"))
+        assert runner.main(["run", str(path)]) == 1
+        assert "line 3: clause weight must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_kernel_section_reads_integers_and_text(self, tmp_path):
         path = write_config(tmp_path, kernel="invariant")
         path.write_text(path.read_text() + "\n[kernel]\nmode = proj\nsamples = 50\n")
@@ -399,7 +408,6 @@ class TestCli:
             ("n = 10", "n = 10\nbogus = 3"),
             ("population_size = 12", "population_size = 2.5"),
             ("generations = 4", "generations = true"),
-            ("[optimizer]", "[trust_region]\nl_init = 0\n\n[optimizer]"),
             ("steps = 10", "steps = 10\nlearning_rate = true"),
             ("steps = 10", "steps = 10\njitter_ladder = 1e-6"),
             ("steps = 10", "steps = 10\nbeta1 = 0.9"),
@@ -410,14 +418,12 @@ class TestCli:
             ("generations = 4", "generations ="),
             ("n = 10", "n = 7.9"),
             ("n = 10", "n = true"),
-            ("[optimizer]", "[trust_region]\nl_min = 0\n\n[optimizer]"),
             ("[optimizer]", "[trust_region]\nfailure_tolerance = 0\n\n[optimizer]"),
             ("init_count = 3", "init_count = 1"),
             ("generations = 4", "generations = -1"),
             ("generations = 4", "generations = 4\ntournament_size = 0"),
             ("generations = 4", "generations = 4\nelite_count = -1"),
             ("generations = 4", "generations = 4\ncrossover_prob = nan"),
-            ("generations = 4", "generations = 4\nmutation_prob = -1"),
             ("steps = 10", "steps = 10\nlearning_rate = nan"),
             ("steps = 10", "steps = 10\ninitial_noise = 0"),
             ("steps = 10", "steps = -1"),
@@ -430,6 +436,22 @@ class TestCli:
         path.write_text(path.read_text().replace(old, new))
         assert runner.main(["run", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("trust_region", "l_init = 2"), ("trust_region", "l_min = 1"),
+         ("trust_region", "l_max = 10"), ("ga", "mutation_prob = 0.1")],
+    )
+    def test_settings_that_follow_from_the_space_are_unknown_keys(
+        self, tmp_path, capsys, section, key
+    ):
+        """The radius's bounds and start, and the mutation rate, follow from n."""
+        path = write_config(tmp_path)
+        body = path.read_text().replace("[ga]", "[trust_region]\n\n[ga]")
+        path.write_text(body.replace(f"[{section}]", f"[{section}]\n{key}"))
+        assert runner.main(["run", str(path)]) == 1
+        assert f"cannot be set in [{section}]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kernel, ard", [("hamming_rbf", "true"), ("rho", "false")])
