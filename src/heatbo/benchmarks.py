@@ -18,7 +18,8 @@ import inspect
 import json
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from math import isfinite
 from types import MappingProxyType
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "WcnfInstance",
     "BenchmarkObjective",
     "labs_energy",
-    "merit_factor",
     "parse_wcnf",
     "serialize_wcnf",
     "generate_synthetic_wcnf",
@@ -100,13 +100,6 @@ def labs_energy(x) -> float:
     return energy
 
 
-def merit_factor(x) -> float:
-    """n^2 / (2 E); the maximization view of the same objective."""
-    s = np.asarray(x)
-    energy = labs_energy(x)
-    return s.size**2 / (2.0 * energy)
-
-
 # ---------------------------------------------------------------------------
 # Weighted MaxSAT (DIMACS WCNF).
 # ---------------------------------------------------------------------------
@@ -114,11 +107,23 @@ def merit_factor(x) -> float:
 
 @dataclass(frozen=True)
 class WcnfInstance:
+    """A soft instance.  The mean and standard deviation (1 where it is 0) that
+    normalize its weights follow from them and must be finite."""
+
     num_variables: int
     weights: tuple  # raw positive weights per clause
     clauses: tuple  # tuple of tuples of signed literals
-    weight_mean: float
-    weight_std: float
+    weight_mean: float = field(init=False)
+    weight_std: float = field(init=False)
+
+    def __post_init__(self):
+        w = np.asarray(self.weights, dtype=float)
+        with np.errstate(over="ignore"):  # reported below, not as a warning
+            mean, std = float(np.mean(w)), float(np.std(w))
+        if not (isfinite(mean) and isfinite(std)):
+            raise ParseError(f"clause weights overflow: mean {mean}, standard deviation {std}")
+        object.__setattr__(self, "weight_mean", mean)
+        object.__setattr__(self, "weight_std", std or 1.0)
 
     @property
     def num_clauses(self) -> int:
@@ -128,21 +133,12 @@ class WcnfInstance:
         return (np.asarray(self.weights) - self.weight_mean) / self.weight_std
 
 
-def _weight_stats(weights) -> tuple[float, float]:
-    w = np.asarray(weights, dtype=float)
-    mean = float(np.mean(w))
-    std = float(np.std(w))
-    if std == 0.0:
-        std = 1.0
-    return mean, std
-
-
 def parse_wcnf(text: str) -> WcnfInstance:
     """Parse DIMACS WCNF: ``p wcnf <nvars> <nclauses> [top]`` plus clause lines.
 
     Clause lines are ``<weight> <lit> ... 0``; comment lines start with "c".
-    Weights must be finite, positive and soft: a weight equal to the header's top
-    value (a hard clause) is rejected.
+    Weights must be finite, positive and soft (a weight equal to the header's top
+    value, a hard clause, is rejected), and so must their mean and standard deviation.
     """
     num_vars = None
     declared_clauses = None
@@ -198,8 +194,7 @@ def parse_wcnf(text: str) -> WcnfInstance:
         raise ParseError(
             f"header declares {declared_clauses} clauses, found {len(clauses)}"
         )
-    mean, std = _weight_stats(weights)
-    return WcnfInstance(num_vars, tuple(weights), tuple(clauses), mean, std)
+    return WcnfInstance(num_vars, tuple(weights), tuple(clauses))
 
 
 def serialize_wcnf(instance: WcnfInstance) -> str:
@@ -226,8 +221,7 @@ def generate_synthetic_wcnf(num_variables: int, num_clauses: int, seed: int) -> 
         signs = rng.choice([-1, 1], size=length)
         clauses.append(tuple(int(v * s) for v, s in zip(variables, signs)))
         weights.append(float(rng.integers(1, 11)))
-    mean, std = _weight_stats(weights)
-    return WcnfInstance(num_variables, tuple(weights), tuple(clauses), mean, std)
+    return WcnfInstance(num_variables, tuple(weights), tuple(clauses))
 
 
 def maxsat_eval(instance: WcnfInstance, x) -> float:

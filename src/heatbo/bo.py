@@ -476,7 +476,9 @@ def run_bo(
 
     ``objective`` maps a point to a float.  The returned trace contains one
     record per evaluation, init points included; per-iteration wall-clock
-    excludes the objective evaluation, which is timed separately.
+    excludes the objective evaluation, which is timed separately.  With
+    ``budget=0`` and no ``initial_points`` it is the uniform random-search
+    baseline: ``init_count`` seeded draws, incumbents as for any run.
     """
     if budget < 0 or init_count < (2 if budget else 1):
         raise InvalidInputError("need budget >= 0, init_count >= 1, and >= 2 if budget > 0")
@@ -514,25 +516,3 @@ def run_bo(
         run.iteration += 1
     return trace
 
-
-def random_search(objective, space: SearchSpace, budget: int, seed: int):
-    """Uniform-random baseline with the same evaluation accounting."""
-    rng = np.random.default_rng([seed, 0])
-    pts = space.sample_points(budget, rng)
-    trace = []
-    best = np.inf
-    for i, p in enumerate(pts):
-        value = float(objective(p))
-        best = min(best, value)
-        trace.append(
-            IterationRecord(
-                iteration=i,
-                point=tuple(int(v) for v in p),
-                raw_value=value,
-                incumbent=best,
-                elapsed_ms=0.0,
-                objective_ms=0.0,
-                tr_radius=0,
-            )
-        )
-    return trace

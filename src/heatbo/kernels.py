@@ -163,15 +163,45 @@ def rho_eval(space: SearchSpace, rhos, x, y, sigma2: float = 1.0) -> float:
     return value
 
 
+def _rho_bounds(space: SearchSpace) -> np.ndarray:
+    """Each dimension's lower correlation bound lo: a compound-symmetry factor on
+    g categories, 1 on a match and rho otherwise, is positive definite exactly for
+    -1/(g - 1) < rho < 1.  The rho and additive families pack a correlation as
+    theta, rho = lo + (1 - lo) logistic(theta), which maps the reals onto it."""
+    return np.array([-1.0 / (g - 1.0) for g in space.cardinalities])
+
+
 def _validate_rhos(space: SearchSpace, rhos: np.ndarray) -> None:
     if rhos.shape != (space.n,):
         raise InvalidInputError(f"need {space.n} correlations")
-    for g, r in zip(space.cardinalities, rhos):
-        lo = -1.0 / (g - 1.0)
+    for g, lo, r in zip(space.cardinalities, _rho_bounds(space).tolist(), rhos):
         if not (lo < r < 1.0):
             raise InvalidInputError(
                 f"correlation {r} outside ({lo}, 1) for {g} categories"
             )
+
+
+def _rhos_to_theta(space: SearchSpace, rhos: np.ndarray) -> np.ndarray:
+    lo = _rho_bounds(space)
+    p = (rhos - lo) / (1.0 - lo)
+    return np.log(p) - np.log1p(-p)
+
+
+def _theta_to_rhos(space: SearchSpace, theta) -> np.ndarray:
+    lo = _rho_bounds(space)
+    return lo + (1.0 - lo) * (1.0 / (1.0 + np.exp(-np.asarray(theta, dtype=float))))
+
+
+def _rho_slopes(space: SearchSpace, rhos: np.ndarray) -> np.ndarray:
+    """d rho / d theta at ``rhos``: (1 - lo) s (1 - s), s = (rho - lo) / (1 - lo)."""
+    lo = _rho_bounds(space)
+    s = (rhos - lo) / (1.0 - lo)
+    return (1.0 - lo) * s * (1.0 - s)
+
+
+def _default_rhos(space: SearchSpace) -> np.ndarray:
+    """The rho and additive families' starting correlations: heat's at beta = 1/n."""
+    return np.array([heat_rho(1.0 / space.n, g) for g in space.cardinalities])
 
 
 _PROFILE_FAMILIES = ("rbf", "matern52", "rq")
@@ -301,7 +331,6 @@ class Decomposition:
     """Collection of dimension subsets defining which interactions are modeled."""
 
     components: tuple[tuple[int, ...], ...]
-    seed: int | None = None
 
     def __post_init__(self):
         comps = tuple(tuple(sorted(int(i) for i in c)) for c in self.components)
@@ -324,7 +353,7 @@ def sample_decomposition(space: SearchSpace, seed: int) -> Decomposition:
         size = int(rng.integers(1, 4))
         comps.append(tuple(int(j) for j in order[i : i + size]))
         i += size
-    return Decomposition(tuple(comps), seed=seed)
+    return Decomposition(tuple(comps))
 
 
 # ---------------------------------------------------------------------------
@@ -529,19 +558,6 @@ def _scaled_exp(exponent: np.ndarray, sigma2: float) -> np.ndarray:
     return np.multiply(exponent, sigma2, out=exponent)
 
 
-def _logistic(t):
-    return 1.0 / (1.0 + np.exp(-np.asarray(t, dtype=float)))
-
-
-def _logit(p):
-    p = np.asarray(p, dtype=float)
-    return np.log(p) - np.log1p(-p)
-
-
-def _rho_bounds(space: SearchSpace) -> np.ndarray:
-    return np.array([-1.0 / (g - 1.0) for g in space.cardinalities])
-
-
 def _base_matrices(vs, cs, masks):
     """Per-dimension base-kernel matrices, one at a time: v_i on a match, else c_i."""
     return (np.where(mask, c, v) for v, c, mask in zip(vs, cs, masks))
@@ -722,10 +738,7 @@ class _RhoFamily(_Family):
         _validate_rhos(space, np.asarray(spec.params["rhos"], dtype=float))
 
     def default_spec(self, space, ard=True):
-        rhos = np.array(
-            [heat_rho(1.0 / space.n, g) for g in space.cardinalities]
-        )
-        return KernelSpec(self.name, {"rhos": rhos, "sigma2": 1.0}, True)
+        return KernelSpec(self.name, {"rhos": _default_rhos(space), "sigma2": 1.0}, True)
 
     def kernel(self, spec, enc):
         """sigma2 * prod_i (rho_i where the rows differ in dimension i, else 1)."""
@@ -736,9 +749,7 @@ class _RhoFamily(_Family):
 
     def grad(self, spec, enc, K, W):
         rhos = np.asarray(spec.params["rhos"], dtype=float)
-        lo = _rho_bounds(enc.space)
-        s = (rhos - lo) / (1.0 - lo)
-        drho_dtheta = (1.0 - lo) * s * (1.0 - s)
+        drho_dtheta = _rho_slopes(enc.space, rhos)
         factors = [np.where(mask, r, 1.0) for r, mask in zip(rhos, enc.masks)]
         # prefix/suffix products allow rho_i == 0 without 0/0 division
         suffix = [np.ones_like(K)]  # suffix[i]: product of the factors after i
@@ -754,14 +765,10 @@ class _RhoFamily(_Family):
 
     def pack(self, space, spec):
         rhos = np.asarray(spec.params["rhos"], dtype=float)
-        lo = _rho_bounds(space)
-        return np.concatenate(
-            [_logit((rhos - lo) / (1.0 - lo)), [np.log(spec.sigma2)]]
-        )
+        return np.concatenate([_rhos_to_theta(space, rhos), [np.log(spec.sigma2)]])
 
     def unpack(self, space, spec, theta):
-        lo = _rho_bounds(space)
-        rhos = lo + (1.0 - lo) * _logistic(theta[:-1])
+        rhos = _theta_to_rhos(space, theta[:-1])
         return spec.replace_params(rhos=rhos, sigma2=float(np.exp(theta[-1])))
 
 
@@ -821,21 +828,16 @@ class _AdditiveBase(_Family):
 
     def pack(self, space, spec):
         vs, cs = self._vs_cs(spec)
-        lo = _rho_bounds(space)
-        ratio = cs / vs
-        return np.concatenate([np.log(vs), _logit((ratio - lo) / (1.0 - lo))])
+        return np.concatenate([np.log(vs), _rhos_to_theta(space, cs / vs)])
 
     def unpack(self, space, spec, theta):
-        n = space.n
-        vs = np.exp(theta[:n])
-        lo = _rho_bounds(space)
-        ratio = lo + (1.0 - lo) * _logistic(theta[n : 2 * n])
+        vs = np.exp(theta[: space.n])
+        ratio = _theta_to_rhos(space, theta[space.n : 2 * space.n])
         return spec.replace_params(vs=vs, cs=vs * ratio)
 
     def default_base(self, space):
         vs = np.full(space.n, 1.0 / space.n)
-        rhos = np.array([heat_rho(1.0 / space.n, g) for g in space.cardinalities])
-        return vs, vs * rhos
+        return vs, vs * _default_rhos(space)
 
 
 class _AdditiveSumFamily(_AdditiveBase):

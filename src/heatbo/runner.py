@@ -15,6 +15,7 @@ import csv
 import ctypes
 import os
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
@@ -331,18 +332,15 @@ def run_experiment(config: ExperimentConfig) -> dict:
     one summary CSV; if a seed fails, a ``RuntimeError`` names the failed
     seeds instead of the summary."""
     config.validate()
-    try:  # the objective, kernel spec and run state, checked before any output
-        objective = _build_objective(config)
-        spec, *run_configs = _build_run_components(config, objective.space)
-        bo.new_run(objective.space, spec, config.seeds[0], *run_configs)
+    try:  # the objective, kernel spec and run settings, checked before any output
+        _build_run_components(config, _build_objective(config).space)
     except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(str(exc)) from None
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
+        with tempfile.TemporaryFile(dir=out_dir):  # a fresh name: no user file touched
+            pass
     except OSError as exc:
         raise ConfigError(f"output path not writable: {exc}")
 

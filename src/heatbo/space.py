@@ -11,7 +11,7 @@ place, used to move benchmark optima.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,13 +162,12 @@ class Automorphism:
 
     Maps x to y with ``y[i] = perms[i][x[dim_perm[i]]]``.  A non-identity
     dimension permutation is only valid when the dimensions it mixes have
-    equal cardinality.  ``seed`` records the draw; equality compares maps.
+    equal cardinality.
     """
 
     space: SearchSpace
     dim_perm: tuple[int, ...]
     perms: tuple[tuple[int, ...], ...]
-    seed: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = self.space.n
@@ -215,8 +214,8 @@ class Relocation(Automorphism):
     """Per-dimension category bijections: an automorphism that keeps every
     dimension in place.  Moves benchmark optima; preserves Hamming distances."""
 
-    def __init__(self, space: SearchSpace, perms, seed: int | None = None):
-        super().__init__(space, tuple(range(space.n)), perms, seed)
+    def __init__(self, space: SearchSpace, perms):
+        super().__init__(space, tuple(range(space.n)), perms)
 
 
 def identity_relocation(space: SearchSpace) -> Relocation:
@@ -240,7 +239,7 @@ def sample_relocation(space: SearchSpace, seed: int) -> Relocation:
             p = list(range(g))
             _pinned_shuffle(p, rng)
             perms.append(tuple(p))
-    return Relocation(space, tuple(perms), seed=seed)
+    return Relocation(space, tuple(perms))
 
 
 def sample_automorphism(space: SearchSpace, seed: int) -> Automorphism:
@@ -259,4 +258,4 @@ def sample_automorphism(space: SearchSpace, seed: int) -> Automorphism:
         p = list(range(g))
         _pinned_shuffle(p, rng)
         perms.append(tuple(p))
-    return Automorphism(space, tuple(dim_perm), tuple(perms), seed=seed)
+    return Automorphism(space, tuple(dim_perm), tuple(perms))

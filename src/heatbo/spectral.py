@@ -112,7 +112,6 @@ def _group_values(values: np.ndarray):
 class ProductSpectrum:
     """Eigenvalue classes of a full Hamming graph, built by factor additivity."""
 
-    space: SearchSpace
     eigenvalues: np.ndarray  # distinct product eigenvalues, ascending
     multiplicities: np.ndarray  # eigenfunction count per class, exact ints
 
@@ -127,9 +126,7 @@ def product_spectrum(space: SearchSpace) -> ProductSpectrum:
             step[lam + g] = step.get(lam + g, 0) + count * (g - 1)
         counts = step
     values = sorted(counts)
-    return ProductSpectrum(
-        space, np.array(values, dtype=float), np.array([counts[v] for v in values])
-    )
+    return ProductSpectrum(np.array(values, dtype=float), np.array([counts[v] for v in values]))
 
 
 def product_laplacian(space: SearchSpace) -> np.ndarray:

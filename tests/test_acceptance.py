@@ -262,7 +262,8 @@ def test_criterion_10_desk_scale_bo_beats_random_search():
                 measure_time=False,
             )
             bo_final.append(trace[-1].incumbent)
-            rs = bo.random_search(objective, space, init_count + budget, seed=seed)
+            rs = bo.run_bo(objective, space, spec, budget=0, init_count=init_count + budget,
+                           seed=seed, measure_time=False)
             rs_final.append(rs[-1].incumbent)
         results[label] = (float(np.median(bo_final)), float(np.median(rs_final)))
         assert results[label][0] < results[label][1], (label, results[label])

@@ -709,6 +709,24 @@ class TestAskTell:
         assert len(batches) == bo.GaConfig().generations + 1
         assert batches == [(fitted + 1, [count], count) for _, _, count in batches]
 
+    def test_exhausted_region_restarts_then_full_space_raises(self):
+        sp = SearchSpace((2, 2, 2))
+        run = self.make_run(sp)
+        ball = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        for p in ball:  # radius ceil(3 / 4) = 1: the whole ball around the incumbent
+            bo.observe(run, p, float(sum(p)), update_region=False)
+        assert run.tr.center == (0, 0, 0) and run.tr.radius == 1
+        got = tuple(int(v) for v in bo.suggest(run))
+        assert run.restart_count == 1 and run.tr.center != (0, 0, 0)
+        assert got not in run.observed_set()
+        assert hamming_distance(got, run.tr.center) <= run.tr.radius == 1
+        for p in sp.enumerate_points():
+            if tuple(p) not in run.observed_set():
+                bo.observe(run, p, 3.0, update_region=False)
+        assert len(run.points) == 8
+        with pytest.raises(bo.TrustRegionExhausted, match="all 4 points within radius 1"):
+            bo.suggest(run)
+
     def test_suggest_picks_last_unobserved_point_in_tiny_space(self):
         sp = SearchSpace((4,))
         spec = kernels.default_spec(sp, "heat")
@@ -810,7 +828,8 @@ class TestRunBo:
         for seed in range(5):
             t = bo.run_bo(f, sp, spec, 15, 5, seed=seed, measure_time=False)
             bo_final.append(t[-1].incumbent)
-            r = bo.random_search(f, sp, 20, seed=seed + 1000)
+            r = bo.run_bo(f, sp, spec, budget=0, init_count=20, seed=seed + 1000,
+                          measure_time=False)
             rs_final.append(r[-1].incumbent)
         assert np.median(bo_final) < np.median(rs_final)
 

@@ -12,6 +12,7 @@ import pytest
 import heatbo
 from heatbo import benchmarks, kernels, runner, spectral
 from heatbo.space import InvalidInputError
+from test_benchmarks import NON_FINITE_WEIGHTS
 
 
 def write_config(tmp_path, **overrides):
@@ -182,13 +183,15 @@ class TestConfig:
         assert config.benchmark_options == {"path": name}
         assert runner._build_objective(config).space.n == 7
 
-    @pytest.mark.parametrize("weight", ["nan", "inf", "1e400"])
-    def test_non_finite_wcnf_weight_exits_one_before_writing(self, tmp_path, capsys, weight):
-        (tmp_path / "bad.wcnf").write_text(f"p wcnf 2 2\n3 1 0\n{weight} 2 0\n")
+    @pytest.mark.parametrize("weights, error", NON_FINITE_WEIGHTS)
+    def test_non_finite_wcnf_weight_exits_one_before_writing(
+        self, tmp_path, capsys, weights, error
+    ):
+        (tmp_path / "bad.wcnf").write_text("p wcnf 2 2\n{} 1 0\n{} 2 0\n".format(*weights))
         path = write_config(tmp_path, benchmark="maxsat")
         path.write_text(path.read_text().replace("n = 10", f"path = {tmp_path / 'bad.wcnf'}"))
         assert runner.main(["run", str(path)]) == 1
-        assert "line 3: clause weight must be finite" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_kernel_section_reads_integers_and_text(self, tmp_path):
@@ -217,6 +220,14 @@ class TestRunExperiment:
         with pytest.raises(runner.ConfigError, match="output path not writable"):
             runner.run_experiment(config)
         assert blocker.read_text() == ""
+
+    def test_writability_probe_leaves_user_files_alone(self, tmp_path):
+        config = runner.load_config(write_config(tmp_path))
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir(parents=True)
+        (out_dir / ".write_probe").write_text("user data")
+        runner.run_experiment(config)
+        assert (out_dir / ".write_probe").read_text() == "user data"
 
     def test_rerun_byte_identical_without_timing(self, tmp_path):
         config = runner.load_config(write_config(tmp_path))
@@ -534,19 +545,28 @@ class TestCli:
         assert runner.main(["list-kernels"]) == 0
         assert "heat" in capsys.readouterr().out
 
-    def test_module_entry_point(self):
+    @staticmethod
+    def fresh_python(*args):
+        """Run a new interpreter on this checkout's ``src``."""
         src = str(Path(heatbo.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        proc = subprocess.run(
-            [sys.executable, "-m", "heatbo", "list-kernels"],
-            capture_output=True, text=True, env=env, timeout=120,
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
         )
+
+    def test_module_entry_point(self):
+        proc = self.fresh_python("-m", "heatbo", "list-kernels")
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert proc.stdout.split() == list(kernels.FAMILY_NAMES)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # gp's L-BFGS is numpy so that no process pays scipy.optimize's memory and time
+        proc = self.fresh_python("-c", "import sys, heatbo; print('scipy.optimize' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout.split() == ["False"], proc.stderr
 
     def test_speed_command(self, tmp_path, capsys):
         out = tmp_path / "speed.csv"

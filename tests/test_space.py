@@ -264,7 +264,7 @@ class TestRelocation:
         sp = SearchSpace((2, 5, 3))
         r = sample_relocation(sp, 7)
         assert isinstance(r, Automorphism) and r.dim_perm == (0, 1, 2)
-        assert r == Relocation(sp, r.perms, seed=8)  # equality compares maps
+        assert r == Relocation(sp, r.perms)  # equality compares maps
         assert r.inverse() == Automorphism(sp, (0, 1, 2), r.inverse().perms)
 
     def test_flip_frequency_near_half(self):
