@@ -489,7 +489,7 @@ def option_types(name: str) -> dict:
     """The options of benchmark ``name``: its builder's keyword parameters in
     ``_BENCHMARKS``, each mapped to its annotated type."""
     if name not in _BENCHMARKS:
-        raise InvalidInputError(f"unknown benchmark {name!r}; see list_benchmarks()")
+        raise InvalidInputError(f"unknown benchmark {name!r}; known: {list(_BENCHMARKS)}")
     params = inspect.signature(_BENCHMARKS[name], eval_str=True).parameters
     return {k: p.annotation for k, p in params.items() if p.kind is p.KEYWORD_ONLY}
 
@@ -499,9 +499,11 @@ def make_benchmark(name: str, noise_seed: int = 0, **options) -> BenchmarkObject
 
     An option not in ``option_types(name)``, or a value not of the option's
     type, is an ``InvalidInputError``; an ``int`` option takes an integer
-    that is not a bool.
+    that is not a bool.  ``noise_seed``, a numpy seed, must be >= 0.
     """
     kinds = option_types(name)
+    if noise_seed < 0:
+        raise InvalidInputError(f"noise_seed must be >= 0, got {noise_seed}")
     for key, value in options.items():
         if key not in kinds:
             raise InvalidInputError(f"benchmark {name!r} takes no option {key!r}; "

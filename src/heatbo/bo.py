@@ -45,6 +45,7 @@ __all__ = [
     "new_run",
     "suggest",
     "observe",
+    "check_run",
     "run_bo",
 ]
 
@@ -459,6 +460,18 @@ class IterationRecord:
     tr_radius: int
 
 
+def check_run(space: SearchSpace, budget: int, init_count: int, seed: int) -> None:
+    """A ``run_bo`` shape: seed >= 0, budget >= 0 and init_count >= 1; if budget > 0,
+    also init_count >= 2 (a fit needs two points) and init_count + budget <= space.size,
+    so each suggestion has an unobserved point whether or not initial draws repeat."""
+    if budget < 0 or init_count < (2 if budget else 1):
+        raise InvalidInputError("need budget >= 0, init_count >= 1, and >= 2 if budget > 0")
+    if budget and init_count + budget > space.size:
+        raise InvalidInputError(f"init_count + budget exceeds the space's {space.size} points")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+
+
 def run_bo(
     objective,
     space: SearchSpace,
@@ -480,8 +493,7 @@ def run_bo(
     ``budget=0`` and no ``initial_points`` it is the uniform random-search
     baseline: ``init_count`` seeded draws, incumbents as for any run.
     """
-    if budget < 0 or init_count < (2 if budget else 1):
-        raise InvalidInputError("need budget >= 0, init_count >= 1, and >= 2 if budget > 0")
+    check_run(space, budget, init_count, seed)
     run = new_run(space, spec, seed, tr_config, ga_config, optimizer_config)
     if initial_points is None:
         init_rng = np.random.default_rng([seed, 0])

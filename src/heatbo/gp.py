@@ -395,10 +395,8 @@ def fit(
     parameters that the previous fit already places near their optimum,
     runs L-BFGS (``_lbfgs_ascent``) from the warm start alone when there is
     one, else from ``spec``.  A ``NumericFailure`` ends an Adam start with
-    its best iterate so far and halves an L-BFGS step.  When no start could
-    be evaluated at all, the state is built on the warm start's
-    hyperparameters, and the fit raises only when there is none or that
-    fails too.
+    its best iterate so far and halves an L-BFGS step; when no start could
+    be evaluated at all, the fit raises it.
     Deterministic: full-batch gradients, no stochasticity anywhere.
     """
     if train.count < 2:
@@ -434,9 +432,7 @@ def fit(
         except NumericFailure:  # the start itself cannot be factored
             continue
     if not results:
-        if warm_start is None:
-            raise NumericFailure("no start could be evaluated")
-        return make_state(space, train, warm_start, starts[-1][1], terms=terms)
+        raise NumericFailure("no start could be evaluated")
     theta_opt, _ = max(results, key=lambda result: result[1])  # the first on a tie
     fitted_spec = kernels.unpack_spec(space, spec, theta_opt[:-1])
     fitted_noise = float(np.exp(theta_opt[-1]))

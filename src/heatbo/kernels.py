@@ -467,10 +467,7 @@ class KernelSpec:
     ard: bool = True
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise InvalidInputError(
-                f"unknown family {self.family!r}; known: {sorted(_FAMILIES)}"
-            )
+        _family(self.family)
         if not isinstance(self.ard, bool):
             raise InvalidInputError(f"ard must be True or False, got {self.ard!r}")
 
@@ -940,6 +937,7 @@ class _InvariantFamily(_Family):
         inner = spec.params["inner"]
         mode = spec.params["mode"]
         samples = spec.params.get("samples", self.samples)
+        seed = spec.params.get("seed", self.seed)
         if mode not in ("sum", "proj", "padded_proj", "prod"):
             raise InvalidInputError(f"unknown invariance mode {mode!r}")
         if not isinstance(inner, KernelSpec):
@@ -948,9 +946,10 @@ class _InvariantFamily(_Family):
         _require_equal_alphabet(space)  # so permuted and sorted rows stay in range
         if mode == "padded_proj" and not isinstance(_FAMILIES[inner.family], _ProfileFamily):
             raise InvalidInputError("padded projection needs a distance-profile inner")
-        integer = isinstance(samples, (int, np.integer)) and not isinstance(samples, bool)
-        if samples is not None and not (integer and samples >= 1):
+        if samples is not None and not (np.asarray(samples).dtype.kind in "iu" and samples >= 1):
             raise InvalidInputError(f"samples must be None or an int >= 1, got {samples!r}")
+        if not (np.asarray(seed).dtype.kind in "iu" and seed >= 0):
+            raise InvalidInputError(f"seed must be an int >= 0, got {seed!r}")
 
     def default_spec(self, space, ard=True):
         inner = default_spec(space, "hamming_rbf")
@@ -1040,10 +1039,14 @@ _FAMILIES = {
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
 
 
+def _family(name: str) -> _Family:
+    if name not in _FAMILIES:
+        raise InvalidInputError(f"unknown family {name!r}; known: {list(FAMILY_NAMES)}")
+    return _FAMILIES[name]
+
+
 def default_spec(space: SearchSpace, family: str, ard: bool = True, **overrides) -> KernelSpec:
-    if family not in _FAMILIES:
-        raise InvalidInputError(f"unknown family {family!r}")
-    spec = _FAMILIES[family].default_spec(space, ard)
+    spec = _family(family).default_spec(space, ard)
     if overrides:
         spec = spec.replace_params(**overrides)
     validate_spec(space, spec)

@@ -84,28 +84,13 @@ class ExperimentConfig:
     optimizer_options: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        """The seeds' and ``parallel``'s rules; ``run_experiment`` checks the rest."""
         if not self.seeds:
             raise ConfigError("seed list must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
-        if self.budget < 0 or self.init_count < (2 if self.budget else 1):
-            raise ConfigError("need budget >= 0, init_count >= 1, and >= 2 if budget > 0")
         if self.parallel < 1:
             raise ConfigError("parallel degree must be >= 1")
-        if self.kernel_family not in kernels.FAMILY_NAMES:
-            raise ConfigError(
-                f"unknown kernel family {self.kernel_family!r}; "
-                f"known: {kernels.FAMILY_NAMES}"
-            )
-        if self.benchmark not in benchmarks.list_benchmarks():
-            raise ConfigError(
-                f"unknown benchmark {self.benchmark!r}; "
-                f"known: {benchmarks.list_benchmarks()}"
-            )
-        known = _kernel_kinds(self.kernel_family)
-        unknown = sorted(set(self.kernel_options) - set(known))
-        if unknown:
-            raise ConfigError(f"unknown key(s) {unknown} in [kernel]; known: {sorted(known)}")
 
     def run_id(self, seed: int) -> str:
         reloc = "-reloc" if self.relocate else ""
@@ -193,8 +178,7 @@ def load_config(path) -> ExperimentConfig:
     for name, (dest, kinds, file_keys) in _SECTIONS.items():
         values = _section_values(parser[name], kinds(config), file_keys)
         config = replace(config, **(values if dest is None else {dest: values}))
-        if dest is None:  # the benchmark and kernel family that type later sections
-            config.validate()
+    config.validate()
     return config
 
 
@@ -327,22 +311,31 @@ def _seed_outcomes(config: ExperimentConfig):
         yield from ((futures[f], f.exception() or f.result()) for f in as_completed(futures))
 
 
+def _writable_dir(path) -> Path:
+    """``path``, made a directory if missing, probed with a fresh temporary file."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryFile(dir=path):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"output path not writable: {exc}") from None
+    return path
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute all seeds, write one trace CSV per seed as it finishes, then
     one summary CSV; if a seed fails, a ``RuntimeError`` names the failed
     seeds instead of the summary."""
     config.validate()
-    try:  # the objective, kernel spec and run settings, checked before any output
-        _build_run_components(config, _build_objective(config).space)
+    try:  # the objective, kernel spec, run settings and run shape, checked before any output
+        space = _build_objective(config).space
+        _build_run_components(config, space)
+        for seed in config.seeds:
+            bo.check_run(space, config.budget, config.init_count, seed)
     except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(str(exc)) from None
-    out_dir = Path(config.output_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryFile(dir=out_dir):  # a fresh name: no user file touched
-            pass
-    except OSError as exc:
-        raise ConfigError(f"output path not writable: {exc}")
+    out_dir = _writable_dir(config.output_dir)
 
     traces, trace_paths, failed = {}, {}, {}
     for seed, outcome in _seed_outcomes(config):
@@ -595,44 +588,37 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    try:  # a usage error is a ConfigError; nothing is written before validation
+    try:  # a usage error is a ConfigError; each command checks its input before it writes
         args = _build_arg_parser().parse_args(argv)
+        if args.command == "selftest":
+            return 0 if selftest() else 3
         if args.command == "run":
             result = run_experiment(_apply_overrides(load_config(args.config), args))
+            lines = [f"summary: {result['summary']}"]
+            lines += [f"trace seed {seed}: {path}" for seed, path in result["traces"].items()]
         elif args.command == "speed":
-            rows = compare_speed(_int_list(args.sizes), args.points, args.dims)
+            sizes = _int_list(args.sizes)
+            header = ("kernel", "categories", "dims", "points", "median_ms", "blas_pinned")
+            if args.out:  # probed first: the timing run takes seconds
+                _writable_dir(Path(args.out).parent)
+            rows = compare_speed(sizes, args.points, args.dims)
+            if args.out:
+                _write_csv(Path(args.out), header, rows)
+                lines = [f"timing table: {args.out}"]
+            else:
+                lines = [",".join(header)]
+                lines += [",".join(str(row[c]) for c in header) for row in rows]
+        else:
+            lines = {"list-benchmarks": benchmarks.list_benchmarks(),
+                     "list-kernels": kernels.FAMILY_NAMES}[args.command]
+        print(*lines, sep="\n")
+        return 0
     except InvalidInputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
-    if args.command == "run":
-        print(f"summary: {result['summary']}")
-        for seed, path in result["traces"].items():
-            print(f"trace seed {seed}: {path}")
-        return 0
-    if args.command == "selftest":
-        return 0 if selftest() else 3
-    if args.command == "speed":
-        header = ("kernel", "categories", "dims", "points", "median_ms", "blas_pinned")
-        if args.out:
-            _write_csv(Path(args.out), header, rows)
-            print(f"timing table: {args.out}")
-        else:
-            print(",".join(header))
-            for row in rows:
-                print(",".join(str(row[c]) for c in header))
-        return 0
-    if args.command == "list-benchmarks":
-        for name in benchmarks.list_benchmarks():
-            print(name)
-        return 0
-    if args.command == "list-kernels":
-        for name in kernels.FAMILY_NAMES:
-            print(name)
-        return 0
-    return 1
 
 
 if __name__ == "__main__":

@@ -447,3 +447,20 @@ class TestRegistry:
             for x in obj.space.sample_points(3, rng):
                 got, want = np.float64(obj.evaluate(x)), np.float64(direct[name](x))
                 assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: bm.labs_energy([[0, 1]]), "sequence must be one-dimensional"),
+        (lambda: bm.maxsat_eval(bm.generate_synthetic_wcnf(3, 5, seed=0), [2, 0, 0]),
+         "assignment must be binary"),
+        (lambda: bm.sfu_eval("ackley", [11, 0], grid=11), r"grid indices must lie in 0\.\.10"),
+        (lambda: bm.option_types("bogus"), r"unknown benchmark 'bogus'; known: \[.*'labs'"),
+        (lambda: bm.make_benchmark("pest_control", noise_seed=-1), "noise_seed must be >= 0"),
+    ],
+    ids=["labs-ndim", "maxsat-binary", "sfu-grid", "benchmark-name", "noise-seed"],
+)
+def test_rejected_input(call, match):
+    with pytest.raises(InvalidInputError, match=match):
+        call()

@@ -753,6 +753,34 @@ class TestRunBo:
         with pytest.raises(InvalidInputError):
             bo.run_bo(f, sp, spec, 1, 1, seed=1)
 
+    @pytest.mark.parametrize(
+        "budget, init_count, seed, match",
+        [(-1, 2, 1, "budget >= 0"), (6, 3, 0, "exceeds the space's 8 points"),
+         (1, 2, -1, "seed must be >= 0")],
+    )
+    def test_run_shape_rejected_before_any_evaluation(self, budget, init_count, seed, match):
+        sp = SearchSpace((2,) * 3)
+        evaluated = []
+        with pytest.raises(InvalidInputError, match=match):
+            bo.run_bo(evaluated.append, sp, kernels.default_spec(sp, "heat"), budget,
+                      init_count, seed=seed)
+        assert not evaluated
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_run_of_every_point_of_the_space_finishes(self, seed):
+        """init_count + budget = space.size: each suggestion finds an unobserved point."""
+        sp = SearchSpace((2,) * 3)
+        trace = bo.run_bo(benchmarks.labs_energy, sp, kernels.default_spec(sp, "heat"), 5, 3,
+                          seed=seed, optimizer_config=gp.OptimizerConfig(steps=10),
+                          measure_time=False)
+        assert len(trace) == 8
+
+    def test_random_search_draws_past_the_space_size(self):
+        sp = SearchSpace((2,) * 3)
+        trace = bo.run_bo(benchmarks.labs_energy, sp, kernels.default_spec(sp, "heat"), 0, 20,
+                          seed=0, measure_time=False)
+        assert len(trace) == 20 and len({r.point for r in trace}) <= sp.size
+
     def test_incumbent_monotone_non_increasing(self):
         sp = SearchSpace((2,) * 6)
         spec = kernels.default_spec(sp, "heat")
@@ -864,3 +892,24 @@ class TestTracePin:
             budget=6, init_count=6, seed=3, measure_time=False,
         )
         assert trace_digest(labs_trace, five_trace) == "693ea642d4e252e2"
+
+
+SP3 = SearchSpace((2,) * 3)
+HEAT3 = kernels.default_spec(SP3, "heat")
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: bo.TrustRegionState((0, 0, 0), 0, bo.TrustRegionConfig()),
+         r"radius 0 outside \[1, 3\]"),
+        (lambda: bo.suggest(bo.new_run(SP3, HEAT3, 0)), "need at least 2 observations"),
+        (lambda: bo.run_bo(benchmarks.labs_energy, SP3, HEAT3, 1, 3, seed=0,
+                           initial_points=[[0, 0, 0], [1, 1, 1]]),
+         "initial point count mismatch"),
+    ],
+    ids=["radius", "suggest-history", "initial-points"],
+)
+def test_rejected_input(call, match):
+    with pytest.raises(InvalidInputError, match=match):
+        call()

@@ -751,8 +751,7 @@ def failing_factorizations(monkeypatch, fail_on):
 class TestNumericFailureContainment:
     """A failed factorization ends one Adam start, which keeps its best
     iterate, and halves an L-BFGS step; when no start evaluated anything the
-    fit falls back to the warm start's hyperparameters, and fails only
-    without one."""
+    fit fails."""
 
     def problem(self, ard):
         sp = SearchSpace((3, 4, 2))
@@ -817,25 +816,14 @@ class TestNumericFailureContainment:
 
     @pytest.mark.parametrize(
         "ard, warm, fail_on",
-        [(False, False, {1}), (False, True, {1, 2}), (True, True, {1, 2, 3}), (True, False, {1})],
+        [(False, False, {1}), (False, True, {1}), (True, True, {1, 2}), (True, False, {1})],
     )
     def test_no_start_evaluated_is_numeric_failure(self, monkeypatch, ard, warm, fail_on):
-        # with a warm start, the state on its hyperparameters fails as well
         sp, train, spec, config, warm_kwargs = self.problem(ard)
         calls, values = failing_factorizations(monkeypatch, fail_on)
         with pytest.raises(gp.NumericFailure):
             gp.fit(sp, train, spec, config, **(warm_kwargs if warm else {}))
         assert len(calls) == len(fail_on) and not values
-
-    @pytest.mark.parametrize("ard, fail_on", [(False, {1}), (True, {1, 2})])
-    def test_no_start_evaluated_falls_back_to_the_warm_start(self, monkeypatch, ard, fail_on):
-        sp, train, spec, config, warm_kwargs = self.problem(ard)
-        calls, values = failing_factorizations(monkeypatch, fail_on)
-        state = gp.fit(sp, train, spec, config, **warm_kwargs)
-        assert len(calls) == len(fail_on) + 1 and len(values) == 1
-        assert_same_spec(state.spec, warm_kwargs["warm_start"])
-        assert bits(state.noise_variance) == bits(warm_kwargs["warm_noise"])
-        assert bits(state.mll_value) == bits(values[0])
 
     def test_zero_steps_fails_with_its_only_evaluation(self, monkeypatch):
         sp, train, spec, _, _ = self.problem(False)
@@ -1244,3 +1232,22 @@ class TestJitter:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(gp.NumericFailure):
             gp._chol_with_jitter(bad, (0.0, 1e-8))
+
+
+SP2 = SearchSpace((2, 3))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: gp.TrainingSet.from_observations(SP2, [[0, 0]], [1.0, 2.0]),
+         "one target per point required"),
+        (lambda: gp.make_state(SP2, make_train(SP2, np.random.default_rng(0), m=3),
+                               kernels.default_spec(SP2, "heat"), 0.0),
+         "noise variance must be > 0"),
+    ],
+    ids=["targets-per-point", "noise-variance"],
+)
+def test_rejected_input(call, match):
+    with pytest.raises(InvalidInputError, match=match):
+        call()

@@ -465,10 +465,10 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
-def invariant_spec(space, mode, samples=3):
+def invariant_spec(space, mode, samples=3, seed=0):
     """An invariant spec around a distance profile, which every mode takes."""
     params = {"inner": kn.default_spec(space, "hamming_rbf"), "mode": mode,
-              "samples": samples, "seed": 0}
+              "samples": samples, "seed": seed}
     return kn.KernelSpec("invariant", params, False)
 
 
@@ -490,6 +490,13 @@ class TestInvariantValidation:
         sp = SearchSpace((3, 3))
         with pytest.raises(InvalidInputError, match="samples"):
             kn.validate_spec(sp, invariant_spec(sp, mode, samples))
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+    @pytest.mark.parametrize("mode", INVARIANT_MODES)
+    def test_seed_must_be_a_non_negative_int(self, mode, seed):
+        sp = SearchSpace((3, 3))
+        with pytest.raises(InvalidInputError, match="seed must be an int >= 0"):
+            kn.validate_spec(sp, invariant_spec(sp, mode, seed=seed))
 
     @pytest.mark.parametrize("samples", [None, 1, np.int64(4)])
     @pytest.mark.parametrize("mode", INVARIANT_MODES)
@@ -987,6 +994,66 @@ class TestHyperparameterValidation:
                 kn.validate_spec(sp, spec)
             with pytest.raises(InvalidInputError):
                 kn.gram(sp, spec, sp.sample_points(3, np.random.default_rng(0)))
+
+
+SP3, X3, Y3 = SearchSpace((3, 3, 3)), [0, 1, 2], [1, 1, 0]
+UNIT_BASE = ([1.0] * 3, [0.5] * 3)  # vs, cs of three base kernels
+UNKNOWN_FAMILY = r"unknown family 'bogus'; known: \[.*'heat'"
+# (a call on input its function rejects, a fragment of the message)
+REJECTED_INPUTS = {
+    "heat_rho-negative-beta": (lambda: kn.heat_rho(-0.1, 3), "beta must be >= 0"),
+    "beta_to_gamma-one-category": (lambda: kn.beta_to_gamma(0.5, 1), "need g >= 2"),
+    "spread-shape": (lambda: kn.heat_eval(SP3, [0.1, 0.2], X3, Y3), "need 1 or 3 values"),
+    "rhos-shape": (lambda: kn.rho_eval(SP3, [0.1, 0.1], X3, Y3), "need 3 correlations"),
+    "profile-lengthscale": (
+        lambda: kn.hamming_family_eval(SP3, "rbf", {"lengthscale": 0.0}, X3, Y3),
+        "lengthscale must be > 0"),
+    "profile-rq-alpha": (
+        lambda: kn.hamming_family_eval(SP3, "rq", {"lengthscale": 1.0, "alpha": 0.0}, X3, Y3),
+        "rq shape alpha must be > 0"),
+    "padded-profile-family": (
+        lambda: kn.invariant_eval(SP3, ("bogus", {"lengthscale": 1.0}), "padded_proj", X3, Y3),
+        "unknown profile family 'bogus'"),
+    "hamming-family": (
+        lambda: kn.hamming_family_eval(SP3, "bogus", {"lengthscale": 1.0}, X3, Y3),
+        "family must be one of"),
+    "base-shape": (lambda: kn.additive_sum_eval(SP3, [1.0] * 2, [0.5] * 2, X3, Y3),
+                   "need 3 base-kernel"),
+    "base-variance": (lambda: kn.additive_sum_eval(SP3, [0.0, 1, 1], [0.0, 0.5, 0.5], X3, Y3),
+                      "base variances must be > 0"),
+    "degree-weights": (
+        lambda: kn.explainable_additive_eval(SP3, [-1.0, 0, 0], *UNIT_BASE, X3, Y3),
+        "nonnegative degree weights"),
+    "decomposition-empty": (lambda: kn.Decomposition(()), "nonempty components"),
+    "padded-vector": (lambda: kn.PaddedVector((0, -1), 2), "non-padding symbol count"),
+    "invariant_eval-mode": (lambda: kn.invariant_eval(SP3, lambda a, b: 1.0, "bogus", X3, Y3),
+                            "unknown invariance mode"),
+    "spec-family": (lambda: kn.KernelSpec("bogus", {}), UNKNOWN_FAMILY),
+    "default_spec-family": (lambda: kn.default_spec(SP3, "bogus"), UNKNOWN_FAMILY),
+    "ard-count": (
+        lambda: kn.gram(SP3, kn.KernelSpec("heat", {"betas": [0.1], "sigma2": 1.0}, True),
+                        [X3, Y3]),
+        "betas count does not match the ard flag"),
+    "profile-spec-lengthscale": (lambda: kn.default_spec(SP3, "hamming_rbf", lengthscale=0.0),
+                                 "lengthscale must be > 0"),
+    "decomposition-cover": (
+        lambda: kn.default_spec(SP3, "random_decomposition",
+                                decomposition=kn.Decomposition(((0,),))),
+        "decomposition must cover every dimension"),
+    "invariant-mode": (lambda: kn.default_spec(SP3, "invariant", mode="bogus"),
+                       "unknown invariance mode"),
+    "invariant-inner-type": (lambda: kn.default_spec(SP3, "invariant", inner="hamming_rbf"),
+                             "inner kernel must be a KernelSpec"),
+    "padded-inner-profile": (
+        lambda: kn.default_spec(SP3, "invariant", inner=kn.default_spec(SP3, "heat")),
+        "padded projection needs a distance-profile inner"),
+}
+
+
+@pytest.mark.parametrize("call, match", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS)
+def test_rejected_input(call, match):
+    with pytest.raises(InvalidInputError, match=match):
+        call()
 
 
 def dyadic_reference(w, sizes):

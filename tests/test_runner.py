@@ -103,12 +103,12 @@ class TestConfig:
 
     def test_unknown_kernel_rejected(self, tmp_path):
         path = write_config(tmp_path, kernel="mystery")
-        with pytest.raises(runner.ConfigError):
+        with pytest.raises(runner.ConfigError, match=r"'mystery'; known: \[.*'heat'"):
             runner.load_config(path)
 
     def test_unknown_benchmark_rejected(self, tmp_path):
         path = write_config(tmp_path, benchmark="mystery")
-        with pytest.raises(runner.ConfigError):
+        with pytest.raises(runner.ConfigError, match=r"'mystery'; known: \[.*'labs'"):
             runner.load_config(path)
 
     @pytest.mark.parametrize(
@@ -116,7 +116,6 @@ class TestConfig:
         [
             ({"seeds": ()}, "seed list must be non-empty"),
             ({"parallel": 0}, "parallel degree must be >= 1"),
-            ({"kernel_options": {"gamma": 1.0}}, r"unknown key\(s\) \['gamma'\] in \[kernel\]"),
         ],
     )
     def test_validate_rejects(self, fields, match):
@@ -212,6 +211,22 @@ class TestRunExperiment:
         summary = read_csv(result["summary"])
         assert len(summary) == 6
         assert list(summary[0].keys()) == list(runner.SUMMARY_COLUMNS)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"kernel_family": "mystery"}, r"'mystery'; known: \[.*'heat'"),
+            ({"benchmark": "mystery"}, r"'mystery'; known: \[.*'labs'"),
+            ({"kernel_options": {"gamma": 1.0}}, r"unknown key\(s\) \['gamma'\]"),
+        ],
+    )
+    def test_unknown_names_and_kernel_keys_rejected_before_writing(
+        self, tmp_path, fields, match
+    ):
+        config = runner.ExperimentConfig(output_dir=str(tmp_path / "out"), **fields)
+        with pytest.raises(runner.ConfigError, match=match):
+            runner.run_experiment(config)
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_output_is_config_error(self, tmp_path):
         blocker = tmp_path / "a_file"
@@ -515,6 +530,37 @@ class TestCli:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides, old, new, flags, message",
+        [
+            pytest.param({}, "n = 10", "n = 3", ["--budget", "8"],
+                         "init_count + budget exceeds the space's 8 points", id="budget-8"),
+            # seed 0's initial draws repeat, so its run could finish: rejected all the same
+            pytest.param({}, "n = 10", "n = 3", ["--budget", "6"],
+                         "init_count + budget exceeds the space's 8 points", id="budget-6"),
+            pytest.param({}, "", "", ["--seeds=-1"], "seed must be >= 0", id="seed"),
+            pytest.param({"benchmark": "pest_control", "noise_seed": -1}, "n = 10", "", [],
+                         "noise_seed must be >= 0", id="noise-seed"),
+            pytest.param({"kernel": "invariant"}, "n = 10",
+                         "n = 6\n[kernel]\nmode = sum\nseed = -1", [],
+                         "seed must be an int >= 0", id="invariant-seed"),
+        ],
+    )
+    def test_run_shape_and_seed_mistakes_exit_one_before_writing(
+        self, tmp_path, capsys, overrides, old, new, flags, message
+    ):
+        path = write_config(tmp_path, seeds="0", **overrides)
+        path.write_text(path.read_text().replace(old, new))
+        assert runner.main(["run", str(path), *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_speed_output_exits_one_before_timing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "compare_speed", _crash)  # a call would exit 2
+        (tmp_path / "a_file").write_text("")
+        assert runner.main(["speed", "--out", str(tmp_path / "a_file" / "speed.csv")]) == 1
+        assert capsys.readouterr().err.startswith("config error: output path not writable")
+
     def test_speed_usage_error_exits_one_before_writing(self, tmp_path, capsys):
         out = tmp_path / "speed.csv"
         assert runner.main(["speed", "--points", "x", "--out", str(out)]) == 1
@@ -602,3 +648,10 @@ class TestCli:
 )
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    exec(example.split("```", 1)[0], {})
+    assert float(capsys.readouterr().out) >= 0.0

@@ -336,3 +336,19 @@ class TestAutomorphism:
         for row, x in zip(batch, xs):
             assert np.array_equal(row, a.apply(x))
 
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: hamming_matrix([[0, 1]], [[0, 1, 0]]), "dimension mismatch between point sets"),
+        (lambda: Automorphism(SearchSpace((2, 2)), (0, 0), ((0, 1), (0, 1))),
+         "dim_perm is not a permutation"),
+        (lambda: Automorphism(SearchSpace((2, 2)), (0, 1), ((0, 1),)),
+         "one permutation per dimension"),
+    ],
+    ids=["hamming_matrix-dims", "automorphism-dim_perm", "automorphism-perm-count"],
+)
+def test_rejected_input(call, match):
+    with pytest.raises(InvalidInputError, match=match):
+        call()

@@ -337,3 +337,26 @@ class TestHammingKernelsCommuteWithLaplacian:
             gram = hamming_profile_gram(sp, values, pts)
             err = np.max(np.abs(gram @ lap - lap @ gram))
             assert err < 1e-8
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: factor_spectrum(1), "factor needs g >= 2"),
+        (lambda: product_laplacian(SearchSpace((2,) * 13)), "restricted to small spaces"),
+        (lambda: PhiSpec([0.0, 2.0], [1.0]), "1-D and aligned"),
+        (lambda: phi_gram(SearchSpace((2,) * 21), PhiSpec([0.0], [1.0]), [[0] * 21]),
+         "subset expansion limited"),
+        (lambda: hamming_to_phi(SearchSpace((2, 2)), [1.0, 0.5]),
+         r"need one kernel value per distance 0\.\.2"),
+        (lambda: hamming_to_phi(SearchSpace((2,) * 15), np.ones(16)),
+         "conversion limited to small dimension counts"),
+        (lambda: hamming_profile_gram(SearchSpace((2, 2)), [1.0], [[0, 0]]),
+         r"need one kernel value per distance 0\.\.2"),
+    ],
+    ids=["factor-g", "laplacian-size", "phi-aligned", "phi_gram-n", "profile-length",
+         "conversion-n", "profile_gram-length"],
+)
+def test_rejected_input(call, match):
+    with pytest.raises(InvalidInputError, match=match):
+        call()
