@@ -75,8 +75,8 @@ def expected_improvement(mean, variance, best_so_far: float):
     z = np.divide(improve, sigma, out=np.zeros(improve.shape), where=positive)
     z = np.minimum(np.maximum(z, -38.0), 38.0)
     ei = improve * ndtr(z) + sigma * np.exp(-0.5 * z**2) / sqrt(2.0 * np.pi)
-    ei = np.where(positive, ei, improve)
-    return np.maximum(ei, 0.0) if ei.ndim else float(max(ei, 0.0))
+    ei = np.maximum(np.where(positive, ei, improve), 0.0)  # +0.0, never -0.0
+    return ei if ei.ndim else float(ei)
 
 
 # ---------------------------------------------------------------------------

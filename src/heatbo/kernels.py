@@ -27,19 +27,19 @@ mismatch count (one-hot products, weights on one binary grid; with one
 weight group, a table of n + 1 values taken at the exact Hamming matrix),
 the distance profiles functions of that matrix, and ``additive_sum`` affine
 in a one-hot product weighted on that grid; the other families take one
-mismatch mask per dimension, entry by entry.  ``invariant``'s sum and prod
-modes reduce the inner values T[p, q] = k(x o p, y o q) over sampled
-permutations p, q in a fixed order: T[p, p], then T[p, q] + T[q, p] (or
-the product) for each q > p, so (x, y) and (y, x) combine the same pairs.
-``diag`` takes k(x, x) as the one-point Gram, except that ``proj`` and
-``padded_proj`` take the inner family's own ``diag``, with the same bits.
+mismatch mask per dimension, entry by entry.  ``invariant``'s sum mode
+adds the inner values T[p, q] = k(x o p, y o q) over sampled permutations
+p, q in a fixed order: T[p, p], then T[p, q] + T[q, p] for each q > p, so
+(x, y) and (y, x) combine the same pairs.  ``diag`` takes k(x, x) as the
+one-point Gram, except that ``proj`` and ``padded_proj`` take the inner
+family's own ``diag``, with the same bits.
 ``fit_terms(space, spec, X)`` encodes a training set once,
 for the GP's fit and predictions alike: its ``grad(spec, K, W)`` gives
-1/2 <W, dK/dtheta_j> in closed form where the family has one, else by
-central differences, and its ``cross_gram(spec, X1)`` gives ``cross_gram``'s
-bits, the log-affine families encoding only X1's one-hot block against the
-weighted training side they keep for the last spec.  The scalar ``*_eval``
-functions are independent oracles.
+1/2 <W, dK/dtheta_j>, every family's in closed form, and its
+``cross_gram(spec, X1)`` gives ``cross_gram``'s bits, the log-affine
+families encoding only X1's one-hot block against the weighted training
+side they keep for the last spec.  The scalar ``*_eval`` functions are
+independent oracles.
 """
 
 from __future__ import annotations
@@ -425,12 +425,11 @@ def invariant_eval(
 ) -> float:
     """Make a kernel invariant to dimension permutations.
 
-    ``inner`` is a callable ``inner(x, y) -> float`` for the sum/proj/prod
+    ``inner`` is a callable ``inner(x, y) -> float`` for the sum and proj
     modes, or a ``(family, params)`` profile pair for ``padded_proj``.
     Modes: ``sum`` averages the inner kernel over sampled pairs of group
-    elements, ``proj`` canonicalizes both inputs by sorting, ``padded_proj``
-    applies a distance profile to the padded-encoding distance, and ``prod``
-    multiplies over sampled pairs.
+    elements, ``proj`` canonicalizes both inputs by sorting, and
+    ``padded_proj`` applies a distance profile to the padded-encoding distance.
     """
     x = space.validate_point(x)
     y = space.validate_point(y)
@@ -441,14 +440,9 @@ def invariant_eval(
         h_pad = padded_hamming_distance(space, x, y)
         sigma2 = float(params.get("sigma2", 1.0))
         return sigma2 * float(_profile(family, params, np.array(h_pad)))
-    if mode in ("sum", "prod"):
+    if mode == "sum":
         perms = _dimension_permutations(space.n, samples, seed)
-        terms = [
-            float(inner(x[p], y[q])) for p in perms for q in perms
-        ]
-        if mode == "sum":
-            return float(np.mean(terms))
-        return float(np.prod(terms))
+        return float(np.mean([float(inner(x[p], y[q])) for p in perms for q in perms]))
     raise InvalidInputError(f"unknown invariance mode {mode!r}")
 
 
@@ -493,7 +487,7 @@ def _one_hot_pair(space: SearchSpace, X1, X2) -> SimpleNamespace:
     """Z1 and 1 - Z2: the two sides of ``_weighted_mismatches``."""
     Z1 = _one_hot(space, X1)
     return SimpleNamespace(
-        cards=space.cardinalities, Z1=Z1, Z2c=1.0 - (Z1 if X2 is X1 else _one_hot(space, X2))
+        space=space, Z1=Z1, Z2c=1.0 - (Z1 if X2 is X1 else _one_hot(space, X2))
     )
 
 
@@ -503,7 +497,7 @@ def _weighted_mismatches(pair: SimpleNamespace, weights) -> np.ndarray:
     Only mismatches contribute, so a floored log-weight of -1e300 (a zero
     correlation) is never cancelled against itself and exp gives exactly 0.
     """
-    return (pair.Z1 * np.repeat(weights, pair.cards)) @ pair.Z2c.T
+    return (pair.Z1 * np.repeat(weights, pair.space.cardinalities)) @ pair.Z2c.T
 
 
 def mismatch_counts(space: SearchSpace, X1, X2, groups) -> np.ndarray:
@@ -555,15 +549,8 @@ def _scaled_exp(exponent: np.ndarray, sigma2: float) -> np.ndarray:
     return np.multiply(exponent, sigma2, out=exponent)
 
 
-def _base_matrices(vs, cs, masks):
-    """Per-dimension base-kernel matrices, one at a time: v_i on a match, else c_i."""
-    return (np.where(mask, c, v) for v, c, mask in zip(vs, cs, masks))
-
-
 class _Family:
     """``encode`` reads only a spec's structure; ``kernel``, ``grad`` any spec of it."""
-
-    grad = None  # without one, _FitTerms takes differences of the kernel
 
     def cross(self, space, spec, X1, X2, enc):
         """k(X1, X2), given ``enc``, X2's encoding against itself: bit for bit
@@ -653,7 +640,7 @@ class _LogAffineFamily(_Family):
         (1 - Z2).T.  Exact sums on the dyadic grid give ``kernel``'s bits."""
         if enc.side[0] is not spec:
             w = _dyadic(self._weights(spec, enc)[0], enc.sizes)[enc.inverse]
-            enc.side = (spec, np.repeat(w, enc.pair.cards)[:, None] * enc.pair.Z2c.T)
+            enc.side = (spec, np.repeat(w, space.cardinalities)[:, None] * enc.pair.Z2c.T)
         return _scaled_exp(_one_hot(space, X1) @ enc.side[1], spec.sigma2)
 
     def grad(self, spec, enc, K, W):
@@ -812,7 +799,12 @@ class _ProfileFamily(_Family):
 
 
 class _AdditiveBase(_Family):
-    """Common validation, packing and mask encoding for the additive families."""
+    """Common validation, packing and gradient for the additive families.
+
+    K is multilinear in the bases b_i (v_i on a match, c_i = v_i r_i on a
+    mismatch), so dK/db_i is ``combine`` at b_i = 1 minus at b_i = 0;
+    ``additive_sum``, their sum, keeps a one-hot kernel and dK/db_i = 1.
+    """
 
     def _vs_cs(self, spec):
         return (
@@ -836,6 +828,29 @@ class _AdditiveBase(_Family):
         vs = np.full(space.n, 1.0 / space.n)
         return vs, vs * _default_rhos(space)
 
+    def _bases(self, spec, enc):
+        vs, cs = self._vs_cs(spec)
+        return [np.where(mask, c, v) for v, c, mask in zip(vs, cs, enc.masks)]
+
+    def kernel(self, spec, enc):
+        return self.combine(spec, self._bases(spec, enc))
+
+    def grad(self, spec, enc, K, W):
+        bases, ones, zeros = self._bases(spec, enc), np.ones(K.shape), np.zeros(K.shape)
+        sums = []
+        for i, mask in enumerate(enc.masks):  # <W, dK/db_i> and its mismatch part
+            G = W * (self.combine(spec, bases[:i] + [ones] + bases[i + 1 :])
+                     - self.combine(spec, bases[:i] + [zeros] + bases[i + 1 :]))
+            sums.append((G.sum(), G[mask].sum()))
+        return self._base_grad(enc.space, spec, *np.transpose(sums))
+
+    def _base_grad(self, space, spec, total, on_mismatch):
+        """The packed (log v, theta) entries from <W, dK/db_i> and its mismatch
+        part: b_i = v_i - (v_i - c_i) M_i, and theta_i moves c_i / v_i alone."""
+        vs, cs = self._vs_cs(spec)
+        dtheta = vs * _rho_slopes(space, cs / vs) * on_mismatch
+        return (0.5 * np.concatenate([vs * total - (vs - cs) * on_mismatch, dtheta])).tolist()
+
 
 class _AdditiveSumFamily(_AdditiveBase):
     name = "additive_sum"
@@ -851,6 +866,12 @@ class _AdditiveSumFamily(_AdditiveBase):
         vs, cs = self._vs_cs(spec)
         w = _dyadic(vs - cs, np.ones(vs.size))  # on one grid: an exact one-hot product
         return float(np.sum(vs)) - _weighted_mismatches(pair, w)
+
+    def grad(self, spec, pair, K, W):
+        """dK/db_i = 1: <W, M_i> per dimension, Z1's columns against W (1 - Z2)."""
+        per_column = np.sum(pair.Z1 * (W @ pair.Z2c), axis=0)
+        on_mismatch = np.add.reduceat(per_column, pair.space.one_hot_offsets)
+        return self._base_grad(pair.space, spec, np.full(pair.space.n, W.sum()), on_mismatch)
 
 
 class _RandomDecompositionFamily(_AdditiveBase):
@@ -870,14 +891,13 @@ class _RandomDecompositionFamily(_AdditiveBase):
             True,
         )
 
-    def kernel(self, spec, enc):
-        vs, cs = self._vs_cs(spec)
-        out = np.zeros(enc.masks[0].shape)
+    def combine(self, spec, bases):
+        """The sum over components of the product of their bases."""
+        out = np.zeros(bases[0].shape)
         for comp in spec.params["decomposition"].components:
-            dims = list(comp)
             term = np.ones(out.shape)
-            for base in _base_matrices(vs[dims], cs[dims], [enc.masks[i] for i in dims]):
-                term = term * base
+            for i in comp:
+                term = term * bases[i]
             out += term
         return out
 
@@ -897,16 +917,24 @@ class _ExplainableAdditiveFamily(_AdditiveBase):
             True,
         )
 
-    def kernel(self, spec, enc):
-        vs, cs = self._vs_cs(spec)
-        weights = np.asarray(spec.params["degree_weights"], dtype=float)
-        shape = enc.masks[0].shape
-        # es[d]: degree-d elementary symmetric polynomial of the bases so far
-        es = [np.ones(shape)] + [np.zeros(shape) for _ in range(vs.size)]
-        for i, base in enumerate(_base_matrices(vs, cs, enc.masks), start=1):
+    @staticmethod
+    def _degrees(bases):
+        """es[d]: the degree-d elementary symmetric polynomial of the bases, d = 0..n."""
+        es = [np.ones(bases[0].shape)] + [np.zeros(bases[0].shape) for _ in bases]
+        for i, base in enumerate(bases, start=1):
             for d in range(i, 0, -1):
                 es[d] += base * es[d - 1]
-        return sum(w * e for w, e in zip(weights, es[1:]))
+        return es
+
+    def combine(self, spec, bases):
+        weights = np.asarray(spec.params["degree_weights"], dtype=float)
+        return sum(w * e for w, e in zip(weights, self._degrees(bases)[1:]))
+
+    def grad(self, spec, enc, K, W):
+        """The bases' entries, then w_d <W, e_d> for each packed log w_d."""
+        es = self._degrees(self._bases(spec, enc))[1:]
+        degrees = np.multiply(spec.params["degree_weights"], [np.sum(W * e) for e in es])
+        return super().grad(spec, enc, K, W) + (0.5 * degrees).tolist()
 
     def pack(self, space, spec):
         w = np.asarray(spec.params["degree_weights"], dtype=float)
@@ -924,10 +952,11 @@ class _InvariantFamily(_Family):
 
     The encoding is the padded-encoding distance (``padded_proj``), the
     inner family's encoding of the sorted rows (``proj``), or the rows under
-    each of the S sampled permutations (``sum``, ``prod``).  For those two
-    the kernel asks the inner family, for each p, for T[p, q] with q >= p
-    and T[q, p] with q > p: S^2 m1 m2 inner entries in all, 2 S calls, and
-    ``diag`` makes those 2 S calls per point.
+    each of the S sampled permutations (``sum``).  For ``sum`` the kernel
+    asks the inner family, for each p, for T[p, q] with q >= p and T[q, p]
+    with q > p: S^2 m1 m2 inner entries in all, 2 S calls, and ``diag``
+    makes those 2 S calls per point.  The gradient is the inner family's,
+    for ``sum`` one call per p with W / S^2 tiled over X2's S permutations.
     """
 
     name = "invariant"
@@ -938,7 +967,7 @@ class _InvariantFamily(_Family):
         mode = spec.params["mode"]
         samples = spec.params.get("samples", self.samples)
         seed = spec.params.get("seed", self.seed)
-        if mode not in ("sum", "proj", "padded_proj", "prod"):
+        if mode not in ("sum", "proj", "padded_proj"):
             raise InvalidInputError(f"unknown invariance mode {mode!r}")
         if not isinstance(inner, KernelSpec):
             raise InvalidInputError("inner kernel must be a KernelSpec")
@@ -979,9 +1008,9 @@ class _InvariantFamily(_Family):
     def kernel(self, spec, enc):
         inner, mode = spec.params["inner"], spec.params["mode"]
         family = _FAMILIES[inner.family]
-        if mode not in ("sum", "prod"):
+        if mode != "sum":
             return family.kernel(inner, enc)
-        op, (R1, R2) = (np.add if mode == "sum" else np.multiply), enc.rows
+        R1, R2 = enc.rows
         (S, m1, n), m2 = R1.shape, R2.shape[1]
 
         def inner_kernel(A, B):  # every row of the stack A against every row of B
@@ -989,17 +1018,28 @@ class _InvariantFamily(_Family):
             return family.kernel(inner, family.encode(enc.space, inner, A, B))
 
         rows = []
-        for p in range(S):  # T[p, q] for q >= p, then T[p, q] op T[q, p] for q > p
+        for p in range(S):  # T[p, q] for q >= p, then T[p, q] + T[q, p] for q > p
             T = inner_kernel(R1[p], R2[p:]).reshape(m1, S - p, m2).swapaxes(0, 1)
-            T[1:] = op(T[1:], inner_kernel(R1[p + 1 :], R2[p]).reshape(T[1:].shape))
-            rows.append(op.accumulate(T)[-1])  # in order, unlike reduce's shape-led order
-        total = op.accumulate(rows)[-1]
-        return total / S**2 if mode == "sum" else total
+            T[1:] += inner_kernel(R1[p + 1 :], R2[p]).reshape(T[1:].shape)
+            rows.append(np.add.accumulate(T)[-1])  # in order, unlike reduce's shape-led order
+        return np.add.accumulate(rows)[-1] / S**2
+
+    def grad(self, spec, enc, K, W):
+        inner, mode = spec.params["inner"], spec.params["mode"]
+        family = _FAMILIES[inner.family]
+        if mode != "sum":
+            return family.grad(inner, enc, K, W)
+        R1, R2 = enc.rows
+        B, tiled, grads = R2.reshape(-1, R2.shape[2]), np.tile(W, (1, len(R1))) / len(R1)**2, []
+        for A in R1:  # 1/S^2 sum_q <W, dT[p, q]> for one p, every q at once
+            inner_enc = family.encode(enc.space, inner, A, B)
+            grads.append(family.grad(inner, inner_enc, family.kernel(inner, inner_enc), tiled))
+        return np.sum(grads, axis=0).tolist()
 
     def diag(self, space, spec, X):
         """k(x, x) per point, bit for bit the Gram's diagonal.  ``proj`` and
         ``padded_proj`` take the inner family's own (on the sorted rows; the
-        profile at distance 0), ``sum`` and ``prod`` the one-point Gram."""
+        profile at distance 0), ``sum`` the one-point Gram."""
         inner, mode = spec.params["inner"], spec.params["mode"]
         if mode == "proj":
             return _FAMILIES[inner.family].diag(space, inner, np.sort(X, axis=1))
@@ -1101,13 +1141,6 @@ def diag_values(space: SearchSpace, spec: KernelSpec, points) -> np.ndarray:
 
 
 # Internal hooks for the GP: packing and the per-training-set kernel terms.
-#
-# Fourth-order central differences for families without ``grad``.  W = alpha
-# alpha^T - (K + noise I)^-1 can reach 1e5 and amplifies the rounding error of
-# dK, which shrinks as the step grows; at this step the two-point rule's
-# truncation error is already too large for kernels such as ``invariant``.
-FD_STEP = 1e-3
-_FD_STENCIL = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
 
 
 class _FitTerms:
@@ -1135,18 +1168,7 @@ class _FitTerms:
         return self.family.diag(self.space, spec, X1)
 
     def grad(self, spec, K, W):
-        if self.family.grad is not None:
-            return self.family.grad(spec, self.enc, K, W)
-        theta = pack_spec(self.space, spec)
-        steps = FD_STEP * np.maximum(1.0, np.abs(theta))
-        out = []
-        for h, e in zip(steps, np.diag(steps)):
-            dK = sum(
-                c * self.gram(unpack_spec(self.space, spec, theta + k * e))
-                for k, c in _FD_STENCIL
-            )
-            out.append(0.5 * float(np.sum(W * dK)) / h)
-        return out
+        return self.family.grad(spec, self.enc, K, W)
 
 
 def fit_terms(space: SearchSpace, spec: KernelSpec, points) -> _FitTerms:

@@ -97,18 +97,12 @@ class ExperimentConfig:
         return f"{self.benchmark}{reloc}:{self.kernel_family}:seed{seed}"
 
 
-# A singular name for a vector parameter, where the family has that vector
-_ALIASES = {"beta": "betas", "lengthscale": "lengthscales", "rho": "rhos"}
-
-
 def _kernel_kinds(family: str) -> dict:
     """[kernel] keys and their types: the family's default parameters (a
-    vector takes a float), and a float for each alias of a vector."""
+    vector takes a float)."""
     params = kernels.default_spec(SearchSpace((2,)), family).params
-    kinds = {k: float if isinstance(v, (float, np.ndarray)) else type(v)
-             for k, v in params.items()}
-    kinds.update((k, float) for k, vector in _ALIASES.items() if vector in params)
-    return kinds
+    return {k: float if isinstance(v, (float, np.ndarray)) else type(v)
+            for k, v in params.items()}
 
 
 def _int_list(text: str) -> tuple:
@@ -194,18 +188,16 @@ def _build_objective(config: ExperimentConfig) -> benchmarks.BenchmarkObjective:
 def _initial_kernel_spec(config: ExperimentConfig, space: SearchSpace):
     """Family defaults overridden by initial values from the [kernel] section.
 
-    A number given for a vector parameter of the family's default spec, by
-    its name or its ``_ALIASES`` name, fills that vector at its length; any
-    other key applies directly.  An ``ard`` that the family cannot take is
-    an error: only heat, combo and casmopolitan have both forms.
+    A number given for a vector parameter of the family's default spec fills
+    that vector at its length; any other key applies directly.  An ``ard``
+    that the family cannot take is an error: only heat, combo and
+    casmopolitan have both forms.
     """
     family = config.kernel_family
     ard = config.kernel_ard is not False  # unset: ARD where the family has both forms
     defaults = kernels.default_spec(space, family, ard=ard).params
     overrides = {}
     for key, value in config.kernel_options.items():
-        if _ALIASES.get(key) in defaults:
-            key = _ALIASES[key]
         if isinstance(defaults.get(key), np.ndarray):
             value = np.full(defaults[key].shape, float(value))
         overrides[key] = value
@@ -600,6 +592,8 @@ def main(argv=None) -> int:
             sizes = _int_list(args.sizes)
             header = ("kernel", "categories", "dims", "points", "median_ms", "blas_pinned")
             if args.out:  # probed first: the timing run takes seconds
+                if Path(args.out).is_dir():
+                    raise ConfigError(f"output path is a directory: {args.out}")
                 _writable_dir(Path(args.out).parent)
             rows = compare_speed(sizes, args.points, args.dims)
             if args.out:

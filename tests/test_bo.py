@@ -52,6 +52,7 @@ class TestExpectedImprovement:
     @settings(max_examples=500, deadline=None)
     @example(pairs=[(1.0, 0.0), (-1.0, 0.0), (0.5, 0.0), (0.0, 1e-300)], best=0.5, scalar=False)
     @example(pairs=[(-0.0, 0.0)], best=0.0, scalar=True)
+    @example(pairs=[(0.0, 0.0)], best=-0.0, scalar=True)  # improve = -0.0 clamps to +0.0
     @example(pairs=[(1.602, 0.057)], best=0.5, scalar=True)  # z**2 and z * z give other EI bits
     def test_bits_match_the_masked_formula(self, pairs, best, scalar):
         mean, variance = (list(column) for column in zip(*pairs))

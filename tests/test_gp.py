@@ -16,6 +16,7 @@ from heatbo.space import (
     SearchSpace,
     sample_relocation,
 )
+from test_kernels import INVARIANT_MODES
 
 
 def sample_unique(space, rng, m):
@@ -130,24 +131,28 @@ class TestMll:
             )
 
 
+# every family, and invariant in every mode: a family without a gradient fails here
+GRADIENT_CASES = [(family, None) for family in kernels.FAMILY_NAMES if family != "invariant"]
+GRADIENT_CASES += [("invariant", mode) for mode in INVARIANT_MODES]
+
+
 class TestGradients:
     @pytest.mark.parametrize(
-        "family",
-        [
-            "heat", "casmopolitan", "rho", "hamming_rbf", "hamming_matern52",
-            "hamming_rq", "additive_sum", "random_decomposition",
-            "explainable_additive", "invariant",
-        ],
+        "family, mode", GRADIENT_CASES,
+        ids=[family if mode is None else f"{family}-{mode}" for family, mode in GRADIENT_CASES],
     )
-    def test_mll_gradient_matches_finite_differences(self, family):
+    def test_mll_gradient_matches_finite_differences(self, family, mode):
         rng = np.random.default_rng(zlib.crc32(family.encode()))
-        # the padded projection pools dimensions, so it needs one alphabet
+        # dimension permutations and the padded projection need one alphabet
         sp = SearchSpace((3, 3, 3, 3) if family == "invariant" else (3, 4, 2, 5))
         train = make_train(sp, rng, m=12)
         y = train.standardized()
-        terms = kernels.fit_terms(sp, kernels.default_spec(sp, family), train.points)
+        base = kernels.default_spec(sp, family)
+        if mode in ("sum", "proj"):  # an ARD heat inner over 3 sampled permutations
+            inner = kernels.default_spec(sp, "heat")
+            base = kernels.default_spec(sp, family, inner=inner, mode=mode, samples=3)
+        terms = kernels.fit_terms(sp, base, train.points)
         for _ in range(10):
-            base = kernels.default_spec(sp, family)
             theta = kernels.pack_spec(sp, base) + rng.normal(
                 scale=0.5, size=kernels.pack_spec(sp, base).size
             )

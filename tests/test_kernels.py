@@ -438,18 +438,6 @@ class TestInvariantWrappers:
         b = kn.invariant_eval(sp, inner, "sum", x, y, samples=10, seed=3)
         assert a == b
 
-    def test_prod_mode_runs(self):
-        sp = SearchSpace((2, 2))
-        inner = lambda a, b: kn.heat_eval(sp, np.full(2, 1.0), a, b) + 0.5
-        x, y = np.array([0, 1]), np.array([1, 1])
-        got = kn.invariant_eval(sp, inner, "prod", x, y, samples=None)
-        terms = [
-            inner(x[list(p)], y[list(q)])
-            for p in itertools.permutations(range(2))
-            for q in itertools.permutations(range(2))
-        ]
-        assert got == pytest.approx(float(np.prod(terms)), abs=1e-12)
-
     def test_zero_samples_rejected(self):
         sp = SearchSpace((2, 2))
         inner = lambda a, b: 1.0
@@ -457,7 +445,7 @@ class TestInvariantWrappers:
             kn.invariant_eval(sp, inner, "sum", [0, 0], [1, 1], samples=0)
 
 
-INVARIANT_MODES = ("sum", "proj", "padded_proj", "prod")
+INVARIANT_MODES = ("sum", "proj", "padded_proj")
 
 
 def bits(x):
@@ -572,7 +560,7 @@ class TestGram:
             ys = sp.sample_points(3, rng)
             assert_routes_match_oracle(sp, spec, xs, ys)
 
-    @pytest.mark.parametrize("mode", ["sum", "proj", "padded_proj", "prod"])
+    @pytest.mark.parametrize("mode", INVARIANT_MODES)
     def test_invariant_matches_oracle(self, mode):
         rng = np.random.default_rng(zlib.crc32(mode.encode()))
         sp = SearchSpace((4,) * 5)
@@ -709,7 +697,7 @@ def fit_terms_spec(space, family, rng, ard=True):
         if "sigma2" in spec.params:
             spec = spec.replace_params(sigma2=float(rng.uniform(0.5, 2.0)))
         return spec
-    mode = str(rng.choice(["sum", "proj", "padded_proj", "prod"]))
+    mode = str(rng.choice(INVARIANT_MODES))
     inner = fit_terms_spec(space, "hamming_rq" if mode == "padded_proj" else "rho", rng)
     params = {"inner": inner, "mode": mode, "samples": 3, "seed": int(rng.integers(9))}
     return kn.KernelSpec(family, params, False)
@@ -803,9 +791,9 @@ class TestExactKernels:
 
 
 def two_call_invariant(space, spec, X1, X2):
-    """Frozen copy of the invariant kernel: sum and prod ask the inner
-    family, for each p, for T[p, q] with q >= p and then for T[q, p] with
-    q > p, whether or not X2 is X1."""
+    """Frozen copy of the invariant kernel: sum asks the inner family, for
+    each p, for T[p, q] with q >= p and then for T[q, p] with q > p, whether
+    or not X2 is X1."""
     inner, mode = spec.params["inner"], spec.params["mode"]
     fam = kn._FAMILIES[inner.family]
     if mode == "padded_proj":
@@ -815,7 +803,6 @@ def two_call_invariant(space, spec, X1, X2):
         return fam.kernel(inner, h.astype(float))
     if mode == "proj":
         return fam.kernel(inner, fam.encode(space, inner, np.sort(X1, 1), np.sort(X2, 1)))
-    op = np.add if mode == "sum" else np.multiply
     perms = kn._dimension_permutations(space.n, spec.params["samples"], spec.params["seed"])
     R1, R2 = (np.stack([X[:, p] for p in perms]) for X in (X1, X2))
     S, m1, m2 = len(perms), len(X1), len(X2)
@@ -827,15 +814,14 @@ def two_call_invariant(space, spec, X1, X2):
     rows = []
     for p in range(S):
         T = inner_kernel(R1[p], R2[p:]).reshape(m1, S - p, m2).swapaxes(0, 1)
-        T[1:] = op(T[1:], inner_kernel(R1[p + 1 :], R2[p]).reshape(T[1:].shape))
-        rows.append(op.accumulate(T)[-1])
-    total = op.accumulate(rows)[-1]
-    return total / S**2 if mode == "sum" else total
+        T[1:] = np.add(T[1:], inner_kernel(R1[p + 1 :], R2[p]).reshape(T[1:].shape))
+        rows.append(np.add.accumulate(T)[-1])
+    return np.add.accumulate(rows)[-1] / S**2
 
 
 INVARIANT_CASES = [
     (mode, inner, ard)
-    for mode in ("sum", "prod", "proj")
+    for mode in ("sum", "proj")
     for inner, ard in [("heat", True), ("heat", False), ("rho", True),
                        ("hamming_rbf", False), ("additive_sum", True)]
 ] + [("padded_proj", inner, False)
@@ -850,9 +836,7 @@ class TestInvariantRoutes:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         sp = SearchSpace((int(rng.integers(2, 5)),) * n)
-        # a product of S^2 values soon overflows or underflows: prod takes few
-        most = 6 if mode == "prod" else 40
-        samples = None if n < 4 and rng.random() < 0.2 else int(rng.integers(1, most + 1))
+        samples = None if n < 4 and rng.random() < 0.2 else int(rng.integers(1, 41))
         params = {"inner": fit_terms_spec(sp, inner, rng, ard), "mode": mode,
                   "samples": samples, "seed": int(rng.integers(9))}
         spec = kn.KernelSpec("invariant", params, False)
@@ -868,7 +852,7 @@ class TestInvariantRoutes:
         per_point = [two_call_invariant(sp, spec, x[None], x[None])[0, 0] for x in queries]
         np.testing.assert_array_equal(bits(kn.diag_values(sp, spec, queries)), bits(per_point))
 
-    @pytest.mark.parametrize("mode", ["sum", "prod", "proj", "padded_proj"])
+    @pytest.mark.parametrize("mode", INVARIANT_MODES)
     def test_negative_inner_beta_rejected(self, mode):
         sp = SearchSpace((3, 3, 3))
         inner = kn.KernelSpec("heat", {"betas": [-0.1], "sigma2": 1.0}, False)
@@ -1042,6 +1026,11 @@ REJECTED_INPUTS = {
         "decomposition must cover every dimension"),
     "invariant-mode": (lambda: kn.default_spec(SP3, "invariant", mode="bogus"),
                        "unknown invariance mode"),
+    "invariant-mode-prod": (lambda: kn.default_spec(SP3, "invariant", mode="prod"),
+                            "unknown invariance mode 'prod'"),
+    "invariant_eval-mode-prod": (
+        lambda: kn.invariant_eval(SP3, lambda a, b: 1.0, "prod", X3, Y3),
+        "unknown invariance mode 'prod'"),
     "invariant-inner-type": (lambda: kn.default_spec(SP3, "invariant", inner="hamming_rbf"),
                              "inner kernel must be a KernelSpec"),
     "padded-inner-profile": (
@@ -1091,6 +1080,25 @@ class TestDyadic:
         )
 
 
+def gradient_spec(space, family, rng, ard):
+    """``fit_terms_spec``, with the additive base variances doubled: up to 3."""
+    spec = fit_terms_spec(space, family, rng, ard)
+    if "vs" in spec.params:
+        spec = spec.replace_params(vs=2.0 * spec.params["vs"], cs=2.0 * spec.params["cs"])
+    return spec
+
+
+# Every family, and invariant in every mode over several inners: a family
+# added without a gradient fails the test above.
+GRADIENT_CASES = [(family, None, None) for family in kn.FAMILY_NAMES if family != "invariant"]
+GRADIENT_CASES += [
+    ("invariant", mode, inner)
+    for mode in INVARIANT_MODES
+    for inner in (("hamming_rbf", "hamming_matern52", "hamming_rq") if mode == "padded_proj"
+                  else ("heat", "rho", "additive_sum", "hamming_rbf", "explainable_additive"))
+]
+
+
 class TestSpecPacking:
     def test_pack_unpack_round_trip(self):
         rng = np.random.default_rng(24)
@@ -1117,37 +1125,82 @@ class TestSpecPacking:
                 space = SearchSpace((sp.cardinalities[0],) * sp.n)
             kn.validate_spec(space, kn.default_spec(space, family))
 
-    def test_analytic_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(26)
-        w_rng = np.random.default_rng(126)
-        cases = [
-            (family, True) for family in (
-                "heat", "combo", "casmopolitan", "rho",
-                "hamming_rbf", "hamming_matern52", "hamming_rq",
-            )
-        ]
-        cases += [("heat", False), ("combo", False), ("casmopolitan", False)]
-        for family, ard in cases:
+    @pytest.mark.parametrize(
+        "family, mode, inner", GRADIENT_CASES,
+        ids=["-".join(part for part in case if part) for case in GRADIENT_CASES],
+    )
+    def test_analytic_gradients_match_finite_differences(self, family, mode, inner):
+        """``fit_terms(...).grad`` is 1/2 <W, dK/dtheta_j> for every packed
+        theta_j, against a fourth-order central difference of ``kernels.gram``;
+        the additive base variances run up to 3."""
+        rng = np.random.default_rng(zlib.crc32(f"{family}-{mode}-{inner}".encode()))
+        for ard in (True, False):  # the log-affine families and inners take both
             sp = random_space(rng, min_n=2)
-            if ard:
-                spec = spec_for(sp, family, rng)
+            if family == "invariant":  # dimension permutations need one alphabet
+                sp = SearchSpace((sp.cardinalities[0],) * min(sp.n, 4))
+                params = {"inner": gradient_spec(sp, inner, rng, ard), "mode": mode,
+                          "samples": int(rng.integers(1, 4)), "seed": int(rng.integers(9))}
+                spec = kn.KernelSpec(family, params, False)
             else:
-                base = kn.default_spec(sp, family, ard=False)
-                theta = kn.pack_spec(sp, base)
-                spec = kn.unpack_spec(sp, base, theta + rng.normal(size=theta.size))
+                spec = gradient_spec(sp, family, rng, ard)
             pts = sp.sample_points(8, rng)
-            theta = kn.pack_spec(sp, spec)
-            W = w_rng.normal(size=(8, 8))
+            W = rng.normal(size=(8, 8))
             W = W + W.T
             terms = kn.fit_terms(sp, spec, pts)
-            grads = terms.grad(spec, terms.gram(spec), W)  # 1/2 <W, dK/dtheta_j>
+            grads = terms.grad(spec, terms.gram(spec), W)
+            theta = kn.pack_spec(sp, spec)
             assert len(grads) == theta.size
             for j in range(theta.size):
-                step = 1e-6 * max(1.0, abs(theta[j]))
-                tp = theta.copy(); tp[j] += step
-                tm = theta.copy(); tm[j] -= step
-                Kp = kn.gram(sp, kn.unpack_spec(sp, spec, tp), pts)
-                Km = kn.gram(sp, kn.unpack_spec(sp, spec, tm), pts)
-                fd = 0.5 * float(np.sum(W * (Kp - Km))) / (2 * step)
-                scale = max(1.0, abs(fd))
-                assert abs(grads[j] - fd) / scale < 1e-5, (family, j)
+                step = 1e-3 * max(1.0, abs(theta[j]))
+
+                def half_inner(k):  # 1/2 <W, K> at theta_j + k step
+                    t = theta.copy(); t[j] += k * step
+                    return 0.5 * float(np.sum(W * kn.gram(sp, kn.unpack_spec(sp, spec, t), pts)))
+
+                fd = (half_inner(-2) - 8 * half_inner(-1) + 8 * half_inner(1)
+                      - half_inner(2)) / (12 * step)
+                assert abs(grads[j] - fd) / max(1.0, abs(fd)) < 1e-6, (family, mode, inner, j)
+
+
+def frozen_additive_kernel(spec, masks):
+    """Frozen copies of the random_decomposition and explainable_additive
+    kernel bodies from before they became a ``combine`` of the bases."""
+    vs = np.asarray(spec.params["vs"], dtype=float)
+    cs = np.asarray(spec.params["cs"], dtype=float)
+
+    def base_matrices(dims):
+        return (np.where(masks[i], cs[i], vs[i]) for i in dims)
+
+    if spec.family == "random_decomposition":
+        out = np.zeros(masks[0].shape)
+        for comp in spec.params["decomposition"].components:
+            term = np.ones(out.shape)
+            for base in base_matrices(comp):
+                term = term * base
+            out += term
+        return out
+    weights = np.asarray(spec.params["degree_weights"], dtype=float)
+    shape = masks[0].shape
+    es = [np.ones(shape)] + [np.zeros(shape) for _ in range(vs.size)]
+    for i, base in enumerate(base_matrices(range(vs.size)), start=1):
+        for d in range(i, 0, -1):
+            es[d] += base * es[d - 1]
+    return sum(w * e for w, e in zip(weights, es[1:]))
+
+
+class TestAdditiveCombine:
+    @given(st.sampled_from(["random_decomposition", "explainable_additive"]),
+           st.integers(0, 2**31))
+    @settings(max_examples=100, deadline=None)
+    def test_combine_keeps_the_kernel_bits(self, family, seed):
+        rng = np.random.default_rng(seed)
+        sp = random_space(rng, max_n=7)
+        spec = gradient_spec(sp, family, rng, True)
+        X1 = sp.sample_points(int(rng.integers(1, 12)), rng)
+        X2 = sp.sample_points(int(rng.integers(1, 12)), rng)
+        for A, B in ((X1, X2), (X1, X1)):
+            masks = [a[:, None] != b[None, :] for a, b in zip(A.T, B.T)]
+            want = bits(frozen_additive_kernel(spec, masks))
+            np.testing.assert_array_equal(bits(kn.cross_gram(sp, spec, A, B)), want)
+        np.testing.assert_array_equal(bits(kn.gram(sp, spec, X1)), want)
+        np.testing.assert_array_equal(bits(kn.fit_terms(sp, spec, X1).gram(spec)), want)

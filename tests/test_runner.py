@@ -123,22 +123,20 @@ class TestConfig:
             runner.ExperimentConfig(**fields).validate()
 
     @pytest.mark.parametrize(
-        "kernel, ard, key, param, shape",
+        "kernel, ard, param, shape",
         [
-            ("heat", "true", "beta", "betas", (6,)),
-            ("casmopolitan", "true", "lengthscale", "lengthscales", (6,)),
-            ("casmopolitan", "false", "lengthscale", "lengthscales", (1,)),
-            ("hamming_rbf", "false", "lengthscale", "lengthscale", ()),
-            ("rho", "true", "rho", "rhos", (6,)),
+            ("heat", "true", "betas", (6,)),
+            ("casmopolitan", "true", "lengthscales", (6,)),
+            ("casmopolitan", "false", "lengthscales", (1,)),
+            ("hamming_rbf", "false", "lengthscale", ()),
+            ("rho", "true", "rhos", (6,)),
         ],
     )
-    def test_kernel_section_sets_initial_values(
-        self, tmp_path, kernel, ard, key, param, shape
-    ):
+    def test_kernel_section_sets_initial_values(self, tmp_path, kernel, ard, param, shape):
         from heatbo.space import SearchSpace
 
         path = write_config(tmp_path, kernel=kernel, ard=ard)
-        path.write_text(path.read_text() + f"\n[kernel]\n{key} = 0.25\nsigma2 = 2\n")
+        path.write_text(path.read_text() + f"\n[kernel]\n{param} = 0.25\nsigma2 = 2\n")
         config = runner.load_config(path)
         assert type(config.kernel_options["sigma2"]) is float
         spec = runner._initial_kernel_spec(config, SearchSpace((2,) * 6))
@@ -409,12 +407,23 @@ class TestCli:
         assert "betta" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_singular_name_of_a_vector_exits_one_naming_the_vector(self, tmp_path, capsys):
+        """Each parameter has one spelling: ``beta`` beside ``betas`` is not
+        dropped in silence, and the message lists ``betas``."""
+        path = write_config(tmp_path)
+        path.write_text(path.read_text() + "\n[kernel]\nbeta = 0.1\nbetas = 0.5\n")
+        assert runner.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "['beta'] cannot be set in [kernel]" in err and "'betas'" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "kernel, kernel_lines",
         [
-            ("heat", "beta = nan"), ("heat", "beta = -1"), ("heat", "sigma2 = inf"),
-            ("heat", "sigma2 = nan"), ("heat", "sigma2 = abc"), ("heat", "beta = true"),
+            ("heat", "betas = nan"), ("heat", "betas = -1"), ("heat", "sigma2 = inf"),
+            ("heat", "sigma2 = nan"), ("heat", "sigma2 = abc"), ("heat", "betas = true"),
             ("invariant", "samples = 2.5"), ("invariant", "inner = hamming_rbf"),
+            ("invariant", "mode = prod"),
             ("random_decomposition", "decomposition = 0"),
         ],
     )
@@ -560,6 +569,11 @@ class TestCli:
         (tmp_path / "a_file").write_text("")
         assert runner.main(["speed", "--out", str(tmp_path / "a_file" / "speed.csv")]) == 1
         assert capsys.readouterr().err.startswith("config error: output path not writable")
+
+    def test_directory_speed_output_exits_one_before_timing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "compare_speed", _crash)  # a call would exit 2
+        assert runner.main(["speed", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: output path is a directory")
 
     def test_speed_usage_error_exits_one_before_writing(self, tmp_path, capsys):
         out = tmp_path / "speed.csv"
