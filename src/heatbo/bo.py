@@ -27,9 +27,9 @@ from dataclasses import dataclass, field, replace
 from math import ceil, isfinite, sqrt
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import gp, kernels
+from ._scipy import ndtr
 from .space import InvalidInputError, SearchSpace
 
 __all__ = [

@@ -32,7 +32,8 @@ lower MLL than Adam on many training sets, so they keep Adam.
 
 The linear algebra calls LAPACK directly through this module's own
 ``cholesky``, ``cho_solve`` and ``solve_triangular``, without scipy.linalg's
-per-call checks and copies.  An evaluation copies the exactly symmetric K
+per-call checks and copies, or its import (``heatbo._scipy`` loads the file
+of ``scipy.linalg._flapack``).  An evaluation copies the exactly symmetric K
 once and dpotrf factors the F-ordered transpose in place, the noise on its
 diagonal; only a jitter level above zero takes another copy.  The bits are
 those of K + noise I + jitter I.  W takes potri's triangle, then its mirror.
@@ -52,9 +53,9 @@ from dataclasses import dataclass
 from math import inf, isfinite, log, pi
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 from . import kernels
+from ._scipy import dpotrf, dpotri, dpotrs, dtrtrs
 from .space import InvalidInputError, NumericFailure, SearchSpace
 
 __all__ = [

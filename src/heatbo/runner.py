@@ -17,7 +17,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -298,6 +297,7 @@ def _seed_outcomes(config: ExperimentConfig):
     if config.parallel == 1:
         yield from ((seed, _outcome(config, seed)) for seed in config.seeds)
         return
+    from concurrent.futures import ProcessPoolExecutor, as_completed  # loads multiprocessing
     with ProcessPoolExecutor(max_workers=config.parallel) as pool:
         futures = {pool.submit(_run_single_seed, config, seed): seed for seed in config.seeds}
         yield from ((futures[f], f.exception() or f.result()) for f in as_completed(futures))

@@ -628,6 +628,43 @@ class TestCli:
         proc = self.fresh_python("-c", "import sys, heatbo; print('scipy.optimize' in sys.modules)")
         assert proc.returncode == 0 and proc.stdout.split() == ["False"], proc.stderr
 
+    def test_import_leaves_scipy_packages_and_multiprocessing_unloaded(self):
+        # heatbo loads scipy's LAPACK and ndtr extension files itself, and the runner imports
+        # its process pool only for parallel > 1; these chains were most of the import's time
+        chains = ["scipy.linalg", "scipy.special", "scipy._lib._array_api", "multiprocessing"]
+        proc = self.fresh_python(
+            "-c", f"import sys, heatbo; print([m for m in {chains!r} if m in sys.modules])"
+        )
+        assert proc.returncode == 0 and proc.stdout.split() == ["[]"], proc.stderr
+
+    @pytest.mark.parametrize(
+        "files_found, prelude",
+        [
+            (True, ""),
+            # no extension suffix matches, as when scipy is too old to have a file
+            (False, "import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES = []"),
+        ],
+        ids=["extension-files", "public-fallback"],
+    )
+    def test_scipy_routines_are_the_public_functions(self, files_found, prelude):
+        script = f"""
+import sys
+import numpy as np
+{prelude}
+from heatbo import bo, gp
+print("scipy.linalg" not in sys.modules and "scipy.special" not in sys.modules)
+print(all(m in sys.modules for m in ("scipy.linalg._flapack", "scipy.special._special_ufuncs")))
+import scipy.linalg.lapack, scipy.special
+names = ("dpotrf", "dpotri", "dpotrs", "dtrtrs")
+print(all(getattr(gp, n) is getattr(scipy.linalg.lapack, n) for n in names))
+print(bo.ndtr is scipy.special.ndtr)
+x = np.linspace(-40.0, 40.0, 200_001)
+print(np.array_equal(bo.ndtr(x).view(np.int64), scipy.special.ndtr(x).view(np.int64)))
+"""
+        proc = self.fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(files_found), "True", "True", "True", "True"]
+
     def test_speed_command(self, tmp_path, capsys):
         out = tmp_path / "speed.csv"
         code = runner.main(
